@@ -1,6 +1,7 @@
 #include "common/executor.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace rstore {
 namespace {
@@ -15,7 +16,14 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+uint64_t NextExecutorId() {
+  static std::atomic<uint64_t> next_id{1};
+  return next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+Executor::Executor(uint64_t seed) : seed_(seed), id_(NextExecutorId()) {}
 
 Executor::TaskId Executor::Enqueue(uint64_t when_us, Task task) {
   MutexLock lock(mu_);

@@ -41,7 +41,7 @@ class Executor {
   using Task = std::function<void()>;
   using TaskId = uint64_t;
 
-  explicit Executor(uint64_t seed = 0) : seed_(seed) {}
+  explicit Executor(uint64_t seed = 0);
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -74,6 +74,12 @@ class Executor {
 
   uint64_t seed() const { return seed_; }
 
+  /// Identity of this executor's virtual timeline, unique in the process
+  /// and never reused: a later executor built at the same address gets a
+  /// new id, so state keyed by it (Cluster's per-timeline node queues)
+  /// never leaks from one timeline into another.
+  uint64_t id() const { return id_; }
+
  private:
   /// Deterministic execution order among queued tasks.
   struct Key {
@@ -90,6 +96,7 @@ class Executor {
   TaskId Enqueue(uint64_t when_us, Task task);
 
   const uint64_t seed_;
+  const uint64_t id_;
   mutable Mutex mu_{kLockRankExecutor, "executor"};
   std::map<Key, std::pair<TaskId, Task>> queue_ RSTORE_GUARDED_BY(mu_);
   std::unordered_map<TaskId, Key> index_ RSTORE_GUARDED_BY(mu_);

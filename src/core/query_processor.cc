@@ -52,6 +52,49 @@ bool KeyInRange(const std::string& key, const std::string& lo,
   return key >= lo && key <= hi;
 }
 
+/// A point query's answer: its one record, or kNotFound.
+Result<Record> PointAnswer(Result<std::vector<Record>> records,
+                           const std::string& key, VersionId version) {
+  if (!records.ok()) return records.status();
+  if (records->empty()) {
+    return Status::NotFound("no record " + key + " in version " +
+                            std::to_string(version));
+  }
+  return std::move(records->front());
+}
+
+using ReplayedRecords =
+    std::unordered_map<CompositeKey, std::string, CompositeKeyHash>;
+
+/// Replays a fetched delta chain in full — the DELTA baseline's cost
+/// profile: every record of every delta object is decompressed, since
+/// later deltas may be record-level-encoded against earlier records.
+Result<ReplayedRecords> ReplayAll(
+    const std::vector<std::shared_ptr<const Chunk>>& chunks) {
+  ReplayedRecords replayed;
+  SubChunk::PayloadResolver resolver =
+      [&replayed](const CompositeKey& ck) -> Result<std::string> {
+    auto it = replayed.find(ck);
+    if (it == replayed.end()) {
+      return Status::Corruption("delta base record " + ck.ToString() +
+                                " not yet replayed");
+    }
+    return it->second;
+  };
+  for (const auto& chunk_ref : chunks) {
+    const Chunk& chunk = *chunk_ref;
+    // Chunk ids ascend with origin version, so bases precede dependents.
+    std::vector<uint32_t> all(chunk.record_count());
+    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto extracted = chunk.ExtractRecords(all, resolver);
+    if (!extracted.ok()) return extracted.status();
+    for (auto& [ck, payload] : extracted.value()) {
+      replayed[ck] = std::move(payload);
+    }
+  }
+  return replayed;
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
@@ -192,10 +235,9 @@ Status QueryProcessor::DecodeAndInsert(
 }
 
 uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
-                                      const FetchPlan& plan, uint64_t bytes,
-                                      uint64_t micros, uint64_t queue_us,
-                                      uint64_t service_us, uint64_t retry_us,
-                                      uint64_t hedge_us, QueryStats* stats) {
+                                      const FetchPlan& plan,
+                                      const KVStats& charge,
+                                      QueryStats* stats) {
   uint64_t n_missing = 0;
   for (const ChunkRef& chunk : plan.chunks) {
     if (chunk == nullptr) ++n_missing;
@@ -204,12 +246,12 @@ uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
   // cache; bytes/latency only count traffic that reached the backend.
   if (stats != nullptr) {
     stats->chunks_fetched += ids.size();
-    stats->bytes_fetched += bytes;
-    stats->simulated_micros += micros;
-    stats->queue_wait_us += queue_us;
-    stats->service_us += service_us;
-    stats->retry_penalty_us += retry_us;
-    stats->hedge_delta_us += hedge_us;
+    stats->bytes_fetched += charge.bytes_read;
+    stats->simulated_micros += charge.simulated_micros;
+    stats->queue_wait_us += charge.queue_wait_us;
+    stats->service_us += charge.service_us;
+    stats->retry_penalty_us += charge.retry_penalty_us;
+    stats->hedge_delta_us += charge.hedge_delta_us;
     if (cache_ != nullptr) {
       stats->cache_hits += ids.size() - plan.miss.size();
       stats->cache_misses += plan.miss.size();
@@ -218,8 +260,8 @@ uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
   }
   const QueryMetrics& metrics = QueryMetrics::Get();
   metrics.chunks_fetched_total->Increment(ids.size());
-  metrics.bytes_fetched_total->Increment(bytes);
-  metrics.simulated_micros_total->Increment(micros);
+  metrics.bytes_fetched_total->Increment(charge.bytes_read);
+  metrics.simulated_micros_total->Increment(charge.simulated_micros);
   if (n_missing > 0) metrics.missing_chunks_total->Increment(n_missing);
   metrics.span_chunks->Observe(ids.size());
   return n_missing;
@@ -232,8 +274,9 @@ Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
   fetch_span.Annotate("chunks", std::to_string(ids.size()));
   FetchPlan plan = PrepareFetch(ids, trace);
 
-  KVStats before = kvs_->stats();
+  KVStats charge;  // a fetch the cache serves whole costs the backend nothing
   if (!plan.miss.empty()) {
+    const KVStats before = kvs_->stats();
     std::map<std::string, std::string> chunk_values, map_values;
     std::vector<KeyReadFailure> chunk_failures, map_failures;
     if (degradation != nullptr) {
@@ -252,18 +295,12 @@ Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
                                             plan.map_keys, &map_values,
                                             trace));
     }
+    charge = KVStats::Delta(kvs_->stats(), before);
     RSTORE_RETURN_IF_ERROR(DecodeAndInsert(ids, &plan, chunk_values,
                                            map_values, chunk_failures,
                                            map_failures, trace, degradation));
   }
-  KVStats after = kvs_->stats();
-  uint64_t n_missing = AccountFetch(
-      ids, plan, after.bytes_read - before.bytes_read,
-      after.simulated_micros - before.simulated_micros,
-      after.queue_wait_us - before.queue_wait_us,
-      after.service_us - before.service_us,
-      after.retry_penalty_us - before.retry_penalty_us,
-      after.hedge_delta_us - before.hedge_delta_us, stats);
+  uint64_t n_missing = AccountFetch(ids, plan, charge, stats);
   if (n_missing > 0) {
     fetch_span.Annotate("missing", std::to_string(n_missing));
   }
@@ -328,16 +365,10 @@ void QueryProcessor::FinishFetchAsync(const FetchStatePtr& state,
       return;
     }
   }
-  const uint64_t bytes = state->chunk_result.bytes_read + map_result.bytes_read;
-  const uint64_t micros =
-      state->chunk_result.charged_micros + map_result.charged_micros;
-  uint64_t n_missing = AccountFetch(
-      state->ids, state->plan, bytes, micros,
-      state->chunk_result.queue_wait_us + map_result.queue_wait_us,
-      state->chunk_result.service_us + map_result.service_us,
-      state->chunk_result.retry_penalty_us + map_result.retry_penalty_us,
-      state->chunk_result.hedge_delta_us + map_result.hedge_delta_us,
-      &state->out.stats);
+  KVStats charge = state->chunk_result.charge;
+  charge += map_result.charge;
+  uint64_t n_missing =
+      AccountFetch(state->ids, state->plan, charge, &state->out.stats);
   if (state->trace != nullptr) {
     if (n_missing > 0) {
       state->trace->Annotate(state->fetch_span, "missing",
@@ -354,6 +385,220 @@ void QueryProcessor::AbortFetchAsync(const FetchStatePtr& state,
   if (state->trace != nullptr) state->trace->EndSpan(state->fetch_span);
   state->out.status = error;
   state->promise.Set(std::move(state->out));
+}
+
+QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
+                                               TraceContext* trace) const {
+  using Kind = Query::Kind;
+  Plan plan;
+  if (query.kind != Kind::kHistory &&
+      query.version >= dataset_->graph.size()) {
+    plan.status = Status::InvalidArgument("unknown version");
+    return plan;
+  }
+  if (query.kind == Kind::kRange && query.key_lo > query.key_hi) {
+    plan.status = Status::InvalidArgument("empty key range");
+    return plan;
+  }
+  if (trace != nullptr) {
+    static constexpr const char* kSpanNames[] = {
+        "query.get_version", "query.get_range", "query.get_history",
+        "query.get_record"};
+    plan.span = trace->StartSpan(kSpanNames[static_cast<int>(query.kind)]);
+    if (query.kind == Kind::kHistory || query.kind == Kind::kRecord) {
+      trace->Annotate(plan.span, "key", query.key_lo);
+    }
+    if (query.kind != Kind::kHistory) {
+      trace->Annotate(plan.span, "version", std::to_string(query.version));
+    }
+  }
+  QueryMetrics::Get().queries_total->Increment();
+
+  const bool delta = layout_ == LayoutKind::kDeltaChain;
+  switch (query.kind) {
+    case Kind::kVersion:
+      if (delta) {
+        plan.ids = DeltaChainIds(query.version);
+      } else if (layout_ == LayoutKind::kChunked) {
+        plan.ids = catalog_->ChunksOfVersion(query.version);
+      } else {
+        // No version->chunk index: every chunk must be retrieved (§2.2).
+        plan.ids = catalog_->AllChunks();
+      }
+      break;
+    case Kind::kRange:
+      plan.ids = delta ? DeltaChainIds(query.version)
+                       : RangeChunkIds(query.version, query.key_lo,
+                                       query.key_hi);
+      break;
+    case Kind::kHistory:
+      // "For DELTA, we need to reconstruct all the versions and then filter
+      // out the required records which renders execution of Q3 impractical"
+      // (§5.4): every chunk must come back.
+      plan.ids = delta ? catalog_->AllChunks()
+                       : catalog_->ChunksOfKey(query.key_lo);
+      break;
+    case Kind::kRecord:
+      if (delta) {
+        plan.ids = DeltaChainIds(query.version);
+      } else if (layout_ == LayoutKind::kSubChunkPerKey) {
+        plan.ids = catalog_->ChunksOfKey(query.key_lo);
+      } else {
+        // Index-ANDing of the two projections (paper §2.4).
+        std::vector<ChunkId> by_version =
+            catalog_->ChunksOfVersion(query.version);
+        std::vector<ChunkId> by_key = catalog_->ChunksOfKey(query.key_lo);
+        std::set_intersection(by_version.begin(), by_version.end(),
+                              by_key.begin(), by_key.end(),
+                              std::back_inserter(plan.ids));
+      }
+      break;
+  }
+  // A delta chain with a hole cannot be replayed, so DELTA is always strict
+  // (DESIGN.md "Fault tolerance"); so are history and point queries.
+  plan.best_effort =
+      options_.read_mode == ReadMode::kBestEffort && !delta &&
+      (query.kind == Kind::kVersion || query.kind == Kind::kRange);
+  return plan;
+}
+
+Result<std::vector<Record>> QueryProcessor::FinishQuery(
+    const Query& query, const std::vector<ChunkRef>& chunks) const {
+  using Kind = Query::Kind;
+  if (query.kind == Kind::kHistory) {
+    return HistoryFromChunks(chunks, query.key_lo);
+  }
+  if (layout_ == LayoutKind::kDeltaChain) {
+    return ReplayDeltaChain(chunks, query.version,
+                            query.kind != Kind::kVersion, query.key_lo,
+                            query.key_hi);
+  }
+  if (query.kind == Kind::kRecord) {
+    return RecordFromChunks(chunks, query.key_lo, query.version);
+  }
+  return ExtractVersionRecords(chunks, query.version,
+                               query.kind == Kind::kRange, query.key_lo,
+                               query.key_hi);
+}
+
+Result<std::vector<Record>> QueryProcessor::Run(const Query& query,
+                                                QueryStats* stats,
+                                                TraceContext* trace,
+                                                QueryDegradation* degradation) {
+  Plan plan = PlanQuery(query, trace);
+  if (!plan.status.ok()) return plan.status;
+  // The caller's report object is optional: the missing_chunks stat still
+  // counts best-effort casualties.
+  QueryDegradation local_degradation;
+  if (degradation == nullptr) degradation = &local_degradation;
+  auto chunks = FetchChunks(plan.ids, stats, trace,
+                            plan.best_effort ? degradation : nullptr);
+  Result<std::vector<Record>> records =
+      chunks.ok() ? FinishQuery(query, *chunks)
+                  : Result<std::vector<Record>>(chunks.status());
+  if (trace != nullptr) trace->EndSpan(plan.span);
+  return records;
+}
+
+Future<AsyncQueryResult> QueryProcessor::RunAsync(Executor* executor,
+                                                  Query query,
+                                                  TraceContext* trace) {
+  Plan plan = PlanQuery(query, trace);
+  if (!plan.status.ok()) {
+    AsyncQueryResult result;
+    result.status = std::move(plan.status);
+    return MakeReadyFuture(std::move(result));
+  }
+  Promise<AsyncQueryResult> promise;
+  FetchChunksAsync(executor, std::move(plan.ids), trace, plan.best_effort)
+      .OnReady([this, promise, query = std::move(query), trace,
+                span = plan.span](const AsyncFetchOutcome& fetch) {
+        AsyncQueryResult result;
+        result.stats = fetch.stats;
+        result.degradation = fetch.degradation;
+        Result<std::vector<Record>> records =
+            fetch.status.ok() ? FinishQuery(query, fetch.chunks)
+                              : Result<std::vector<Record>>(fetch.status);
+        if (records.ok()) {
+          result.records = std::move(records.value());
+        } else {
+          result.status = records.status();
+        }
+        if (trace != nullptr) trace->EndSpan(span);
+        promise.Set(std::move(result));
+      });
+  return promise.future();
+}
+
+Result<std::vector<Record>> QueryProcessor::GetVersion(
+    VersionId version, QueryStats* stats, TraceContext* trace,
+    QueryDegradation* degradation) {
+  return Run(Query{Query::Kind::kVersion, version}, stats, trace,
+             degradation);
+}
+
+Result<std::vector<Record>> QueryProcessor::GetRange(
+    VersionId version, const std::string& key_lo, const std::string& key_hi,
+    QueryStats* stats, TraceContext* trace, QueryDegradation* degradation) {
+  return Run(Query{Query::Kind::kRange, version, key_lo, key_hi}, stats,
+             trace, degradation);
+}
+
+Result<std::vector<Record>> QueryProcessor::GetHistory(const std::string& key,
+                                                       QueryStats* stats,
+                                                       TraceContext* trace) {
+  return Run(Query{Query::Kind::kHistory, kInvalidVersion, key}, stats, trace,
+             nullptr);
+}
+
+Result<Record> QueryProcessor::GetRecord(const std::string& key,
+                                         VersionId version,
+                                         QueryStats* stats,
+                                         TraceContext* trace) {
+  return PointAnswer(
+      Run(Query{Query::Kind::kRecord, version, key, key}, stats, trace,
+          nullptr),
+      key, version);
+}
+
+Future<AsyncQueryResult> QueryProcessor::GetVersionAsync(Executor* executor,
+                                                         VersionId version,
+                                                         TraceContext* trace) {
+  return RunAsync(executor, Query{Query::Kind::kVersion, version}, trace);
+}
+
+Future<AsyncQueryResult> QueryProcessor::GetRangeAsync(
+    Executor* executor, VersionId version, const std::string& key_lo,
+    const std::string& key_hi, TraceContext* trace) {
+  return RunAsync(executor,
+                  Query{Query::Kind::kRange, version, key_lo, key_hi}, trace);
+}
+
+Future<AsyncQueryResult> QueryProcessor::GetHistoryAsync(Executor* executor,
+                                                         const std::string& key,
+                                                         TraceContext* trace) {
+  return RunAsync(executor, Query{Query::Kind::kHistory, kInvalidVersion, key},
+                  trace);
+}
+
+Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
+    Executor* executor, const std::string& key, VersionId version,
+    TraceContext* trace) {
+  return RunAsync(executor, Query{Query::Kind::kRecord, version, key, key},
+                  trace)
+      .Then([key, version](const AsyncQueryResult& found) {
+        AsyncRecordResult result;
+        result.stats = found.stats;
+        Result<Record> record =
+            found.status.ok() ? PointAnswer(found.records, key, version)
+                              : Result<Record>(found.status);
+        if (record.ok()) {
+          result.record = std::move(record.value());
+        } else {
+          result.status = record.status();
+        }
+        return result;
+      });
 }
 
 Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(
@@ -414,135 +659,6 @@ std::vector<ChunkId> QueryProcessor::DeltaChainIds(VersionId version) const {
   return ids;
 }
 
-Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
-    const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
-    const std::string& key_lo, const std::string& key_hi) const {
-  // The chain must be replayed in full: every record of every delta object
-  // is decompressed (later deltas may be record-level-encoded against
-  // earlier records), then membership — replayed on the application server
-  // from the in-memory deltas — selects the live ones. This whole-chain
-  // decompression is precisely the DELTA baseline's cost profile.
-  std::unordered_map<CompositeKey, std::string, CompositeKeyHash> replayed;
-  SubChunk::PayloadResolver resolver =
-      [&replayed](const CompositeKey& ck) -> Result<std::string> {
-    auto it = replayed.find(ck);
-    if (it == replayed.end()) {
-      return Status::Corruption("delta base record " + ck.ToString() +
-                                " not yet replayed");
-    }
-    return it->second;
-  };
-  for (const ChunkRef& chunk_ref : chunks) {
-    const Chunk& chunk = *chunk_ref;
-    // Chunk ids ascend with origin version, so bases precede dependents.
-    std::vector<uint32_t> all(chunk.record_count());
-    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-    auto extracted = chunk.ExtractRecords(all, resolver);
-    if (!extracted.ok()) return extracted.status();
-    for (auto& [ck, payload] : extracted.value()) {
-      replayed[ck] = std::move(payload);
-    }
-  }
-  VersionMembership members = dataset_->MaterializeVersion(version);
-  std::vector<Record> out;
-  for (const CompositeKey& ck : members) {
-    if (use_range && !KeyInRange(ck.key, key_lo, key_hi)) continue;
-    auto it = replayed.find(ck);
-    if (it == replayed.end()) {
-      return Status::Corruption("record " + ck.ToString() +
-                                " missing from replayed chain");
-    }
-    out.push_back(Record{ck, it->second});
-  }
-  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
-    return a.key < b.key;
-  });
-  return out;
-}
-
-Result<std::vector<Record>> QueryProcessor::GetVersionDeltaChain(
-    VersionId version, bool use_range, const std::string& key_lo,
-    const std::string& key_hi, QueryStats* stats, TraceContext* trace) {
-  auto chunks = FetchChunks(DeltaChainIds(version), stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return ReplayDeltaChain(chunks.value(), version, use_range, key_lo, key_hi);
-}
-
-Result<std::vector<Record>> QueryProcessor::GetVersion(
-    VersionId version, QueryStats* stats, TraceContext* trace,
-    QueryDegradation* degradation) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  ScopedSpan span(trace, "query.get_version");
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  // Best-effort only when the options ask for it; the caller's report
-  // object is optional (the missing_chunks stat still counts casualties).
-  QueryDegradation local_degradation;
-  QueryDegradation* effective =
-      options_.read_mode == ReadMode::kBestEffort
-          ? (degradation != nullptr ? degradation : &local_degradation)
-          : nullptr;
-  switch (layout_) {
-    case LayoutKind::kChunked: {
-      auto chunks = FetchChunks(catalog_->ChunksOfVersion(version), stats,
-                                trace, effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/false, "", "");
-    }
-    case LayoutKind::kDeltaChain:
-      // A delta chain with a hole cannot be replayed: this layout is always
-      // strict (documented in DESIGN.md "Fault tolerance").
-      return GetVersionDeltaChain(version, /*use_range=*/false, "", "",
-                                  stats, trace);
-    case LayoutKind::kSubChunkPerKey: {
-      // No version->chunk index: every chunk must be retrieved (paper §2.2).
-      auto chunks = FetchChunks(catalog_->AllChunks(), stats, trace,
-                                effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/false, "", "");
-    }
-  }
-  return Status::InvalidArgument("bad layout");
-}
-
-Result<std::vector<Record>> QueryProcessor::GetRange(
-    VersionId version, const std::string& key_lo, const std::string& key_hi,
-    QueryStats* stats, TraceContext* trace, QueryDegradation* degradation) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  if (key_lo > key_hi) {
-    return Status::InvalidArgument("empty key range");
-  }
-  ScopedSpan span(trace, "query.get_range");
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  QueryDegradation local_degradation;
-  QueryDegradation* effective =
-      options_.read_mode == ReadMode::kBestEffort
-          ? (degradation != nullptr ? degradation : &local_degradation)
-          : nullptr;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-    case LayoutKind::kSubChunkPerKey: {
-      auto chunks = FetchChunks(RangeChunkIds(version, key_lo, key_hi), stats,
-                                trace, effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/true, key_lo, key_hi);
-    }
-    case LayoutKind::kDeltaChain:
-      // Always strict: a delta chain with a hole cannot be replayed.
-      return GetVersionDeltaChain(version, /*use_range=*/true, key_lo,
-                                  key_hi, stats, trace);
-  }
-  return Status::InvalidArgument("bad layout");
-}
-
 std::vector<ChunkId> QueryProcessor::RangeChunkIds(
     VersionId version, const std::string& key_lo,
     const std::string& key_hi) const {
@@ -574,28 +690,28 @@ std::vector<ChunkId> QueryProcessor::RangeChunkIds(
   return ids;
 }
 
-Result<std::vector<Record>> QueryProcessor::GetHistory(const std::string& key,
-                                                       QueryStats* stats,
-                                                       TraceContext* trace) {
-  ScopedSpan span(trace, "query.get_history");
-  span.Annotate("key", key);
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-    case LayoutKind::kSubChunkPerKey:
-      ids = catalog_->ChunksOfKey(key);
-      break;
-    case LayoutKind::kDeltaChain:
-      // "For DELTA, we need to reconstruct all the versions and then filter
-      // out the required records which renders execution of Q3 impractical"
-      // (§5.4): every chunk must come back.
-      ids = catalog_->AllChunks();
-      break;
+Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
+    const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
+    const std::string& key_lo, const std::string& key_hi) const {
+  auto replayed = ReplayAll(chunks);
+  if (!replayed.ok()) return replayed.status();
+  // Membership — replayed on the application server from the in-memory
+  // deltas — selects the live records.
+  VersionMembership members = dataset_->MaterializeVersion(version);
+  std::vector<Record> out;
+  for (const CompositeKey& ck : members) {
+    if (use_range && !KeyInRange(ck.key, key_lo, key_hi)) continue;
+    auto it = replayed->find(ck);
+    if (it == replayed->end()) {
+      return Status::Corruption("record " + ck.ToString() +
+                                " missing from replayed chain");
+    }
+    out.push_back(Record{ck, it->second});
   }
-  auto chunks = FetchChunks(ids, stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return HistoryFromChunks(chunks.value(), key);
+  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
+    return a.key < b.key;
+  });
+  return out;
 }
 
 Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
@@ -604,27 +720,9 @@ Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
   if (layout_ == LayoutKind::kDeltaChain) {
     // Everything was fetched; replay it all (record-level deltas may chain
     // across versions) and filter by key.
-    std::unordered_map<CompositeKey, std::string, CompositeKeyHash> replayed;
-    SubChunk::PayloadResolver resolver =
-        [&replayed](const CompositeKey& ck) -> Result<std::string> {
-      auto it = replayed.find(ck);
-      if (it == replayed.end()) {
-        return Status::Corruption("delta base record " + ck.ToString() +
-                                  " not yet replayed");
-      }
-      return it->second;
-    };
-    for (const ChunkRef& chunk_ref : chunks) {
-      const Chunk& chunk = *chunk_ref;
-      std::vector<uint32_t> all(chunk.record_count());
-      for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-      auto extracted = chunk.ExtractRecords(all, resolver);
-      if (!extracted.ok()) return extracted.status();
-      for (auto& [ck, payload] : extracted.value()) {
-        replayed[ck] = std::move(payload);
-      }
-    }
-    for (auto& [ck, payload] : replayed) {
+    auto replayed = ReplayAll(chunks);
+    if (!replayed.ok()) return replayed.status();
+    for (auto& [ck, payload] : *replayed) {
       if (ck.key == key) out.push_back(Record{ck, std::move(payload)});
     }
   } else {
@@ -648,278 +746,22 @@ Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
   return out;
 }
 
-Result<Record> QueryProcessor::GetRecord(const std::string& key,
-                                         VersionId version,
-                                         QueryStats* stats,
-                                         TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  ScopedSpan span(trace, "query.get_record");
-  span.Annotate("key", key);
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked: {
-      // Index-ANDing of the two projections (paper §2.4).
-      std::vector<ChunkId> by_version = catalog_->ChunksOfVersion(version);
-      std::vector<ChunkId> by_key = catalog_->ChunksOfKey(key);
-      std::set_intersection(by_version.begin(), by_version.end(),
-                            by_key.begin(), by_key.end(),
-                            std::back_inserter(ids));
-      break;
-    }
-    case LayoutKind::kDeltaChain: {
-      auto records = GetVersionDeltaChain(version, /*use_range=*/true, key,
-                                          key, stats, trace);
-      if (!records.ok()) return records.status();
-      if (records->empty()) {
-        return Status::NotFound("no record " + key + " in version " +
-                                std::to_string(version));
-      }
-      return std::move(records->front());
-    }
-    case LayoutKind::kSubChunkPerKey:
-      ids = catalog_->ChunksOfKey(key);
-      break;
-  }
-  auto chunks = FetchChunks(ids, stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return RecordFromChunks(chunks.value(), key, version);
-}
-
-Result<Record> QueryProcessor::RecordFromChunks(
+Result<std::vector<Record>> QueryProcessor::RecordFromChunks(
     const std::vector<ChunkRef>& chunks, const std::string& key,
     VersionId version) const {
+  std::vector<Record> out;
   for (const ChunkRef& chunk_ref : chunks) {
     const Chunk& chunk = *chunk_ref;
     for (uint32_t idx : chunk.chunk_map().RecordsOf(version)) {
       if (chunk.records()[idx].key == key) {
         auto payload = chunk.ExtractPayload(chunk.records()[idx]);
         if (!payload.ok()) return payload.status();
-        return Record{chunk.records()[idx], std::move(payload.value())};
+        out.push_back(Record{chunk.records()[idx], std::move(payload.value())});
+        return out;
       }
     }
   }
-  return Status::NotFound("no record " + key + " in version " +
-                          std::to_string(version));
-}
-
-// -- Asynchronous twins. Each runs the sync method's prologue inline
-//    (validation, span, planning), submits the fetch, and runs the sync
-//    epilogue in the continuation at the query's simulated completion
-//    instant — so results are byte-identical to the sync path by
-//    construction, and only the fetch's scheduling differs.
-
-Future<AsyncQueryResult> QueryProcessor::GetVersionAsync(Executor* executor,
-                                                         VersionId version,
-                                                         TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
-  }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_version")
-                                         : TraceSpan::kNoParent;
-  if (trace != nullptr) {
-    trace->Annotate(span, "version", std::to_string(version));
-  }
-  QueryMetrics::Get().queries_total->Increment();
-  // A delta chain with a hole cannot be replayed: always strict.
-  const bool best_effort = options_.read_mode == ReadMode::kBestEffort &&
-                           layout_ != LayoutKind::kDeltaChain;
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-      ids = catalog_->ChunksOfVersion(version);
-      break;
-    case LayoutKind::kDeltaChain:
-      ids = DeltaChainIds(version);
-      break;
-    case LayoutKind::kSubChunkPerKey:
-      // No version->chunk index: every chunk must be retrieved (paper §2.2).
-      ids = catalog_->AllChunks();
-      break;
-  }
-  Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, best_effort)
-      .OnReady([this, promise, version, trace,
-                span](const AsyncFetchOutcome& fetch) {
-        AsyncQueryResult result;
-        result.stats = fetch.stats;
-        result.degradation = fetch.degradation;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records =
-              layout_ == LayoutKind::kDeltaChain
-                  ? ReplayDeltaChain(fetch.chunks, version,
-                                     /*use_range=*/false, "", "")
-                  : ExtractVersionRecords(fetch.chunks, version,
-                                          /*use_range=*/false, "", "");
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
-        }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
-      });
-  return promise.future();
-}
-
-Future<AsyncQueryResult> QueryProcessor::GetRangeAsync(
-    Executor* executor, VersionId version, const std::string& key_lo,
-    const std::string& key_hi, TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
-  }
-  if (key_lo > key_hi) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("empty key range");
-    return MakeReadyFuture(std::move(result));
-  }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_range")
-                                         : TraceSpan::kNoParent;
-  if (trace != nullptr) {
-    trace->Annotate(span, "version", std::to_string(version));
-  }
-  QueryMetrics::Get().queries_total->Increment();
-  const bool best_effort = options_.read_mode == ReadMode::kBestEffort &&
-                           layout_ != LayoutKind::kDeltaChain;
-  std::vector<ChunkId> ids = layout_ == LayoutKind::kDeltaChain
-                                 ? DeltaChainIds(version)
-                                 : RangeChunkIds(version, key_lo, key_hi);
-  Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, best_effort)
-      .OnReady([this, promise, version, key_lo, key_hi, trace,
-                span](const AsyncFetchOutcome& fetch) {
-        AsyncQueryResult result;
-        result.stats = fetch.stats;
-        result.degradation = fetch.degradation;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records =
-              layout_ == LayoutKind::kDeltaChain
-                  ? ReplayDeltaChain(fetch.chunks, version, /*use_range=*/true,
-                                     key_lo, key_hi)
-                  : ExtractVersionRecords(fetch.chunks, version,
-                                          /*use_range=*/true, key_lo, key_hi);
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
-        }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
-      });
-  return promise.future();
-}
-
-Future<AsyncQueryResult> QueryProcessor::GetHistoryAsync(Executor* executor,
-                                                         const std::string& key,
-                                                         TraceContext* trace) {
-  const uint32_t span = trace != nullptr
-                            ? trace->StartSpan("query.get_history")
-                            : TraceSpan::kNoParent;
-  if (trace != nullptr) trace->Annotate(span, "key", key);
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids = layout_ == LayoutKind::kDeltaChain
-                                 ? catalog_->AllChunks()
-                                 : catalog_->ChunksOfKey(key);
-  Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, /*best_effort=*/false)
-      .OnReady([this, promise, key, trace,
-                span](const AsyncFetchOutcome& fetch) {
-        AsyncQueryResult result;
-        result.stats = fetch.stats;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records = HistoryFromChunks(fetch.chunks, key);
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
-        }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
-      });
-  return promise.future();
-}
-
-Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
-    Executor* executor, const std::string& key, VersionId version,
-    TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    AsyncRecordResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
-  }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_record")
-                                         : TraceSpan::kNoParent;
-  if (trace != nullptr) {
-    trace->Annotate(span, "key", key);
-    trace->Annotate(span, "version", std::to_string(version));
-  }
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked: {
-      // Index-ANDing of the two projections (paper §2.4).
-      std::vector<ChunkId> by_version = catalog_->ChunksOfVersion(version);
-      std::vector<ChunkId> by_key = catalog_->ChunksOfKey(key);
-      std::set_intersection(by_version.begin(), by_version.end(),
-                            by_key.begin(), by_key.end(),
-                            std::back_inserter(ids));
-      break;
-    }
-    case LayoutKind::kDeltaChain:
-      ids = DeltaChainIds(version);
-      break;
-    case LayoutKind::kSubChunkPerKey:
-      ids = catalog_->ChunksOfKey(key);
-      break;
-  }
-  Promise<AsyncRecordResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, /*best_effort=*/false)
-      .OnReady([this, promise, key, version, trace,
-                span](const AsyncFetchOutcome& fetch) {
-        AsyncRecordResult result;
-        result.stats = fetch.stats;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else if (layout_ == LayoutKind::kDeltaChain) {
-          auto records = ReplayDeltaChain(fetch.chunks, version,
-                                          /*use_range=*/true, key, key);
-          if (!records.ok()) {
-            result.status = records.status();
-          } else if (records->empty()) {
-            result.status = Status::NotFound("no record " + key +
-                                             " in version " +
-                                             std::to_string(version));
-          } else {
-            result.record = std::move(records->front());
-          }
-        } else {
-          auto record = RecordFromChunks(fetch.chunks, key, version);
-          if (record.ok()) {
-            result.record = std::move(record.value());
-          } else {
-            result.status = record.status();
-          }
-        }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
-      });
-  return promise.future();
+  return out;
 }
 
 }  // namespace rstore

@@ -190,9 +190,10 @@ class QueryProcessor {
   // -- Asynchronous twins: continuation-style execution on a deterministic
   //    virtual-time Executor, so many queries pipeline through one
   //    coordinator (the backend's per-node queues are the shared resource).
-  //    Each method validates and plans inline, submits its chunk fetches,
-  //    and completes the returned future at the query's simulated completion
-  //    instant with results byte-identical to the synchronous twin. A
+  //    Each method runs its sync twin's plan inline, submits its chunk
+  //    fetches, and runs the same epilogue when they complete, completing
+  //    the returned future at the query's simulated completion instant with
+  //    results byte-identical to the synchronous twin. A
   //    sequentially-drained executor (RunUntilIdle after each submission)
   //    replays the synchronous timeline exactly — same backend ticks, same
   //    charges, same counters.
@@ -250,14 +251,11 @@ class QueryProcessor {
                          const std::vector<KeyReadFailure>& map_failures,
                          TraceContext* trace, QueryDegradation* degradation);
 
-  /// Stats/metrics epilogue shared by both fetch paths (`bytes`/`micros`
-  /// are what this fetch's backend traffic cost; `queue_us`/`service_us`/
-  /// `retry_us`/`hedge_us` its attribution, summing to `micros`). Returns
-  /// the number of null refs (best-effort casualties) for span annotation.
+  /// Stats/metrics epilogue shared by both fetch paths (`charge` is what
+  /// this fetch's backend traffic cost). Returns the number of null refs
+  /// (best-effort casualties) for span annotation.
   uint64_t AccountFetch(const std::vector<ChunkId>& ids, const FetchPlan& plan,
-                        uint64_t bytes, uint64_t micros, uint64_t queue_us,
-                        uint64_t service_us, uint64_t retry_us,
-                        uint64_t hedge_us, QueryStats* stats);
+                        const KVStats& charge, QueryStats* stats);
 
   /// Fetches and decodes chunks (bodies + their maps) by id, consulting the
   /// cache first when attached, accounting stats. With `degradation`
@@ -313,23 +311,49 @@ class QueryProcessor {
   /// Completes an async fetch with `error`, closing its span (no charge).
   void AbortFetchAsync(const FetchStatePtr& state, const Status& error);
 
+  /// One query of any of the four classes, as both paths run it.
+  struct Query {
+    enum class Kind { kVersion, kRange, kHistory, kRecord };
+    Kind kind;
+    VersionId version = kInvalidVersion;  // unused by kHistory
+    /// kRange's bounds; the key of kHistory (key_lo) and kRecord (both: a
+    /// point query is the range [key, key]).
+    std::string key_lo{};
+    std::string key_hi{};
+  };
+
+  /// What both paths do before the fetch. A non-OK status is a
+  /// validation error and nothing else ran; otherwise the query's span is
+  /// open (when traced) and `ids` are the chunks to fetch.
+  struct Plan {
+    Status status = Status::OK();
+    uint32_t span = TraceSpan::kNoParent;
+    std::vector<ChunkId> ids;
+    /// Options::read_mode asks for best-effort and the class supports it
+    /// (full and range checkouts outside the DELTA layout).
+    bool best_effort = false;
+  };
+  /// Validation, the query span, and chunk-id selection for every class
+  /// and layout.
+  Plan PlanQuery(const Query& query, TraceContext* trace) const;
+  /// The epilogue: the query's records from its fetched chunks. A point
+  /// query yields at most one record.
+  Result<std::vector<Record>> FinishQuery(
+      const Query& query, const std::vector<ChunkRef>& chunks) const;
+  /// The sync path: plan, FetchChunks, finish.
+  Result<std::vector<Record>> Run(const Query& query, QueryStats* stats,
+                                  TraceContext* trace,
+                                  QueryDegradation* degradation);
+  /// The async path: plan, FetchChunksAsync, finish in its continuation.
+  Future<AsyncQueryResult> RunAsync(Executor* executor, Query query,
+                                    TraceContext* trace);
+
   /// Extracts the records of `version` from fetched chunks via chunk maps,
   /// optionally restricted to [key_lo, key_hi]. Null chunk refs (best-effort
   /// fetch casualties) are skipped.
   Result<std::vector<Record>> ExtractVersionRecords(
       const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
       const std::string& key_lo, const std::string& key_hi) const;
-
-  Result<std::vector<Record>> GetVersionDeltaChain(VersionId version,
-                                                   bool use_range,
-                                                   const std::string& key_lo,
-                                                   const std::string& key_hi,
-                                                   QueryStats* stats,
-                                                   TraceContext* trace);
-
-  // -- Layout-specific planning/epilogue helpers shared by the synchronous
-  //    and asynchronous paths. Planning (which chunk ids to fetch) runs
-  //    before the fetch; epilogues turn fetched chunks into records after.
 
   /// Every delta object on root->version, deduplicated (DELTA layout).
   std::vector<ChunkId> DeltaChainIds(VersionId version) const;
@@ -347,10 +371,11 @@ class QueryProcessor {
   /// sorted by origin version (replays everything under DELTA).
   Result<std::vector<Record>> HistoryFromChunks(
       const std::vector<ChunkRef>& chunks, const std::string& key) const;
-  /// Point-query epilogue: scans fetched chunks for `key` in `version`.
-  Result<Record> RecordFromChunks(const std::vector<ChunkRef>& chunks,
-                                  const std::string& key,
-                                  VersionId version) const;
+  /// Point-query epilogue outside DELTA: scans fetched chunks for `key` in
+  /// `version`, yielding its record or nothing.
+  Result<std::vector<Record>> RecordFromChunks(
+      const std::vector<ChunkRef>& chunks, const std::string& key,
+      VersionId version) const;
 
   KVStore* kvs_;
   const StoreCatalog* catalog_;

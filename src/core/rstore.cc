@@ -53,14 +53,14 @@ struct WriteMetrics {
 
 /// Flight-recorder + exemplar epilogue shared by every query wrapper: claims
 /// a query id, observes the per-query latency histogram with an attribution
-/// exemplar, and logs the full flight record. `before`/`after` are backend
-/// stats snapshots bracketing the query; the fault counters derived from
-/// them are exact on the synchronous path (one query at a time) and
-/// best-effort under async overlap, where concurrent queries share the
-/// backend's tallies. The attribution itself rides in `qs` and is exact in
-/// both engines.
+/// exemplar, and logs the full flight record. `backend` is the backend
+/// stats delta bracketing the query; the fault counters read from it are
+/// exact on the synchronous path (one query at a time) and best-effort
+/// under async overlap, where concurrent queries share the backend's
+/// tallies. The attribution itself rides in `qs` and is exact on both
+/// paths.
 void RecordQueryFlight(const char* name, const QueryStats& qs,
-                       const KVStats& before, const KVStats& after,
+                       const KVStats& backend,
                        const QueryDegradation* degradation,
                        const TraceContext* trace) {
   static Histogram* latency = MetricsRegistry::Default().GetHistogram(
@@ -82,10 +82,10 @@ void RecordQueryFlight(const char* name, const QueryStats& qs,
   record.service_us = qs.service_us;
   record.retry_penalty_us = qs.retry_penalty_us;
   record.hedge_delta_us = qs.hedge_delta_us;
-  record.retries = after.retries - before.retries;
-  record.hedges = after.hedges - before.hedges;
-  record.hedge_wins = after.hedge_wins - before.hedge_wins;
-  record.timeouts = after.timeouts - before.timeouts;
+  record.retries = backend.retries;
+  record.hedges = backend.hedges;
+  record.hedge_wins = backend.hedge_wins;
+  record.timeouts = backend.timeouts;
   record.missing_chunks = qs.missing_chunks;
   if (degradation != nullptr) record.degradation = degradation->messages;
   if (trace != nullptr) {
@@ -100,25 +100,25 @@ void RecordQueryFlight(const char* name, const QueryStats& qs,
 }
 
 /// Flight-recorder epilogue for a batch drain: every ProcessBatch logs a
-/// "process_batch" record whose counters come from the backend stats
+/// "process_batch" record whose counters are the backend stats delta
 /// bracketing the drain and whose span subtree is the drain's own spans
 /// (depths re-based so "write.process_batch" sits at depth 0). Exact: the
 /// write path is single-caller per store, so nothing else moves the
 /// backend's tallies inside the bracket.
 void RecordIngestFlight(const TraceContext& trace, size_t first_span,
-                        const KVStats& before, const KVStats& after) {
+                        const KVStats& backend) {
   FlightRecord record;
   record.id = FlightRecorder::Default().NextQueryId();
   record.name = "process_batch";
-  record.total_us = after.simulated_micros - before.simulated_micros;
-  record.queue_wait_us = after.queue_wait_us - before.queue_wait_us;
-  record.service_us = after.service_us - before.service_us;
-  record.retry_penalty_us = after.retry_penalty_us - before.retry_penalty_us;
-  record.hedge_delta_us = after.hedge_delta_us - before.hedge_delta_us;
-  record.retries = after.retries - before.retries;
-  record.hedges = after.hedges - before.hedges;
-  record.hedge_wins = after.hedge_wins - before.hedge_wins;
-  record.timeouts = after.timeouts - before.timeouts;
+  record.total_us = backend.simulated_micros;
+  record.queue_wait_us = backend.queue_wait_us;
+  record.service_us = backend.service_us;
+  record.retry_penalty_us = backend.retry_penalty_us;
+  record.hedge_delta_us = backend.hedge_delta_us;
+  record.retries = backend.retries;
+  record.hedges = backend.hedges;
+  record.hedge_wins = backend.hedge_wins;
+  record.timeouts = backend.timeouts;
   const std::vector<TraceSpan>& spans = trace.spans();
   const uint32_t base_depth =
       first_span < spans.size() ? spans[first_span].depth : 0;
@@ -129,6 +129,14 @@ void RecordIngestFlight(const TraceContext& trace, size_t first_span,
                                       span.sim_start_us, span.sim_end_us});
   }
   FlightRecorder::Default().Record(std::move(record));
+}
+
+/// The async results that carry a best-effort report.
+const QueryDegradation* DegradationOf(const AsyncQueryResult& result) {
+  return &result.degradation;
+}
+const QueryDegradation* DegradationOf(const AsyncRecordResult&) {
+  return nullptr;
 }
 
 }  // namespace
@@ -456,12 +464,10 @@ Status RStore::ProcessBatch(TraceContext* trace) {
   // closes: the drain's simulated cost advances the trace clock here, so
   // the "write.process_batch" sim duration equals the backend stats delta
   // exactly (asserted in observability_test).
-  const KVStats after = backend_->stats();
-  trace->AdvanceSim(after.simulated_micros - before.simulated_micros);
+  const KVStats charge = KVStats::Delta(backend_->stats(), before);
+  trace->AdvanceSim(charge.simulated_micros);
   batch_span.End();
-  if (status.ok()) {
-    RecordIngestFlight(*trace, first_span, before, after);
-  }
+  if (status.ok()) RecordIngestFlight(*trace, first_span, charge);
   return status;
 }
 
@@ -746,20 +752,59 @@ Status RStore::Flush(TraceContext* trace) {
   return backend_->Put(options_.index_table, "g", graph_blob);
 }
 
-Result<std::vector<Record>> RStore::GetVersion(VersionId version,
-                                               QueryStats* stats,
-                                               TraceContext* trace,
-                                               QueryDegradation* degradation) {
+template <typename T, typename Fn>
+Result<T> RStore::RunQuery(const char* name, QueryStats* stats,
+                           TraceContext* trace,
+                           const QueryDegradation* degradation, Fn query) {
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
   QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
                     cache_.get(), cache_owner_);
   const KVStats before = backend_->stats();
   QueryStats local;
-  auto result = qp.GetVersion(version, &local, trace, degradation);
-  RecordQueryFlight("get_version", local, before, backend_->stats(),
+  Result<T> result = query(qp, &local);
+  RecordQueryFlight(name, local, KVStats::Delta(backend_->stats(), before),
                     degradation, trace);
   if (stats != nullptr) *stats += local;
   return result;
+}
+
+template <typename R, typename Submit>
+Future<R> RStore::RunQueryAsync(const char* name, TraceContext* trace,
+                                Submit submit) {
+  // The flush prologue runs synchronously, like the sync queries: writes
+  // and async reads never overlap (documented contract).
+  Status flushed = ProcessBatch(trace);
+  if (!flushed.ok()) {
+    R result;
+    result.status = std::move(flushed);
+    return MakeReadyFuture(std::move(result));
+  }
+  // Heap-held: continuations run long after this frame returns, and the
+  // one below keeps the processor alive until the query completes.
+  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
+                                             layout_, options_, cache_.get(),
+                                             cache_owner_);
+  const KVStats before = backend_->stats();
+  Future<R> future = submit(*qp);
+  // `trace` outlives the future (documented contract); `this` outlives
+  // every query it serves.
+  future.OnReady([this, qp, name, before, trace](const R& result) {
+    RecordQueryFlight(name, result.stats,
+                      KVStats::Delta(backend_->stats(), before),
+                      DegradationOf(result), trace);
+  });
+  return future;
+}
+
+Result<std::vector<Record>> RStore::GetVersion(VersionId version,
+                                               QueryStats* stats,
+                                               TraceContext* trace,
+                                               QueryDegradation* degradation) {
+  return RunQuery<std::vector<Record>>(
+      "get_version", stats, trace, degradation,
+      [&](QueryProcessor& qp, QueryStats* qs) {
+        return qp.GetVersion(version, qs, trace, degradation);
+      });
 }
 
 Result<std::vector<Record>> RStore::GetRange(VersionId version,
@@ -768,87 +813,38 @@ Result<std::vector<Record>> RStore::GetRange(VersionId version,
                                              QueryStats* stats,
                                              TraceContext* trace,
                                              QueryDegradation* degradation) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetRange(version, key_lo, key_hi, &local, trace,
-                            degradation);
-  RecordQueryFlight("get_range", local, before, backend_->stats(),
-                    degradation, trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return RunQuery<std::vector<Record>>(
+      "get_range", stats, trace, degradation,
+      [&](QueryProcessor& qp, QueryStats* qs) {
+        return qp.GetRange(version, key_lo, key_hi, qs, trace, degradation);
+      });
 }
 
 Result<std::vector<Record>> RStore::GetHistory(const std::string& key,
                                                QueryStats* stats,
                                                TraceContext* trace) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetHistory(key, &local, trace);
-  RecordQueryFlight("get_history", local, before, backend_->stats(), nullptr,
-                    trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return RunQuery<std::vector<Record>>(
+      "get_history", stats, trace, nullptr,
+      [&](QueryProcessor& qp, QueryStats* qs) {
+        return qp.GetHistory(key, qs, trace);
+      });
 }
 
 Result<Record> RStore::GetRecord(const std::string& key, VersionId version,
                                  QueryStats* stats, TraceContext* trace) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetRecord(key, version, &local, trace);
-  RecordQueryFlight("get_record", local, before, backend_->stats(), nullptr,
-                    trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return RunQuery<Record>("get_record", stats, trace, nullptr,
+                          [&](QueryProcessor& qp, QueryStats* qs) {
+                            return qp.GetRecord(key, version, qs, trace);
+                          });
 }
-
-namespace {
-
-/// Pins a heap-held QueryProcessor until `future` completes (continuations
-/// may run long after the submitting frame returns).
-template <typename T>
-Future<T> PinProcessor(std::shared_ptr<QueryProcessor> qp, Future<T> future) {
-  future.OnReady([qp = std::move(qp)](const T&) {});
-  return future;
-}
-
-template <typename T>
-Future<T> AsyncError(Status error) {
-  T result;
-  result.status = std::move(error);
-  return MakeReadyFuture(std::move(result));
-}
-
-}  // namespace
 
 Future<AsyncQueryResult> RStore::GetVersionAsync(Executor* executor,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  // The flush prologue runs synchronously, like the sync twins: writes and
-  // async reads never overlap (documented contract).
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future =
-      PinProcessor(qp, qp->GetVersionAsync(executor, version, trace));
-  // `trace` outlives the future (documented contract); `this` outlives every
-  // query it serves.
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_version_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQueryAsync<AsyncQueryResult>(
+      "get_version_async", trace, [&](QueryProcessor& qp) {
+        return qp.GetVersionAsync(executor, version, trace);
+      });
 }
 
 Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
@@ -856,56 +852,29 @@ Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
                                                const std::string& key_lo,
                                                const std::string& key_hi,
                                                TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future = PinProcessor(
-      qp, qp->GetRangeAsync(executor, version, key_lo, key_hi, trace));
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_range_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQueryAsync<AsyncQueryResult>(
+      "get_range_async", trace, [&](QueryProcessor& qp) {
+        return qp.GetRangeAsync(executor, version, key_lo, key_hi, trace);
+      });
 }
 
 Future<AsyncQueryResult> RStore::GetHistoryAsync(Executor* executor,
                                                  const std::string& key,
                                                  TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future =
-      PinProcessor(qp, qp->GetHistoryAsync(executor, key, trace));
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_history_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQueryAsync<AsyncQueryResult>(
+      "get_history_async", trace, [&](QueryProcessor& qp) {
+        return qp.GetHistoryAsync(executor, key, trace);
+      });
 }
 
 Future<AsyncRecordResult> RStore::GetRecordAsync(Executor* executor,
                                                  const std::string& key,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncRecordResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncRecordResult> future =
-      PinProcessor(qp, qp->GetRecordAsync(executor, key, version, trace));
-  future.OnReady([this, before, trace](const AsyncRecordResult& result) {
-    RecordQueryFlight("get_record_async", result.stats, before,
-                      backend_->stats(), nullptr, trace);
-  });
-  return future;
+  return RunQueryAsync<AsyncRecordResult>(
+      "get_record_async", trace, [&](QueryProcessor& qp) {
+        return qp.GetRecordAsync(executor, key, version, trace);
+      });
 }
 
 Result<VersionDelta> RStore::Diff(VersionId from, VersionId to) const {

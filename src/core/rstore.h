@@ -135,9 +135,10 @@ class RStore {
   //    staged batch synchronously, then submits the query onto `executor`'s
   //    virtual timeline; the future completes at the query's simulated
   //    completion instant with results byte-identical to the sync method
-  //    and the query's own cost accounting in the payload. All async
-  //    queries against one store must share one Executor, and writes must
-  //    not run while queries are in flight (drain the executor first).
+  //    and the query's own cost accounting in the payload. Queries on one
+  //    Executor share its virtual timeline's node queues (see Cluster), and
+  //    writes must not run while queries are in flight (drain the executor
+  //    first).
   Future<AsyncQueryResult> GetVersionAsync(Executor* executor,
                                            VersionId version,
                                            TraceContext* trace = nullptr);
@@ -208,6 +209,19 @@ class RStore {
   Status ProcessBatchImpl(TraceContext* trace);
 
   Status WriteChunk(Chunk* chunk);
+
+  /// Every sync query: the flush prologue, a QueryProcessor over the
+  /// current catalog running `query(processor, &stats)`, and the
+  /// flight-recorder epilogue. Templated so the query runs inline.
+  template <typename T, typename Fn>
+  Result<T> RunQuery(const char* name, QueryStats* stats, TraceContext* trace,
+                     const QueryDegradation* degradation, Fn query);
+  /// Every async query: the flush prologue, then `submit(processor)` on a
+  /// processor kept alive until the query completes, whose completion
+  /// feeds the flight recorder.
+  template <typename R, typename Submit>
+  Future<R> RunQueryAsync(const char* name, TraceContext* trace,
+                          Submit submit);
 
   KVStore* backend_;
   Options options_;

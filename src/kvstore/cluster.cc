@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/flight_recorder.h"
@@ -19,22 +21,11 @@ namespace {
 /// Registry handles for the coordinator's traffic counters, resolved once.
 /// Every update below is one relaxed atomic op — no locks on the hot path.
 struct ClusterMetrics {
+  /// One per client operation: Get, Put, Delete, MultiGet batch.
   Counter* requests_total;
-  Counter* multiget_batches_total;
-  Counter* keys_requested_total;
-  Counter* bytes_read_total;
-  Counter* bytes_written_total;
-  Counter* simulated_micros_total;
-  Counter* retries_total;
-  Counter* hedges_total;
-  Counter* hedge_wins_total;
-  Counter* timeouts_total;
-  Counter* handoff_hints_total;
-  Counter* handoff_replays_total;
-  Counter* queue_wait_micros_total;
-  Counter* service_micros_total;
-  Counter* retry_penalty_micros_total;
-  Counter* hedge_saved_micros_total;
+  /// The counter mirroring each KVStats field other than the per-operation
+  /// counts, which requests_total sums.
+  std::vector<std::pair<uint64_t KVStats::*, Counter*>> mirrors;
   Histogram* multiget_batch_keys;
 
   static const ClusterMetrics& Get() {
@@ -42,31 +33,27 @@ struct ClusterMetrics {
       MetricsRegistry& registry = MetricsRegistry::Default();
       ClusterMetrics m;
       m.requests_total = registry.GetCounter("rstore_kvs_requests_total");
-      m.multiget_batches_total =
-          registry.GetCounter("rstore_kvs_multiget_batches_total");
-      m.keys_requested_total =
-          registry.GetCounter("rstore_kvs_keys_requested_total");
-      m.bytes_read_total = registry.GetCounter("rstore_kvs_bytes_read_total");
-      m.bytes_written_total =
-          registry.GetCounter("rstore_kvs_bytes_written_total");
-      m.simulated_micros_total =
-          registry.GetCounter("rstore_kvs_simulated_micros_total");
-      m.retries_total = registry.GetCounter("rstore_kvs_retries_total");
-      m.hedges_total = registry.GetCounter("rstore_kvs_hedges_total");
-      m.hedge_wins_total = registry.GetCounter("rstore_kvs_hedge_wins_total");
-      m.timeouts_total = registry.GetCounter("rstore_kvs_timeouts_total");
-      m.handoff_hints_total =
-          registry.GetCounter("rstore_kvs_handoff_hints_total");
-      m.handoff_replays_total =
-          registry.GetCounter("rstore_kvs_handoff_replays_total");
-      m.queue_wait_micros_total =
-          registry.GetCounter("rstore_kvs_queue_wait_micros_total");
-      m.service_micros_total =
-          registry.GetCounter("rstore_kvs_service_micros_total");
-      m.retry_penalty_micros_total =
-          registry.GetCounter("rstore_kvs_retry_penalty_micros_total");
-      m.hedge_saved_micros_total =
-          registry.GetCounter("rstore_kvs_hedge_saved_micros_total");
+      const std::pair<uint64_t KVStats::*, const char*> mirrored[] = {
+          {&KVStats::multiget_batches, "rstore_kvs_multiget_batches_total"},
+          {&KVStats::keys_requested, "rstore_kvs_keys_requested_total"},
+          {&KVStats::bytes_read, "rstore_kvs_bytes_read_total"},
+          {&KVStats::bytes_written, "rstore_kvs_bytes_written_total"},
+          {&KVStats::simulated_micros, "rstore_kvs_simulated_micros_total"},
+          {&KVStats::retries, "rstore_kvs_retries_total"},
+          {&KVStats::hedges, "rstore_kvs_hedges_total"},
+          {&KVStats::hedge_wins, "rstore_kvs_hedge_wins_total"},
+          {&KVStats::timeouts, "rstore_kvs_timeouts_total"},
+          {&KVStats::handoff_hints, "rstore_kvs_handoff_hints_total"},
+          {&KVStats::handoff_replays, "rstore_kvs_handoff_replays_total"},
+          {&KVStats::queue_wait_us, "rstore_kvs_queue_wait_micros_total"},
+          {&KVStats::service_us, "rstore_kvs_service_micros_total"},
+          {&KVStats::retry_penalty_us,
+           "rstore_kvs_retry_penalty_micros_total"},
+          {&KVStats::hedge_delta_us, "rstore_kvs_hedge_saved_micros_total"},
+      };
+      for (const auto& [member, name] : mirrored) {
+        m.mirrors.emplace_back(member, registry.GetCounter(name));
+      }
       m.multiget_batch_keys = registry.GetHistogram(
           "rstore_kvs_multiget_batch_keys",
           Histogram::ExponentialBoundaries(1, 4.0, 8));  // 1..16384 keys
@@ -94,6 +81,16 @@ uint64_t ScaleMicros(uint64_t us, double multiplier) {
       std::llround(static_cast<double>(us) * multiplier));
 }
 
+/// The simulated instant at which a request issued at `start_us` is
+/// abandoned (never, without a request timeout).
+uint64_t Deadline(const RetryPolicy& retry, uint64_t start_us) {
+  return retry.request_timeout_us > 0
+             ? start_us + retry.request_timeout_us
+             : std::numeric_limits<uint64_t>::max();
+}
+
+}  // namespace
+
 /// Attribution of one completion/failure event: how its instant (relative
 /// to the operation start) decomposes into queue wait, service, and retry
 /// penalty, minus hedge savings. The invariant
@@ -101,14 +98,94 @@ uint64_t ScaleMicros(uint64_t us, double multiplier) {
 /// holds for every event an operation produces; the operation's attribution
 /// is its critical event's (the one that set the charged latency), plus the
 /// coordinator overhead as service.
-struct EventAttribution {
+struct Cluster::EventAttribution {
   uint64_t queue_us = 0;
   uint64_t service_us = 0;
   uint64_t retry_us = 0;
   uint64_t hedge_saved_us = 0;
 };
 
-}  // namespace
+/// A key of a batch routed to one of its replicas: the replica list and
+/// the current position in it, so retry exhaustion or a timeout can fail
+/// it over down the list.
+struct Cluster::Member {
+  size_t key_idx;
+  std::vector<uint32_t> replicas;
+  size_t pos;
+};
+
+/// Mutable continuation state of one in-flight MultiGet batch, shared by
+/// every event the batch schedules. Only its executor's events touch it
+/// after submission, one at a time, so no lock guards it; cross-thread
+/// publication happens via the executor's own queue lock.
+struct Cluster::Batch {
+  struct Group {
+    uint32_t node;
+    uint64_t start_us;  // absolute virtual time the group was issued
+    uint32_t round;     // failover depth, decorrelates fault decisions
+    std::vector<Member> members;
+    /// How start_us - submit_us decomposes (zero for the first groups).
+    /// Every event this group produces extends it, keeping the
+    /// conservation invariant exact through arbitrary failover chains.
+    EventAttribution attr{};
+    // Set when the node serves the group, for ResolveGroup.
+    std::map<std::string, std::string> values{};
+    uint64_t node_bytes = 0;
+    uint64_t service_start = 0;  // the node's queue let the chain start
+    uint64_t attempt_start = 0;  // issue time of the serving attempt
+    uint64_t node_us = 0;        // modeled service of that attempt
+  };
+  /// A child span at an absolute virtual interval, re-based onto the
+  /// trace's simulated clock when the batch finishes.
+  struct SimSpan {
+    std::string name;
+    uint64_t start_us;
+    uint64_t end_us;
+    std::vector<std::pair<std::string, std::string>> notes;
+  };
+
+  /// Considers one event as the batch's critical event. Strictly-greater
+  /// updates resolve ties toward the first event.
+  void Consider(uint64_t event_us, const EventAttribution& event) {
+    if (event_us > last_event_us) {
+      last_event_us = event_us;
+      crit = event;
+    }
+  }
+
+  Executor* executor = nullptr;
+  Timeline* timeline = nullptr;
+  std::string table;
+  /// The caller's keys for a drained sync batch, owned_keys for an async
+  /// one (whose caller may be gone before it completes).
+  const std::vector<std::string>* keys = nullptr;
+  std::vector<std::string> owned_keys;
+  /// Where served values and (partial mode) per-key failures land: the
+  /// async result, or a drained call's out-params. Null `failures` makes
+  /// the batch strict.
+  std::map<std::string, std::string>* values = nullptr;
+  std::vector<KeyReadFailure>* failures = nullptr;
+  TraceContext* trace = nullptr;
+
+  uint64_t tick = 0;
+  uint64_t submit_us = 0;        // absolute virtual submission instant
+  uint64_t sim_batch_start = 0;  // trace sim clock at submission
+  uint32_t span_id = TraceSpan::kNoParent;
+
+  std::deque<Group> groups;  // append-only, so references stay valid
+  size_t outstanding = 0;
+  bool failed = false;
+
+  std::vector<SimSpan> sim_spans;  // traced batches only
+  uint64_t last_event_us = 0;      // absolute latest completion/failure
+  EventAttribution crit;           // the event that set last_event_us
+  uint32_t nodes_contacted = 0;
+
+  /// Status and charge (plus values and failures, for an async batch). An
+  /// async batch hands it to its promise; a drained one's caller reads it.
+  AsyncMultiGetResult result;
+  std::optional<Promise<AsyncMultiGetResult>> promise;
+};
 
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
@@ -116,8 +193,7 @@ Cluster::Cluster(const ClusterOptions& options)
             options.ring_seed),
       alive_(options.num_nodes),
       injector_(options.faults, options.num_nodes),
-      hints_(options.num_nodes),
-      async_node_busy_us_(options.num_nodes, 0) {
+      hints_(options.num_nodes) {
   RSTORE_CHECK(options.num_nodes >= 1);
   RSTORE_CHECK(options.replication_factor >= 1);
   RSTORE_CHECK(options.retry.max_attempts >= 1);
@@ -192,27 +268,39 @@ Cluster::AttemptChain Cluster::SimulateAttempts(uint32_t node, uint64_t tick,
 }
 
 Status Cluster::Put(const std::string& table, Slice key, Slice value) {
+  return WriteReplicas(table, key, value, /*is_delete=*/false);
+}
+
+Status Cluster::Delete(const std::string& table, Slice key) {
+  return WriteReplicas(table, key, Slice(), /*is_delete=*/true);
+}
+
+Status Cluster::WriteReplicas(const std::string& table, Slice key,
+                              Slice value, bool is_delete) {
   const uint64_t tick = injector_.NextTick();
   ReplayReadyHints(tick);
   const auto replicas = ring_.Replicas(key, options_.replication_factor);
   const uint64_t timeout_us = options_.retry.request_timeout_us;
+  // Hinted handoff: a replica that is down or fails the write gets it
+  // replayed when it serves again.
   std::vector<std::pair<uint32_t, Hint>> staged;
+  auto stage = [&](uint32_t node) {
+    staged.push_back(
+        {node, Hint{table, key.ToString(), value.ToString(), is_delete}});
+  };
   int wrote = 0;
   uint64_t slowest_us = 0;
   EventAttribution crit;
-  uint64_t n_retries = 0;
-  uint64_t n_timeouts = 0;
+  KVStats charge;
   for (uint32_t node : replicas) {
     if (!NodeUp(node, tick)) {
-      // Hinted handoff: capture the write for replay when the node returns
-      // (the pre-fault-tolerance coordinator silently dropped it here).
-      staged.push_back(
-          {node, Hint{table, key.ToString(), value.ToString(), false}});
+      stage(node);
       continue;
     }
     const AttemptChain chain =
-        SimulateAttempts(node, tick, /*round=*/0, kSaltWrite, /*start_us=*/0);
-    n_retries += chain.retries;
+        SimulateAttempts(node, tick, /*round=*/0,
+                         is_delete ? kSaltDelete : kSaltWrite, /*start_us=*/0);
+    charge.retries += chain.retries;
     bool ok = chain.served;
     uint64_t completion = chain.failure_us;
     EventAttribution event;
@@ -232,7 +320,7 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
         // in-deadline part of the attempt is attributed.
         event.retry_us = std::min(chain.start_us, timeout_us);
         event.service_us = timeout_us - event.retry_us;
-        ++n_timeouts;
+        ++charge.timeouts;
       }
     }
     if (completion > slowest_us) {
@@ -240,11 +328,11 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
       crit = event;
     }
     if (!ok) {
-      staged.push_back(
-          {node, Hint{table, key.ToString(), value.ToString(), false}});
+      stage(node);
       continue;
     }
-    RSTORE_RETURN_IF_ERROR(nodes_[node]->Put(table, key, value));
+    RSTORE_RETURN_IF_ERROR(is_delete ? nodes_[node]->Delete(table, key)
+                                     : nodes_[node]->Put(table, key, value));
     ++wrote;
   }
   if (wrote == 0) {
@@ -252,33 +340,17 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
     // hint is a promise about a write that succeeded somewhere).
     return Status::IOError("all replicas down");
   }
-  const uint64_t hinted = staged.size();
+  charge.handoff_hints = staged.size();
   CommitHints(std::move(staged));
+  (is_delete ? charge.deletes : charge.puts) = 1;
+  if (!is_delete) charge.bytes_written = key.size() + value.size();
   // Replica writes proceed in parallel; charge the slowest replica's chain.
-  const uint64_t micros = options_.latency.coordinator_overhead_us +
-                          slowest_us;
-  const uint64_t service_us =
+  charge.simulated_micros = options_.latency.coordinator_overhead_us +
+                            slowest_us;
+  charge.service_us =
       crit.service_us + options_.latency.coordinator_overhead_us;
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.requests_total->Increment();
-  metrics.bytes_written_total->Increment(key.size() + value.size());
-  metrics.simulated_micros_total->Increment(micros);
-  metrics.service_micros_total->Increment(service_us);
-  if (crit.retry_us > 0) {
-    metrics.retry_penalty_micros_total->Increment(crit.retry_us);
-  }
-  if (n_retries > 0) metrics.retries_total->Increment(n_retries);
-  if (n_timeouts > 0) metrics.timeouts_total->Increment(n_timeouts);
-  if (hinted > 0) metrics.handoff_hints_total->Increment(hinted);
-  MutexLock lock(mu_);
-  ++stats_.puts;
-  stats_.bytes_written += key.size() + value.size();
-  stats_.simulated_micros += micros;
-  stats_.service_us += service_us;
-  stats_.retry_penalty_us += crit.retry_us;
-  stats_.retries += n_retries;
-  stats_.timeouts += n_timeouts;
-  stats_.handoff_hints += hinted;
+  charge.retry_penalty_us = crit.retry_us;
+  Charge(charge);
   return Status::OK();
 }
 
@@ -291,15 +363,14 @@ Result<std::string> Cluster::Get(const std::string& table, Slice key) {
   const uint64_t timeout_us = options_.retry.request_timeout_us;
   uint64_t start_us = 0;
   uint32_t round = 0;
-  uint64_t n_retries = 0;
-  uint64_t n_timeouts = 0;
+  KVStats charge;
   while (true) {
     const uint32_t node = replicas[static_cast<size_t>(pos)];
     Result<std::string> r = nodes_[node]->Get(table, key);
     const uint64_t bytes = r.ok() ? r.value().size() : 0;
     const AttemptChain chain =
         SimulateAttempts(node, tick, round, kSaltRead, start_us);
-    n_retries += chain.retries;
+    charge.retries += chain.retries;
     bool failed = !chain.served;
     uint64_t fail_time = chain.failure_us;
     uint64_t completion = 0;
@@ -310,35 +381,22 @@ Result<std::string> Cluster::Get(const std::string& table, Slice key) {
       if (timeout_us > 0 && completion > start_us + timeout_us) {
         failed = true;
         fail_time = start_us + timeout_us;
-        ++n_timeouts;
+        ++charge.timeouts;
       }
     }
     if (!failed) {
-      const uint64_t micros =
+      charge.gets = 1;
+      charge.keys_requested = 1;
+      charge.bytes_read = bytes;
+      charge.simulated_micros =
           options_.latency.coordinator_overhead_us + completion;
       // Everything before the serving attempt's issue — failover waits and
       // backoffs across all rounds — is retry penalty; the attempt itself
       // plus the coordinator overhead is service.
-      const uint64_t retry_us = chain.start_us;
-      const uint64_t service_us =
-          (completion - chain.start_us) + options_.latency.coordinator_overhead_us;
-      const ClusterMetrics& metrics = ClusterMetrics::Get();
-      metrics.requests_total->Increment();
-      metrics.bytes_read_total->Increment(bytes);
-      metrics.simulated_micros_total->Increment(micros);
-      metrics.service_micros_total->Increment(service_us);
-      if (retry_us > 0) metrics.retry_penalty_micros_total->Increment(retry_us);
-      if (n_retries > 0) metrics.retries_total->Increment(n_retries);
-      if (n_timeouts > 0) metrics.timeouts_total->Increment(n_timeouts);
-      MutexLock lock(mu_);
-      ++stats_.gets;
-      ++stats_.keys_requested;
-      stats_.bytes_read += bytes;
-      stats_.simulated_micros += micros;
-      stats_.service_us += service_us;
-      stats_.retry_penalty_us += retry_us;
-      stats_.retries += n_retries;
-      stats_.timeouts += n_timeouts;
+      charge.retry_penalty_us = chain.start_us;
+      charge.service_us = (completion - chain.start_us) +
+                          options_.latency.coordinator_overhead_us;
+      Charge(charge);
       return r;
     }
     // Fail over to the next serving replica, resuming at the failure time.
@@ -353,7 +411,7 @@ Status Cluster::MultiGet(const std::string& table,
                          const std::vector<std::string>& keys,
                          std::map<std::string, std::string>* out,
                          TraceContext* trace) {
-  return MultiGetInternal(table, keys, out, /*failures=*/nullptr, trace);
+  return DrainMultiGet(table, keys, out, /*failures=*/nullptr, trace);
 }
 
 Status Cluster::MultiGetPartial(const std::string& table,
@@ -362,396 +420,82 @@ Status Cluster::MultiGetPartial(const std::string& table,
                                 std::vector<KeyReadFailure>* failures,
                                 TraceContext* trace) {
   RSTORE_CHECK(failures != nullptr);
-  return MultiGetInternal(table, keys, out, failures, trace);
+  return DrainMultiGet(table, keys, out, failures, trace);
 }
 
-Status Cluster::MultiGetInternal(const std::string& table,
-                                 const std::vector<std::string>& keys,
-                                 std::map<std::string, std::string>* out,
-                                 std::vector<KeyReadFailure>* failures,
-                                 TraceContext* trace) {
-  ScopedSpan span(trace, "kvs.multiget");
-  const uint64_t sim_batch_start = trace != nullptr ? trace->sim_now_us() : 0;
-  const uint64_t tick = injector_.NextTick();
-  ReplayReadyHints(tick);
-
-  // Route each key to its first serving replica. A routed key remembers its
-  // replica list and current position so retry exhaustion or a timeout can
-  // fail it over down the list.
-  struct Member {
-    size_t key_idx;
-    std::vector<uint32_t> replicas;
-    size_t pos;
-  };
-  struct Group {
-    uint32_t node;
-    uint64_t start_us;  // offset from the batch start on the simulated clock
-    uint32_t round;     // failover depth, decorrelates fault decisions
-    std::vector<Member> members;
-    /// Attribution of start_us, inherited from the event chain that issued
-    /// this group (zero for initial groups): queue + service + retry ==
-    /// start_us exactly, through arbitrary failover chains.
-    uint64_t attr_queue_us = 0;
-    uint64_t attr_service_us = 0;
-    uint64_t attr_retry_us = 0;
-  };
-  std::vector<std::vector<Member>> initial(nodes_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto replicas = ring_.Replicas(keys[i], options_.replication_factor);
-    const int pos = FirstUp(replicas, tick);
-    if (pos < 0) {
-      Status down = Status::IOError("all replicas down for a key");
-      if (failures == nullptr) return down;
-      failures->push_back({keys[i], std::move(down)});
-      continue;
-    }
-    const uint32_t node = replicas[static_cast<size_t>(pos)];
-    initial[node].push_back(
-        Member{i, std::move(replicas), static_cast<size_t>(pos)});
-  }
-  std::vector<Group> worklist;
-  for (size_t node = 0; node < initial.size(); ++node) {
-    if (initial[node].empty()) continue;
-    worklist.push_back(Group{static_cast<uint32_t>(node), /*start_us=*/0,
-                             /*round=*/0, std::move(initial[node])});
-  }
-
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  const uint64_t hedge_threshold = options_.latency.hedge_threshold_us;
-  uint64_t slowest_us = 0;  // latest completion/failure event in the batch
-  // Attribution of the critical event (the one that set slowest_us).
-  // Strictly-greater updates keep ties resolved toward the first event,
-  // which the async path mirrors so both engines attribute identically.
-  EventAttribution crit;
-  uint64_t total_bytes = 0;
-  uint32_t nodes_contacted = 0;
-  uint64_t n_retries = 0;
-  uint64_t n_hedges = 0;
-  uint64_t n_hedge_wins = 0;
-  uint64_t n_timeouts = 0;
-
-  // Routes members that failed at `fail_us` to their next serving replicas,
-  // appending new groups (or recording per-key failures). Returns an error
-  // in strict mode when a key has no replica left.
-  auto fail_over = [&](std::vector<Member> failed, uint64_t fail_us,
-                       uint32_t next_round, const EventAttribution& attr,
-                       const char* reason) -> Status {
-    std::map<uint32_t, std::vector<Member>> regrouped;
-    for (Member& m : failed) {
-      const int next = NextUp(m.replicas, m.pos, tick);
-      if (next < 0) {
-        Status exhausted = Status::IOError(reason);
-        if (failures == nullptr) return exhausted;
-        failures->push_back({keys[m.key_idx], std::move(exhausted)});
-        continue;
-      }
-      m.pos = static_cast<size_t>(next);
-      regrouped[m.replicas[m.pos]].push_back(std::move(m));
-    }
-    for (auto& [node, members] : regrouped) {
-      // The new group inherits the failing event's attribution: its
-      // start_us is that event's instant, already decomposed in `attr`.
-      worklist.push_back(Group{node, fail_us, next_round, std::move(members),
-                               attr.queue_us, attr.service_us, attr.retry_us});
-    }
-    return Status::OK();
-  };
-
-  for (size_t gi = 0; gi < worklist.size(); ++gi) {
-    Group g = std::move(worklist[gi]);
-    // Physical read from the serving replica. Replicas hold identical data:
-    // down nodes are never routed to, and recovered ones are backfilled by
-    // ReplayReadyHints before routing (above).
-    std::vector<std::string> group_keys;
-    group_keys.reserve(g.members.size());
-    for (const Member& m : g.members) group_keys.push_back(keys[m.key_idx]);
-    std::map<std::string, std::string> node_result;
-    RSTORE_RETURN_IF_ERROR(
-        nodes_[g.node]->MultiGet(table, group_keys, &node_result));
-    uint64_t node_bytes = 0;
-    for (const auto& [key, value] : node_result) node_bytes += value.size();
-
-    // The group abandons all outstanding work at its simulated deadline:
-    // every span it records is clamped there, which keeps children inside
-    // the "kvs.multiget" parent interval (the parent ends at the charged
-    // time, and nothing past an abandonment is charged).
-    const uint64_t deadline =
-        timeout_us > 0 ? g.start_us + timeout_us
-                       : std::numeric_limits<uint64_t>::max();
-
-    const AttemptChain chain =
-        SimulateAttempts(g.node, tick, g.round, kSaltRead, g.start_us);
-    n_retries += chain.retries;
-    if (trace != nullptr) {
-      for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
-        const uint64_t attempt_start =
-            std::min(chain.failed_attempts[k].first, deadline);
-        const uint64_t attempt_end =
-            std::min(chain.failed_attempts[k].second, deadline);
-        if (attempt_start >= attempt_end) continue;  // abandoned before issue
-        trace->AddSimulatedSpan(
-            StringPrintf("node%u.retry%zu", g.node, k + 1),
-            sim_batch_start + attempt_start, sim_batch_start + attempt_end);
-      }
-    }
-    if (!chain.served) {
-      const uint64_t fail_us = std::min(chain.failure_us, deadline);
-      // Everything since the group's issue went to failed attempts.
-      const EventAttribution event{g.attr_queue_us, g.attr_service_us,
-                                   g.attr_retry_us + (fail_us - g.start_us),
-                                   0};
-      if (fail_us > slowest_us) {
-        slowest_us = fail_us;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(g.members), fail_us,
-                                       g.round + 1, event,
-                                       "replicas exhausted for a key"));
-      continue;
-    }
-    if (chain.start_us >= deadline) {
-      // Retry backoff pushed the serving attempt past the deadline: the
-      // whole group times out without the attempt being issued.
-      ++n_timeouts;
-      const EventAttribution event{g.attr_queue_us, g.attr_service_us,
-                                   g.attr_retry_us + (deadline - g.start_us),
-                                   0};
-      if (deadline > slowest_us) {
-        slowest_us = deadline;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(g.members), deadline,
-                                       g.round + 1, event,
-                                       "request timed out"));
-      continue;
-    }
-
-    const uint64_t node_us =
-        ScaleMicros(options_.latency.NodeServiceMicros(group_keys.size(),
-                                                       node_bytes),
-                    chain.slow_multiplier);
-    const uint64_t primary_completion = chain.start_us + node_us;
-    ++nodes_contacted;
-
-    // Hedged reads: when the replica's modeled service time crosses the
-    // threshold, speculatively re-issue each key to its next serving replica
-    // and complete at whichever finishes first. The hedge reads the same
-    // bytes, so data still comes from the primary's result. No hedge fires
-    // once the deadline has passed its issue time.
-    std::vector<uint64_t> completion(g.members.size(), primary_completion);
-    struct HedgeEvent {
-      uint32_t target;
-      uint64_t end_us;
-      size_t num_members;
-      uint64_t latest_need;  // last effective completion among its members
-    };
-    std::vector<HedgeEvent> hedge_events;
-    const uint64_t hedge_issue = chain.start_us + hedge_threshold;
-    if (hedge_threshold > 0 && node_us > hedge_threshold &&
-        hedge_issue < deadline) {
-      std::map<uint32_t, std::vector<size_t>> by_target;  // member indexes
-      for (size_t mi = 0; mi < g.members.size(); ++mi) {
-        const Member& m = g.members[mi];
-        const int next = NextUp(m.replicas, m.pos, tick);
-        if (next >= 0) {
-          by_target[m.replicas[static_cast<size_t>(next)]].push_back(mi);
-        }
-      }
-      for (const auto& [target, member_idxs] : by_target) {
-        ++n_hedges;
-        const FaultDecision hd = injector_.Decide(
-            target, tick, /*attempt=*/0, kSaltHedge + kSaltStride * g.round);
-        const bool hedge_ok = hd.kind != FaultKind::kTransientError;
-        uint64_t hedge_end;
-        if (hedge_ok) {
-          uint64_t hedge_bytes = 0;
-          for (size_t mi : member_idxs) {
-            auto it = node_result.find(keys[g.members[mi].key_idx]);
-            if (it != node_result.end()) hedge_bytes += it->second.size();
-          }
-          hedge_end = hedge_issue +
-                      ScaleMicros(options_.latency.NodeServiceMicros(
-                                      member_idxs.size(), hedge_bytes),
-                                  hd.slow_multiplier);
-        } else {
-          hedge_end = hedge_issue + options_.latency.request_overhead_us;
-        }
-        if (hedge_ok && hedge_end < primary_completion) {
-          ++n_hedge_wins;
-          for (size_t mi : member_idxs) completion[mi] = hedge_end;
-        }
-        hedge_events.push_back(HedgeEvent{target, hedge_end,
-                                          member_idxs.size(), /*latest=*/0});
-        for (size_t mi : member_idxs) {
-          HedgeEvent& ev = hedge_events.back();
-          ev.latest_need = std::max(ev.latest_need,
-                                    std::min(completion[mi], deadline));
-        }
-      }
-    }
-
-    // Per-key deadline check, then serve whatever made it in time. A
-    // member's effective completion — when the coordinator stops waiting on
-    // it — is its (possibly hedged) completion, or the deadline.
-    std::vector<Member> timed_out;
-    uint64_t group_end = chain.start_us;  // last instant this node mattered
-    for (size_t mi = 0; mi < g.members.size(); ++mi) {
-      if (completion[mi] > deadline) {
-        group_end = std::max(group_end, deadline);
-        timed_out.push_back(std::move(g.members[mi]));
-        continue;
-      }
-      group_end = std::max(group_end, completion[mi]);
-      if (completion[mi] > slowest_us) {
-        slowest_us = completion[mi];
-        // The member's service chain: backoffs since issue are penalty, the
-        // node's full modeled service is service, and a winning hedge's
-        // saving subtracts (completion == primary - saved).
-        crit = EventAttribution{
-            g.attr_queue_us, g.attr_service_us + node_us,
-            g.attr_retry_us + (chain.start_us - g.start_us),
-            primary_completion - completion[mi]};
-      }
-      auto it = node_result.find(keys[g.members[mi].key_idx]);
-      if (it != node_result.end()) {
-        total_bytes += it->second.size();
-        (*out)[it->first] = it->second;
-      }
-    }
-    if (trace != nullptr) {
-      // The node's span ends when its last member resolved (completed,
-      // superseded by a hedge, or abandoned at the deadline) — not at the
-      // modeled completion of a request nobody waited for.
-      const uint32_t node_span = trace->AddSimulatedSpan(
-          StringPrintf("node%u", g.node), sim_batch_start + chain.start_us,
-          sim_batch_start + std::min(group_end, primary_completion));
-      trace->Annotate(node_span, "keys", std::to_string(group_keys.size()));
-      trace->Annotate(node_span, "bytes", std::to_string(node_bytes));
-      for (const HedgeEvent& ev : hedge_events) {
-        const uint32_t hedge_span = trace->AddSimulatedSpan(
-            StringPrintf("node%u.hedge", ev.target),
-            sim_batch_start + hedge_issue,
-            sim_batch_start + std::max(hedge_issue,
-                                       std::min(ev.end_us, ev.latest_need)));
-        trace->Annotate(hedge_span, "keys", std::to_string(ev.num_members));
-      }
-    }
-    if (!timed_out.empty()) {
-      ++n_timeouts;
-      // The coordinator waited out [issue, deadline]: backoffs are penalty,
-      // the in-deadline slice of the attempt is service.
-      const EventAttribution event{
-          g.attr_queue_us, g.attr_service_us + (deadline - chain.start_us),
-          g.attr_retry_us + (chain.start_us - g.start_us), 0};
-      if (deadline > slowest_us) {
-        slowest_us = deadline;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(timed_out), deadline,
-                                       g.round + 1, event,
-                                       "request timed out"));
-    }
-  }
-
-  const uint64_t charged_us =
-      options_.latency.coordinator_overhead_us + slowest_us;
-  // The batch's attribution is the critical event's, plus the coordinator
-  // overhead as service: queue + service + retry - hedge == charged_us.
-  const uint64_t attr_service_us =
-      crit.service_us + options_.latency.coordinator_overhead_us;
-  if (trace != nullptr) {
-    // The batch's simulated cost is exactly what stats_ is charged below;
-    // ending the span after this advance makes its simulated duration equal
-    // that charge (asserted by the observability tests).
-    trace->AdvanceSim(charged_us);
-    span.Annotate("keys", std::to_string(keys.size()));
-    span.Annotate("bytes", std::to_string(total_bytes));
-    span.Annotate("nodes", std::to_string(nodes_contacted));
-    span.Annotate("queue_wait_us", std::to_string(crit.queue_us));
-    span.Annotate("service_us", std::to_string(attr_service_us));
-    span.Annotate("retry_penalty_us", std::to_string(crit.retry_us));
-    span.Annotate("hedge_delta_us", std::to_string(crit.hedge_saved_us));
-  }
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.requests_total->Increment();
-  metrics.multiget_batches_total->Increment();
-  metrics.keys_requested_total->Increment(keys.size());
-  metrics.bytes_read_total->Increment(total_bytes);
-  metrics.simulated_micros_total->Increment(charged_us);
-  metrics.service_micros_total->Increment(attr_service_us);
-  if (crit.queue_us > 0) {
-    metrics.queue_wait_micros_total->Increment(crit.queue_us);
-  }
-  if (crit.retry_us > 0) {
-    metrics.retry_penalty_micros_total->Increment(crit.retry_us);
-  }
-  if (crit.hedge_saved_us > 0) {
-    metrics.hedge_saved_micros_total->Increment(crit.hedge_saved_us);
-  }
-  metrics.multiget_batch_keys->Observe(keys.size());
-  if (n_retries > 0) metrics.retries_total->Increment(n_retries);
-  if (n_hedges > 0) metrics.hedges_total->Increment(n_hedges);
-  if (n_hedge_wins > 0) metrics.hedge_wins_total->Increment(n_hedge_wins);
-  if (n_timeouts > 0) metrics.timeouts_total->Increment(n_timeouts);
-  MutexLock lock(mu_);
-  ++stats_.multiget_batches;
-  stats_.keys_requested += keys.size();
-  stats_.bytes_read += total_bytes;
-  stats_.simulated_micros += charged_us;
-  stats_.queue_wait_us += crit.queue_us;
-  stats_.service_us += attr_service_us;
-  stats_.retry_penalty_us += crit.retry_us;
-  stats_.hedge_delta_us += crit.hedge_saved_us;
-  stats_.retries += n_retries;
-  stats_.hedges += n_hedges;
-  stats_.hedge_wins += n_hedge_wins;
-  stats_.timeouts += n_timeouts;
-  return Status::OK();
+Status Cluster::DrainMultiGet(const std::string& table,
+                              const std::vector<std::string>& keys,
+                              std::map<std::string, std::string>* out,
+                              std::vector<KeyReadFailure>* failures,
+                              TraceContext* trace) {
+  // Values land straight in `out`: nothing is copied out of a result.
+  Executor executor;
+  Timeline timeline(nodes_.size(), /*sampled=*/false);
+  auto batch = std::make_shared<Batch>();
+  batch->executor = &executor;
+  batch->timeline = &timeline;
+  batch->table = table;
+  batch->keys = &keys;
+  batch->values = out;
+  batch->failures = failures;
+  batch->trace = trace;
+  StartBatch(batch);
+  executor.RunUntilIdle();
+  return batch->result.status;
 }
 
 Future<AsyncMultiGetResult> Cluster::MultiGetAsync(
     Executor* executor, const std::string& table,
     const std::vector<std::string>& keys, bool partial, TraceContext* trace) {
   RSTORE_CHECK(executor != nullptr);
-  auto state = std::make_shared<AsyncMultiGetState>();
-  state->executor = executor;
-  state->table = table;
-  state->keys = keys;
-  state->partial = partial;
-  state->trace = trace;
-  // Same tick/hint discipline as the sync path: batches submitted in the
-  // same order draw the same fault streams, which is what makes a
-  // sequentially-drained async run replay the synchronous timeline.
-  state->tick = injector_.NextTick();
-  ReplayReadyHints(state->tick);
-  state->submit_us = executor->now_us();
-  state->last_event_us = state->submit_us;
-  {
-    MutexLock lock(mu_);
-    RSTORE_DCHECK(async_executor_ == nullptr || async_executor_ == executor)
-        << "one Cluster, one async executor (one virtual timeline)";
-    async_executor_ = executor;
-  }
-  if (trace != nullptr) {
-    state->span_id = trace->StartSpan("kvs.multiget");
-    state->sim_batch_start = trace->sim_now_us();
+  auto batch = std::make_shared<Batch>();
+  batch->executor = executor;
+  batch->timeline = SharedTimeline(*executor);
+  batch->table = table;
+  batch->owned_keys = keys;
+  batch->keys = &batch->owned_keys;
+  batch->values = &batch->result.values;
+  batch->failures = partial ? &batch->result.failures : nullptr;
+  batch->trace = trace;
+  batch->promise.emplace();
+  Future<AsyncMultiGetResult> future = batch->promise->future();
+  StartBatch(batch);
+  return future;
+}
+
+Cluster::Timeline* Cluster::SharedTimeline(const Executor& executor) {
+  MutexLock lock(mu_);
+  return &timelines_
+              .try_emplace(executor.id(), nodes_.size(), /*sampled=*/true)
+              .first->second;
+}
+
+void Cluster::StartBatch(const BatchPtr& batch) {
+  // Batches submitted in the same order draw the same fault streams, on
+  // any timeline.
+  batch->tick = injector_.NextTick();
+  ReplayReadyHints(batch->tick);
+  batch->submit_us = batch->executor->now_us();
+  batch->last_event_us = batch->submit_us;
+  if (batch->trace != nullptr) {
+    batch->span_id = batch->trace->StartSpan("kvs.multiget");
+    batch->sim_batch_start = batch->trace->sim_now_us();
   }
 
-  // Route each key to its first serving replica (identical to the sync
-  // path); initial groups are issued at the submission instant.
-  using Member = AsyncMultiGetState::Member;
-  using Group = AsyncMultiGetState::Group;
+  // Route each key to its first serving replica; the first groups are
+  // issued at the submission instant.
+  const std::vector<std::string>& keys = *batch->keys;
   std::vector<std::vector<Member>> initial(nodes_.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     auto replicas = ring_.Replicas(keys[i], options_.replication_factor);
-    const int pos = FirstUp(replicas, state->tick);
+    const int pos = FirstUp(replicas, batch->tick);
     if (pos < 0) {
       Status down = Status::IOError("all replicas down for a key");
-      if (!partial) {
-        AbortAsync(state, std::move(down));
-        return state->promise.future();
+      if (batch->failures == nullptr) {
+        AbortBatch(batch, std::move(down));
+        return;
       }
-      state->result.failures.push_back({keys[i], std::move(down)});
+      batch->failures->push_back({keys[i], std::move(down)});
       continue;
     }
     const uint32_t node = replicas[static_cast<size_t>(pos)];
@@ -760,215 +504,191 @@ Future<AsyncMultiGetResult> Cluster::MultiGetAsync(
   }
   for (size_t node = 0; node < initial.size(); ++node) {
     if (initial[node].empty()) continue;
-    state->groups.push_back(Group{static_cast<uint32_t>(node),
-                                  state->submit_us, /*round=*/0,
-                                  std::move(initial[node])});
+    batch->groups.push_back(Batch::Group{static_cast<uint32_t>(node),
+                                         batch->submit_us, /*round=*/0,
+                                         std::move(initial[node])});
   }
-  state->outstanding = state->groups.size();
-  if (state->outstanding == 0) {
+  batch->outstanding = batch->groups.size();
+  if (batch->outstanding == 0) {
     // Nothing to contact: the batch still costs one coordinator overhead.
-    const uint64_t charged = options_.latency.coordinator_overhead_us;
-    state->result.charged_micros = charged;
-    executor->PostAt(state->submit_us + charged,
-                     [this, state] { FinalizeAsync(state); });
-    return state->promise.future();
+    batch->executor->PostAt(
+        batch->submit_us + options_.latency.coordinator_overhead_us,
+        [this, batch] { FinishBatch(batch); });
+    return;
   }
-  for (size_t gi = 0; gi < state->groups.size(); ++gi) {
-    executor->PostAt(state->submit_us, [this, state, gi] {
-      ProcessAsyncGroup(state, gi);
-    });
+  for (size_t gi = 0; gi < batch->groups.size(); ++gi) {
+    batch->executor->PostAt(batch->submit_us,
+                            [this, batch, gi] { ProcessGroup(batch, gi); });
   }
-  return state->promise.future();
 }
 
-void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
-                                size_t group_index) {
-  if (state->failed) return;
-  using Member = AsyncMultiGetState::Member;
-  // Move the group out: failovers may reallocate state->groups.
-  AsyncMultiGetState::Group g = std::move(state->groups[group_index]);
-
+void Cluster::ProcessGroup(const BatchPtr& batch, size_t group_index) {
+  if (batch->failed) return;
+  Batch::Group& g = batch->groups[group_index];
+  // Physical read from the serving replica. Replicas hold identical data:
+  // down nodes are never routed to, and recovered ones are backfilled by
+  // ReplayReadyHints before routing.
   std::vector<std::string> group_keys;
   group_keys.reserve(g.members.size());
   for (const Member& m : g.members) {
-    group_keys.push_back(state->keys[m.key_idx]);
+    group_keys.push_back((*batch->keys)[m.key_idx]);
   }
-  std::map<std::string, std::string> node_result;
-  Status read = nodes_[g.node]->MultiGet(state->table, group_keys,
-                                         &node_result);
+  Status read = nodes_[g.node]->MultiGet(batch->table, group_keys, &g.values);
   if (!read.ok()) {
-    AbortAsync(state, std::move(read));
+    AbortBatch(batch, std::move(read));
     return;
   }
-  uint64_t node_bytes = 0;
-  for (const auto& [key, value] : node_result) node_bytes += value.size();
+  for (const auto& [key, value] : g.values) g.node_bytes += value.size();
 
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  const uint64_t hedge_threshold = options_.latency.hedge_threshold_us;
   // The deadline runs from the group's issue instant — queueing delay at
   // the node eats into the coordinator's patience, as it would for real.
-  const uint64_t deadline = timeout_us > 0
-                                ? g.start_us + timeout_us
-                                : std::numeric_limits<uint64_t>::max();
-
+  const uint64_t deadline = Deadline(options_.retry, g.start_us);
   // Per-node FIFO queue: service begins once the node has drained every
-  // batch it previously accepted on this virtual timeline.
-  uint64_t service_start;
-  {
-    MutexLock lock(mu_);
-    service_start = std::max(g.start_us, async_node_busy_us_[g.node]);
-  }
-
-  const AttemptChain chain =
-      SimulateAttempts(g.node, state->tick, g.round, kSaltRead, service_start);
-  state->n_retries += chain.retries;
-  for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
-    const uint64_t attempt_start =
-        std::min(chain.failed_attempts[k].first, deadline);
-    const uint64_t attempt_end =
-        std::min(chain.failed_attempts[k].second, deadline);
-    if (attempt_start >= attempt_end) continue;  // abandoned before issue
-    state->sim_spans.push_back(
-        {StringPrintf("node%u.retry%zu", g.node, k + 1), attempt_start,
-         attempt_end,
-         {}});
-  }
-  // Extends the group's inherited attribution to a failure/timeout event at
-  // absolute instant `event_us`: the wait for the node's queue (clamped at
-  // the event — the coordinator may stop waiting mid-queue) is queue wait,
-  // the rest of the interval went to failed attempts / backoff.
-  auto failure_attr = [&](uint64_t event_us) {
-    const uint64_t queue_end = std::min(service_start, event_us);
-    return EventAttribution{g.attr_queue_us + (queue_end - g.start_us),
-                            g.attr_service_us,
-                            g.attr_retry_us + (event_us - queue_end), 0};
-  };
-  // Considers one event as the batch's critical event; strictly-greater
-  // matches the sync path's std::max tie-breaking exactly.
-  auto consider = [&state](uint64_t event_us, const EventAttribution& attr) {
-    if (event_us > state->last_event_us) {
-      state->last_event_us = event_us;
-      state->crit_queue_us = attr.queue_us;
-      state->crit_service_us = attr.service_us;
-      state->crit_retry_us = attr.retry_us;
-      state->crit_hedge_us = attr.hedge_saved_us;
+  // group it accepted earlier on this timeline.
+  uint64_t& busy_us = batch->timeline->node_busy_us[g.node];
+  g.service_start = std::max(g.start_us, busy_us);
+  const AttemptChain chain = SimulateAttempts(g.node, batch->tick, g.round,
+                                              kSaltRead, g.service_start);
+  batch->result.charge.retries += chain.retries;
+  if (batch->trace != nullptr) {
+    for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
+      // Every span is clamped at the deadline, which keeps children inside
+      // the "kvs.multiget" parent interval.
+      const uint64_t attempt_start =
+          std::min(chain.failed_attempts[k].first, deadline);
+      const uint64_t attempt_end =
+          std::min(chain.failed_attempts[k].second, deadline);
+      if (attempt_start >= attempt_end) continue;  // abandoned before issue
+      batch->sim_spans.push_back(
+          {StringPrintf("node%u.retry%zu", g.node, k + 1), attempt_start,
+           attempt_end, {}});
     }
-  };
-  if (!chain.served) {
-    const uint64_t fail_us = std::min(chain.failure_us, deadline);
-    const EventAttribution event = failure_attr(fail_us);
-    consider(fail_us, event);
-    Status status = AsyncFailOver(state, std::move(g.members), fail_us,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "replicas exhausted for a key");
+  }
+  if (!chain.served || chain.start_us >= deadline) {
+    // Every attempt failed, or queueing and/or retry backoff pushed the
+    // serving attempt past the deadline, so the group times out without
+    // the attempt being issued. The wait for the node's queue (clamped at
+    // the event: the coordinator may stop waiting mid-queue) is queue
+    // wait; the rest of the interval went to failed attempts and backoff.
+    const bool timed_out = chain.served;
+    const uint64_t event_us =
+        timed_out ? deadline : std::min(chain.failure_us, deadline);
+    if (timed_out) ++batch->result.charge.timeouts;
+    const uint64_t queue_end = std::min(g.service_start, event_us);
+    const EventAttribution event{
+        g.attr.queue_us + (queue_end - g.start_us), g.attr.service_us,
+        g.attr.retry_us + (event_us - queue_end), 0};
+    batch->Consider(event_us, event);
+    Status status = FailOver(
+        batch, std::move(g.members), event_us, g.round + 1, event,
+        timed_out ? "request timed out" : "replicas exhausted for a key");
     if (!status.ok()) {
-      AbortAsync(state, std::move(status));
+      AbortBatch(batch, std::move(status));
       return;
     }
-    AsyncGroupResolved(state);
-    return;
-  }
-  if (chain.start_us >= deadline) {
-    // Queueing and/or retry backoff pushed the serving attempt past the
-    // deadline: the whole group times out without the attempt being issued.
-    ++state->n_timeouts;
-    const EventAttribution event = failure_attr(deadline);
-    consider(deadline, event);
-    Status status = AsyncFailOver(state, std::move(g.members), deadline,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "request timed out");
-    if (!status.ok()) {
-      AbortAsync(state, std::move(status));
-      return;
-    }
-    AsyncGroupResolved(state);
+    GroupResolved(batch);
     return;
   }
 
-  const uint64_t node_us = ScaleMicros(
-      options_.latency.NodeServiceMicros(group_keys.size(), node_bytes),
+  g.attempt_start = chain.start_us;
+  g.node_us = ScaleMicros(
+      options_.latency.NodeServiceMicros(group_keys.size(), g.node_bytes),
       chain.slow_multiplier);
-  const uint64_t primary_completion = chain.start_us + node_us;
-  ++state->nodes_contacted;
-  {
-    MutexLock lock(mu_);
-    async_node_busy_us_[g.node] =
-        std::max(async_node_busy_us_[g.node], primary_completion);
-  }
-  MaybeSampleAsyncLoad(state->executor->now_us());
+  ++batch->nodes_contacted;
+  busy_us = std::max(busy_us, g.attempt_start + g.node_us);
+  MaybeSampleLoad(batch->timeline, batch->executor->now_us());
 
-  // Hedged reads, as in the sync path, except that the hedge target's queue
-  // delays the speculative request — so whether a hedge *wins* depends on
-  // how busy its target is, and two attempts genuinely race.
+  // Hedged reads: when the replica's modeled service time crosses the
+  // threshold, each key is speculatively re-issued to its next serving
+  // replica. No hedge fires once the deadline has passed its issue time.
+  // The hedge joins its target's queue at its issue instant, so the group
+  // resolves then: work the target accepts before that instant is ahead
+  // of the hedge, work it accepts after is behind.
+  const uint64_t threshold = options_.latency.hedge_threshold_us;
+  const uint64_t hedge_issue = g.attempt_start + threshold;
+  if (threshold > 0 && g.node_us > threshold && hedge_issue < deadline) {
+    batch->executor->PostAt(hedge_issue, [this, batch, group_index] {
+      ResolveGroup(batch, group_index, /*hedged=*/true);
+    });
+    return;
+  }
+  ResolveGroup(batch, group_index, /*hedged=*/false);
+}
+
+void Cluster::ResolveGroup(const BatchPtr& batch, size_t group_index,
+                           bool hedged) {
+  // A strict batch can abort while a hedged group waits for its hedge
+  // instant; it completed then and must not complete again.
+  if (batch->failed) return;
+  Batch::Group& g = batch->groups[group_index];
+  const std::vector<std::string>& keys = *batch->keys;
+  const uint64_t deadline = Deadline(options_.retry, g.start_us);
+  const uint64_t primary_completion = g.attempt_start + g.node_us;
   std::vector<uint64_t> completion(g.members.size(), primary_completion);
-  struct HedgeEvent {
-    uint32_t target;
-    uint64_t end_us;
-    size_t num_members;
-    uint64_t latest_need;
-  };
-  std::vector<HedgeEvent> hedge_events;
-  const uint64_t hedge_issue = chain.start_us + hedge_threshold;
-  if (hedge_threshold > 0 && node_us > hedge_threshold &&
-      hedge_issue < deadline) {
+  std::vector<Batch::SimSpan> hedge_spans;
+  if (hedged) {
+    // The two attempts race: the target's queue delays the speculative
+    // read, so whether it wins depends on how busy the target is. A win
+    // completes the hedged members at the hedge's end; their data still
+    // comes from the primary's read (the replicas are identical).
+    const uint64_t hedge_issue =
+        g.attempt_start + options_.latency.hedge_threshold_us;
     std::map<uint32_t, std::vector<size_t>> by_target;  // member indexes
     for (size_t mi = 0; mi < g.members.size(); ++mi) {
       const Member& m = g.members[mi];
-      const int next = NextUp(m.replicas, m.pos, state->tick);
+      const int next = NextUp(m.replicas, m.pos, batch->tick);
       if (next >= 0) {
         by_target[m.replicas[static_cast<size_t>(next)]].push_back(mi);
       }
     }
     for (const auto& [target, member_idxs] : by_target) {
-      ++state->n_hedges;
+      ++batch->result.charge.hedges;
       const FaultDecision hd =
-          injector_.Decide(target, state->tick, /*attempt=*/0,
+          injector_.Decide(target, batch->tick, /*attempt=*/0,
                            kSaltHedge + kSaltStride * g.round);
-      const bool hedge_ok = hd.kind != FaultKind::kTransientError;
-      uint64_t hedge_begin;
-      {
-        MutexLock lock(mu_);
-        hedge_begin = std::max(hedge_issue, async_node_busy_us_[target]);
-      }
-      uint64_t hedge_end;
-      if (hedge_ok) {
+      uint64_t& busy_us = batch->timeline->node_busy_us[target];
+      const uint64_t hedge_begin = std::max(hedge_issue, busy_us);
+      uint64_t hedge_end = hedge_begin + options_.latency.request_overhead_us;
+      if (hd.kind != FaultKind::kTransientError) {
         uint64_t hedge_bytes = 0;
         for (size_t mi : member_idxs) {
-          auto it = node_result.find(state->keys[g.members[mi].key_idx]);
-          if (it != node_result.end()) hedge_bytes += it->second.size();
+          auto it = g.values.find(keys[g.members[mi].key_idx]);
+          if (it != g.values.end()) hedge_bytes += it->second.size();
         }
         hedge_end = hedge_begin +
                     ScaleMicros(options_.latency.NodeServiceMicros(
                                     member_idxs.size(), hedge_bytes),
                                 hd.slow_multiplier);
-        MutexLock lock(mu_);
-        async_node_busy_us_[target] =
-            std::max(async_node_busy_us_[target], hedge_end);
-      } else {
-        hedge_end = hedge_begin + options_.latency.request_overhead_us;
+        busy_us = std::max(busy_us, hedge_end);
+        if (hedge_end < primary_completion) {
+          ++batch->result.charge.hedge_wins;
+          for (size_t mi : member_idxs) completion[mi] = hedge_end;
+        }
       }
-      if (hedge_ok && hedge_end < primary_completion) {
-        ++state->n_hedge_wins;
-        for (size_t mi : member_idxs) completion[mi] = hedge_end;
-      }
-      hedge_events.push_back(
-          HedgeEvent{target, hedge_end, member_idxs.size(), /*latest=*/0});
-      for (size_t mi : member_idxs) {
-        HedgeEvent& ev = hedge_events.back();
-        ev.latest_need =
-            std::max(ev.latest_need, std::min(completion[mi], deadline));
+      if (batch->trace != nullptr) {
+        // The hedge's span ends when its last member stopped mattering.
+        uint64_t latest_need = 0;
+        for (size_t mi : member_idxs) {
+          latest_need =
+              std::max(latest_need, std::min(completion[mi], deadline));
+        }
+        hedge_spans.push_back(
+            {StringPrintf("node%u.hedge", target), hedge_issue,
+             std::max(hedge_issue, std::min(hedge_end, latest_need)),
+             {{"keys", std::to_string(member_idxs.size())}}});
       }
     }
   }
 
-  // Per-key deadline check, then serve whatever made it in time.
+  // Per-key deadline check, then serve whatever made it in time. A
+  // member's effective completion — when the coordinator stops waiting on
+  // it — is its (possibly hedged) completion, or the deadline.
   std::vector<Member> timed_out;
-  uint64_t group_end = chain.start_us;
+  uint64_t group_end = g.attempt_start;  // last instant this node mattered
   for (size_t mi = 0; mi < g.members.size(); ++mi) {
     if (completion[mi] > deadline) {
       group_end = std::max(group_end, deadline);
+      g.values.erase(keys[g.members[mi].key_idx]);
       timed_out.push_back(std::move(g.members[mi]));
       continue;
     }
@@ -976,279 +696,164 @@ void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
     // Queue wait ends when the node starts the chain; backoffs until the
     // serving attempt are penalty; the node's full modeled service is
     // service; a winning hedge's saving subtracts.
-    consider(completion[mi],
-             EventAttribution{
-                 g.attr_queue_us + (service_start - g.start_us),
-                 g.attr_service_us + node_us,
-                 g.attr_retry_us + (chain.start_us - service_start),
-                 primary_completion - completion[mi]});
-    auto it = node_result.find(state->keys[g.members[mi].key_idx]);
-    if (it != node_result.end()) {
-      state->result.bytes_read += it->second.size();
-      state->result.values[it->first] = it->second;
+    batch->Consider(
+        completion[mi],
+        EventAttribution{g.attr.queue_us + (g.service_start - g.start_us),
+                         g.attr.service_us + g.node_us,
+                         g.attr.retry_us + (g.attempt_start - g.service_start),
+                         primary_completion - completion[mi]});
+    auto it = g.values.find(keys[g.members[mi].key_idx]);
+    if (it != g.values.end()) {
+      batch->result.charge.bytes_read += it->second.size();
     }
   }
-  {
-    AsyncMultiGetState::SimSpan node_span{
-        StringPrintf("node%u", g.node), chain.start_us,
-        std::min(group_end, primary_completion),
-        {{"keys", std::to_string(group_keys.size())},
-         {"bytes", std::to_string(node_bytes)}}};
-    state->sim_spans.push_back(std::move(node_span));
-    for (const HedgeEvent& ev : hedge_events) {
-      state->sim_spans.push_back(
-          {StringPrintf("node%u.hedge", ev.target), hedge_issue,
-           std::max(hedge_issue, std::min(ev.end_us, ev.latest_need)),
-           {{"keys", std::to_string(ev.num_members)}}});
+  // Hand the served values over without copying them; a key already there
+  // takes the fresh read.
+  batch->values->merge(g.values);
+  for (auto& [key, value] : g.values) (*batch->values)[key] = std::move(value);
+  if (batch->trace != nullptr) {
+    // The node's span ends when its last member resolved (completed,
+    // superseded by a hedge, or abandoned at the deadline) — not at the
+    // modeled completion of a request nobody waited for.
+    batch->sim_spans.push_back(
+        {StringPrintf("node%u", g.node), g.attempt_start,
+         std::min(group_end, primary_completion),
+         {{"keys", std::to_string(g.members.size())},
+          {"bytes", std::to_string(g.node_bytes)}}});
+    for (Batch::SimSpan& span : hedge_spans) {
+      batch->sim_spans.push_back(std::move(span));
     }
   }
   if (!timed_out.empty()) {
-    ++state->n_timeouts;
+    ++batch->result.charge.timeouts;
     // The coordinator waited out [issue, deadline]: queue wait, then
     // backoffs, then the in-deadline slice of the attempt as service.
     const EventAttribution event{
-        g.attr_queue_us + (service_start - g.start_us),
-        g.attr_service_us + (deadline - chain.start_us),
-        g.attr_retry_us + (chain.start_us - service_start), 0};
-    consider(deadline, event);
-    Status status = AsyncFailOver(state, std::move(timed_out), deadline,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "request timed out");
+        g.attr.queue_us + (g.service_start - g.start_us),
+        g.attr.service_us + (deadline - g.attempt_start),
+        g.attr.retry_us + (g.attempt_start - g.service_start), 0};
+    batch->Consider(deadline, event);
+    Status status = FailOver(batch, std::move(timed_out), deadline,
+                             g.round + 1, event, "request timed out");
     if (!status.ok()) {
-      AbortAsync(state, std::move(status));
+      AbortBatch(batch, std::move(status));
       return;
     }
   }
-  AsyncGroupResolved(state);
+  GroupResolved(batch);
 }
 
-void Cluster::MaybeSampleAsyncLoad(uint64_t now_us) {
-  // One sample sweep per interval of virtual time keeps the recorder's
-  // bounded ring meaningful under saturation (thousands of groups per
-  // virtual millisecond would otherwise rotate it instantly).
-  constexpr uint64_t kSampleIntervalUs = 1000;
-  std::vector<uint64_t> busy;
-  {
-    MutexLock lock(mu_);
-    if (now_us < next_sample_us_) return;
-    next_sample_us_ = now_us + kSampleIntervalUs;
-    busy = async_node_busy_us_;
-  }
-  FlightRecorder& recorder = FlightRecorder::Default();
-  for (uint32_t node = 0; node < busy.size(); ++node) {
-    FlightSample sample;
-    sample.sim_us = now_us;
-    sample.node = node;
-    sample.busy_horizon_us = busy[node];
-    sample.backlog_us = busy[node] > now_us ? busy[node] - now_us : 0;
-    recorder.AddSample(sample);
-  }
-}
-
-Status Cluster::AsyncFailOver(const AsyncStatePtr& state,
-                              std::vector<AsyncMultiGetState::Member> failed,
-                              uint64_t fail_us, uint32_t next_round,
-                              uint64_t attr_queue_us, uint64_t attr_service_us,
-                              uint64_t attr_retry_us, const char* reason) {
-  std::map<uint32_t, std::vector<AsyncMultiGetState::Member>> regrouped;
-  for (AsyncMultiGetState::Member& m : failed) {
-    const int next = NextUp(m.replicas, m.pos, state->tick);
+Status Cluster::FailOver(const BatchPtr& batch, std::vector<Member> members,
+                         uint64_t fail_us, uint32_t next_round,
+                         const EventAttribution& attr, const char* reason) {
+  std::map<uint32_t, std::vector<Member>> regrouped;
+  for (Member& m : members) {
+    const int next = NextUp(m.replicas, m.pos, batch->tick);
     if (next < 0) {
       Status exhausted = Status::IOError(reason);
-      if (!state->partial) return exhausted;
-      state->result.failures.push_back(
-          {state->keys[m.key_idx], std::move(exhausted)});
+      if (batch->failures == nullptr) return exhausted;
+      batch->failures->push_back(
+          {(*batch->keys)[m.key_idx], std::move(exhausted)});
       continue;
     }
     m.pos = static_cast<size_t>(next);
     regrouped[m.replicas[m.pos]].push_back(std::move(m));
   }
-  for (auto& [node, members] : regrouped) {
-    state->groups.push_back(AsyncMultiGetState::Group{
-        node, fail_us, next_round, std::move(members), attr_queue_us,
-        attr_service_us, attr_retry_us});
-    ++state->outstanding;
-    const size_t gi = state->groups.size() - 1;
-    state->executor->PostAt(fail_us, [this, state, gi] {
-      ProcessAsyncGroup(state, gi);
-    });
+  for (auto& [node, group_members] : regrouped) {
+    // The new group starts at the failing event's instant, which `attr`
+    // already decomposes.
+    batch->groups.push_back(Batch::Group{node, fail_us, next_round,
+                                         std::move(group_members), attr});
+    ++batch->outstanding;
+    const size_t gi = batch->groups.size() - 1;
+    batch->executor->PostAt(fail_us,
+                            [this, batch, gi] { ProcessGroup(batch, gi); });
   }
   return Status::OK();
 }
 
-void Cluster::AsyncGroupResolved(const AsyncStatePtr& state) {
-  RSTORE_DCHECK(state->outstanding > 0);
-  if (--state->outstanding > 0 || state->failed) return;
-  const uint64_t charged = options_.latency.coordinator_overhead_us +
-                           (state->last_event_us - state->submit_us);
-  state->result.charged_micros = charged;
-  // The future completes at the batch's simulated completion instant, so a
+void Cluster::GroupResolved(const BatchPtr& batch) {
+  RSTORE_DCHECK(batch->outstanding > 0);
+  if (--batch->outstanding > 0) return;
+  // The batch completes at its simulated completion instant, so a
   // continuation that issues a dependent batch (the map-key fetch of a
   // query) submits it at the causally correct virtual time.
-  state->executor->PostAt(state->submit_us + charged,
-                          [this, state] { FinalizeAsync(state); });
+  batch->executor->PostAt(
+      batch->last_event_us + options_.latency.coordinator_overhead_us,
+      [this, batch] { FinishBatch(batch); });
 }
 
-void Cluster::FinalizeAsync(const AsyncStatePtr& state) {
-  const uint64_t charged = state->result.charged_micros;
-  state->result.retries = state->n_retries;
-  state->result.hedges = state->n_hedges;
-  state->result.hedge_wins = state->n_hedge_wins;
-  state->result.timeouts = state->n_timeouts;
+void Cluster::FinishBatch(const BatchPtr& batch) {
+  const uint64_t overhead_us = options_.latency.coordinator_overhead_us;
+  KVStats& charge = batch->result.charge;
+  charge.multiget_batches = 1;
+  charge.keys_requested = batch->keys->size();
+  charge.simulated_micros =
+      overhead_us + (batch->last_event_us - batch->submit_us);
   // The batch's attribution is its critical event's, plus the coordinator
   // overhead as service: queue + service + retry - hedge == charged.
-  const uint64_t attr_service_us =
-      state->crit_service_us + options_.latency.coordinator_overhead_us;
-  state->result.queue_wait_us = state->crit_queue_us;
-  state->result.service_us = attr_service_us;
-  state->result.retry_penalty_us = state->crit_retry_us;
-  state->result.hedge_delta_us = state->crit_hedge_us;
-
-  if (state->trace != nullptr) {
-    TraceContext* trace = state->trace;
-    for (const auto& span : state->sim_spans) {
+  charge.queue_wait_us = batch->crit.queue_us;
+  charge.service_us = batch->crit.service_us + overhead_us;
+  charge.retry_penalty_us = batch->crit.retry_us;
+  charge.hedge_delta_us = batch->crit.hedge_saved_us;
+  if (batch->trace != nullptr) {
+    TraceContext* trace = batch->trace;
+    for (const Batch::SimSpan& span : batch->sim_spans) {
       const uint32_t id = trace->AddSimulatedSpan(
-          span.name, state->sim_batch_start + (span.start_us - state->submit_us),
-          state->sim_batch_start + (span.end_us - state->submit_us));
+          span.name,
+          batch->sim_batch_start + (span.start_us - batch->submit_us),
+          batch->sim_batch_start + (span.end_us - batch->submit_us));
       for (const auto& [key, value] : span.notes) {
         trace->Annotate(id, key, value);
       }
     }
-    trace->AdvanceSim(charged);
-    trace->Annotate(state->span_id, "keys",
-                    std::to_string(state->keys.size()));
-    trace->Annotate(state->span_id, "bytes",
-                    std::to_string(state->result.bytes_read));
-    trace->Annotate(state->span_id, "nodes",
-                    std::to_string(state->nodes_contacted));
-    trace->Annotate(state->span_id, "queue_wait_us",
-                    std::to_string(state->crit_queue_us));
-    trace->Annotate(state->span_id, "service_us",
-                    std::to_string(attr_service_us));
-    trace->Annotate(state->span_id, "retry_penalty_us",
-                    std::to_string(state->crit_retry_us));
-    trace->Annotate(state->span_id, "hedge_delta_us",
-                    std::to_string(state->crit_hedge_us));
-    trace->EndSpan(state->span_id);
+    // Ending the span after this advance makes its simulated duration
+    // equal the charge (asserted by the observability tests).
+    trace->AdvanceSim(charge.simulated_micros);
+    const std::pair<const char*, uint64_t> notes[] = {
+        {"keys", charge.keys_requested},
+        {"bytes", charge.bytes_read},
+        {"nodes", batch->nodes_contacted},
+        {"queue_wait_us", charge.queue_wait_us},
+        {"service_us", charge.service_us},
+        {"retry_penalty_us", charge.retry_penalty_us},
+        {"hedge_delta_us", charge.hedge_delta_us},
+    };
+    for (const auto& [key, value] : notes) {
+      trace->Annotate(batch->span_id, key, std::to_string(value));
+    }
+    trace->EndSpan(batch->span_id);
   }
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.requests_total->Increment();
-  metrics.multiget_batches_total->Increment();
-  metrics.keys_requested_total->Increment(state->keys.size());
-  metrics.bytes_read_total->Increment(state->result.bytes_read);
-  metrics.simulated_micros_total->Increment(charged);
-  metrics.service_micros_total->Increment(attr_service_us);
-  if (state->crit_queue_us > 0) {
-    metrics.queue_wait_micros_total->Increment(state->crit_queue_us);
-  }
-  if (state->crit_retry_us > 0) {
-    metrics.retry_penalty_micros_total->Increment(state->crit_retry_us);
-  }
-  if (state->crit_hedge_us > 0) {
-    metrics.hedge_saved_micros_total->Increment(state->crit_hedge_us);
-  }
-  metrics.multiget_batch_keys->Observe(state->keys.size());
-  if (state->n_retries > 0) metrics.retries_total->Increment(state->n_retries);
-  if (state->n_hedges > 0) metrics.hedges_total->Increment(state->n_hedges);
-  if (state->n_hedge_wins > 0) {
-    metrics.hedge_wins_total->Increment(state->n_hedge_wins);
-  }
-  if (state->n_timeouts > 0) {
-    metrics.timeouts_total->Increment(state->n_timeouts);
-  }
-  {
-    MutexLock lock(mu_);
-    ++stats_.multiget_batches;
-    stats_.keys_requested += state->keys.size();
-    stats_.bytes_read += state->result.bytes_read;
-    stats_.simulated_micros += charged;
-    stats_.queue_wait_us += state->crit_queue_us;
-    stats_.service_us += attr_service_us;
-    stats_.retry_penalty_us += state->crit_retry_us;
-    stats_.hedge_delta_us += state->crit_hedge_us;
-    stats_.retries += state->n_retries;
-    stats_.hedges += state->n_hedges;
-    stats_.hedge_wins += state->n_hedge_wins;
-    stats_.timeouts += state->n_timeouts;
-  }
+  Charge(charge);
   // Last, with no locks held: continuations may submit follow-up batches.
-  state->promise.Set(std::move(state->result));
+  if (batch->promise) batch->promise->Set(std::move(batch->result));
 }
 
-void Cluster::AbortAsync(const AsyncStatePtr& state, Status error) {
-  state->failed = true;
-  if (state->trace != nullptr) {
-    // Mirrors the sync early return: the span closes with no simulated
-    // advance and nothing is charged.
-    state->trace->EndSpan(state->span_id);
-  }
-  state->result.status = std::move(error);
-  state->promise.Set(std::move(state->result));
+void Cluster::AbortBatch(const BatchPtr& batch, Status error) {
+  batch->failed = true;
+  // The span closes with no simulated advance and nothing is charged.
+  if (batch->trace != nullptr) batch->trace->EndSpan(batch->span_id);
+  batch->result.status = std::move(error);
+  if (batch->promise) batch->promise->Set(std::move(batch->result));
 }
 
-Status Cluster::Delete(const std::string& table, Slice key) {
-  const uint64_t tick = injector_.NextTick();
-  ReplayReadyHints(tick);
-  const auto replicas = ring_.Replicas(key, options_.replication_factor);
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  std::vector<std::pair<uint32_t, Hint>> staged;
-  int deleted = 0;
-  uint64_t slowest_us = 0;
-  EventAttribution crit;
-  uint64_t n_retries = 0;
-  uint64_t n_timeouts = 0;
-  for (uint32_t node : replicas) {
-    if (!NodeUp(node, tick)) {
-      staged.push_back({node, Hint{table, key.ToString(), "", true}});
-      continue;
-    }
-    const AttemptChain chain =
-        SimulateAttempts(node, tick, /*round=*/0, kSaltDelete, /*start_us=*/0);
-    n_retries += chain.retries;
-    bool ok = chain.served;
-    uint64_t completion = chain.failure_us;
-    EventAttribution event;
-    event.retry_us = chain.failure_us;
-    if (ok) {
-      completion =
-          chain.start_us + ScaleMicros(options_.latency.NodeServiceMicros(1, 0),
-                                       chain.slow_multiplier);
-      event.retry_us = chain.start_us;
-      event.service_us = completion - chain.start_us;
-      if (timeout_us > 0 && completion > timeout_us) {
-        ok = false;
-        completion = timeout_us;
-        event.retry_us = std::min(chain.start_us, timeout_us);
-        event.service_us = timeout_us - event.retry_us;
-        ++n_timeouts;
-      }
-    }
-    if (completion > slowest_us) {
-      slowest_us = completion;
-      crit = event;
-    }
-    if (!ok) {
-      staged.push_back({node, Hint{table, key.ToString(), "", true}});
-      continue;
-    }
-    RSTORE_RETURN_IF_ERROR(nodes_[node]->Delete(table, key));
-    ++deleted;
+void Cluster::MaybeSampleLoad(Timeline* timeline, uint64_t now_us) {
+  // One sample sweep per interval of virtual time keeps the recorder's
+  // bounded ring meaningful under saturation (thousands of groups per
+  // virtual millisecond would otherwise rotate it instantly).
+  constexpr uint64_t kSampleIntervalUs = 1000;
+  if (!timeline->sampled || now_us < timeline->next_sample_us) return;
+  timeline->next_sample_us = now_us + kSampleIntervalUs;
+  FlightRecorder& recorder = FlightRecorder::Default();
+  for (uint32_t node = 0; node < timeline->node_busy_us.size(); ++node) {
+    const uint64_t busy_us = timeline->node_busy_us[node];
+    FlightSample sample;
+    sample.sim_us = now_us;
+    sample.node = node;
+    sample.busy_horizon_us = busy_us;
+    sample.backlog_us = busy_us > now_us ? busy_us - now_us : 0;
+    recorder.AddSample(sample);
   }
-  if (deleted == 0) return Status::IOError("all replicas down");
-  const uint64_t hinted = staged.size();
-  CommitHints(std::move(staged));
-  MutexLock lock(mu_);
-  ++stats_.deletes;
-  stats_.simulated_micros +=
-      options_.latency.coordinator_overhead_us + slowest_us;
-  stats_.service_us +=
-      crit.service_us + options_.latency.coordinator_overhead_us;
-  stats_.retry_penalty_us += crit.retry_us;
-  stats_.retries += n_retries;
-  stats_.timeouts += n_timeouts;
-  stats_.handoff_hints += hinted;
-  return Status::OK();
 }
 
 Status Cluster::Scan(const std::string& table,
@@ -1320,9 +925,24 @@ void Cluster::ReplayReadyHints(uint64_t tick) {
   }
   // Replayed writes are repair traffic, not client latency: they charge no
   // simulated micros, only the counter.
-  ClusterMetrics::Get().handoff_replays_total->Increment(replayed);
+  KVStats charge;
+  charge.handoff_replays = replayed;
+  Charge(charge);
+}
+
+void Cluster::Charge(const KVStats& charge) {
+  const ClusterMetrics& metrics = ClusterMetrics::Get();
+  const uint64_t requests =
+      charge.gets + charge.puts + charge.deletes + charge.multiget_batches;
+  if (requests > 0) metrics.requests_total->Increment(requests);
+  for (const auto& [member, counter] : metrics.mirrors) {
+    if (charge.*member > 0) counter->Increment(charge.*member);
+  }
+  if (charge.multiget_batches > 0) {
+    metrics.multiget_batch_keys->Observe(charge.keys_requested);
+  }
   MutexLock lock(mu_);
-  stats_.handoff_replays += replayed;
+  stats_ += charge;
 }
 
 KVStats Cluster::stats() const {

@@ -64,10 +64,15 @@ class Cluster : public KVStore {
   Status CreateTable(const std::string& table) override;
   Status Put(const std::string& table, Slice key, Slice value) override;
   Result<std::string> Get(const std::string& table, Slice key) override;
+  /// Sync MultiGet and MultiGetPartial run MultiGetAsync on a private
+  /// Executor and drain it: one retry/failover/hedge engine serves both
+  /// read paths. A private timeline's node queues hold only this batch's
+  /// own groups, which is what a caller that waits out each batch sees.
+  ///
   /// When `trace` is non-null, records a "kvs.multiget" span with one
-  /// "node<N>" child per contacted node covering [batch start, batch start +
-  /// that node's service time] on the simulated clock — the children all
-  /// start at the same simulated instant because the nodes serve their
+  /// "node<N>" child per contacted node covering that node's service
+  /// interval on the simulated clock — the children of the first groups
+  /// all start at the batch's start instant because the nodes serve their
   /// shares in parallel — and advances the trace's simulated clock by
   /// exactly the micros charged to stats(). Under faults, additional
   /// "node<N>.retry<k>" / "node<N>.hedge" children record the failed
@@ -84,29 +89,26 @@ class Cluster : public KVStore {
                          std::map<std::string, std::string>* out,
                          std::vector<KeyReadFailure>* failures,
                          TraceContext* trace) override;
-  /// Asynchronous MultiGet: the continuation-style twin of MultiGetInternal,
-  /// scheduled on a deterministic virtual-time Executor so many batches from
-  /// many queries overlap through one coordinator. Fault decisions draw from
-  /// the same (tick, node, round, salt) streams as the synchronous path, so
-  /// a sequentially-drained async run replays the synchronous timeline event
-  /// for event; when batches genuinely overlap, a per-node FIFO queue
-  /// (async_node_busy_us_) serializes each node's service so saturation is
-  /// bounded by aggregate node capacity, exactly the resource the
-  /// synchronous engine leaves idle between queries.
+  /// Asynchronous MultiGet, scheduled on a deterministic virtual-time
+  /// Executor so many batches from many queries overlap through one
+  /// coordinator. Each executor is its own virtual timeline (keyed by
+  /// Executor::id()) with a per-node FIFO queue: a group's service starts
+  /// once its node has drained the groups it accepted earlier on that
+  /// timeline, so saturation is bounded by aggregate node capacity. A
+  /// hedge joins its target's queue at the instant it is issued. Executors
+  /// never share queues, and shared timelines feed the flight recorder's
+  /// saturation samples.
   ///
   /// With `partial` false the batch is strict (first unavailable key fails
-  /// the whole batch, nothing is charged — mirroring MultiGet); with true,
-  /// unavailable keys land in AsyncMultiGetResult::failures. The returned
-  /// future completes on the executor at the batch's simulated completion
-  /// instant, after this batch's charge lands in stats(). `trace` must
-  /// belong to the submitting query chain and stay open (no span started
-  /// before submission may close) until the future completes; per-node /
-  /// per-attempt children and the simulated advance are recorded at
-  /// completion and reconcile exactly with the charge, as in the sync path.
-  ///
-  /// All async traffic against one Cluster must share one Executor (one
-  /// virtual timeline); mixing executors trips a DCHECK. Writes must not
-  /// run concurrently with in-flight async reads.
+  /// the whole batch, nothing is charged); with true, unavailable keys land
+  /// in AsyncMultiGetResult::failures. The returned future completes on the
+  /// executor at the batch's simulated completion instant, after this
+  /// batch's charge lands in stats(). `trace` must belong to the submitting
+  /// query chain and stay open (no span started before submission may
+  /// close) until the future completes; per-node / per-attempt children and
+  /// the simulated advance are recorded at completion and reconcile exactly
+  /// with the charge. Writes must not run concurrently with in-flight
+  /// async reads.
   Future<AsyncMultiGetResult> MultiGetAsync(
       Executor* executor, const std::string& table,
       const std::vector<std::string>& keys, bool partial,
@@ -178,109 +180,76 @@ class Cluster : public KVStore {
   AttemptChain SimulateAttempts(uint32_t node, uint64_t tick, uint32_t round,
                                 uint32_t salt_base, uint64_t start_us) const;
 
-  /// Shared implementation of MultiGet / MultiGetPartial. With
-  /// `failures == nullptr` (strict) the first unavailable key fails the
-  /// batch; otherwise unavailable keys are reported and the rest served.
-  Status MultiGetInternal(const std::string& table,
-                          const std::vector<std::string>& keys,
-                          std::map<std::string, std::string>* out,
-                          std::vector<KeyReadFailure>* failures,
-                          TraceContext* trace);
-
-  /// Mutable continuation state of one in-flight MultiGetAsync batch,
-  /// shared by every event the batch schedules. Only executor events touch
-  /// it after submission, and the executor runs them one at a time, so no
-  /// lock guards it; cross-thread publication happens via the executor's
-  /// own queue lock.
-  struct AsyncMultiGetState {
-    struct Member {
-      size_t key_idx;
-      std::vector<uint32_t> replicas;
-      size_t pos;
-    };
-    struct Group {
-      uint32_t node;
-      uint64_t start_us;  // absolute virtual time the group was issued
-      uint32_t round;     // failover depth, decorrelates fault decisions
-      std::vector<Member> members;
-      /// Attribution inherited from the event chain that issued this group
-      /// (zero for initial groups): how start_us - submit_us decomposes
-      /// into queue wait / service / retry penalty. Every event this group
-      /// produces extends the inherited triple, keeping the conservation
-      /// invariant exact through arbitrary failover chains.
-      uint64_t attr_queue_us = 0;
-      uint64_t attr_service_us = 0;
-      uint64_t attr_retry_us = 0;
-    };
-    /// A child span recorded at an absolute virtual interval, re-based onto
-    /// the query's simulated clock at finalize.
-    struct SimSpan {
-      std::string name;
-      uint64_t start_us;
-      uint64_t end_us;
-      std::vector<std::pair<std::string, std::string>> notes;
-    };
-
-    Executor* executor = nullptr;
-    std::string table;
-    std::vector<std::string> keys;
-    bool partial = false;
-    TraceContext* trace = nullptr;
-    uint64_t tick = 0;
-    uint64_t submit_us = 0;        // absolute virtual submission instant
-    uint64_t sim_batch_start = 0;  // trace sim clock at submission
-    uint32_t span_id = TraceSpan::kNoParent;
-
-    std::vector<Group> groups;  // append-only; events index into it
-    size_t outstanding = 0;
-    bool failed = false;
-
-    std::vector<SimSpan> sim_spans;
-    uint64_t last_event_us = 0;  // absolute latest completion/failure
-    /// Attribution of the critical event — the one that set last_event_us.
-    /// Strictly-greater updates keep ties resolved toward the first event,
-    /// matching the synchronous path's iteration order exactly.
-    uint64_t crit_queue_us = 0;
-    uint64_t crit_service_us = 0;
-    uint64_t crit_retry_us = 0;
-    uint64_t crit_hedge_us = 0;
-    uint32_t nodes_contacted = 0;
-    uint64_t n_retries = 0;
-    uint64_t n_hedges = 0;
-    uint64_t n_hedge_wins = 0;
-    uint64_t n_timeouts = 0;
-
-    AsyncMultiGetResult result;
-    Promise<AsyncMultiGetResult> promise;
+  /// Per-node FIFO queues of one virtual timeline (one Executor). Only
+  /// that executor's events touch it, one at a time, so no lock guards it.
+  struct Timeline {
+    Timeline(size_t num_nodes, bool sampled)
+        : node_busy_us(num_nodes, 0), sampled(sampled) {}
+    /// Virtual instant until which each node serves earlier groups.
+    std::vector<uint64_t> node_busy_us;
+    /// Whether the flight recorder samples these queues (a sync call's
+    /// private timeline is never sampled), and when it next does.
+    bool sampled;
+    uint64_t next_sample_us = 0;
   };
-  using AsyncStatePtr = std::shared_ptr<AsyncMultiGetState>;
 
-  /// One group event: physical read, queued service + attempt chain,
-  /// hedging, per-member completion, failover scheduling.
-  void ProcessAsyncGroup(const AsyncStatePtr& state, size_t group_index);
+  /// Defined in cluster.cc: the continuation state of one in-flight
+  /// batch, a key routed to one of its replicas, and how an event's
+  /// instant decomposes into queue wait, service, retry penalty and hedge
+  /// savings.
+  struct Batch;
+  struct Member;
+  struct EventAttribution;
+  using BatchPtr = std::shared_ptr<Batch>;
+
+  /// Sync MultiGet/MultiGetPartial: one batch on a private timeline,
+  /// drained inline. `failures` null means strict.
+  Status DrainMultiGet(const std::string& table,
+                       const std::vector<std::string>& keys,
+                       std::map<std::string, std::string>* out,
+                       std::vector<KeyReadFailure>* failures,
+                       TraceContext* trace);
+  /// Draws the batch's tick, routes every key and schedules the first
+  /// groups at the submission instant.
+  void StartBatch(const BatchPtr& batch);
+  /// A group reaches its node: queue wait, the attempt chain, and the
+  /// node's service. A hedged group resolves at the hedge's issue instant,
+  /// any other one at once.
+  void ProcessGroup(const BatchPtr& batch, size_t group_index);
+  /// Races the hedges (when `hedged`), serves the members that made the
+  /// deadline and fails the rest over.
+  void ResolveGroup(const BatchPtr& batch, size_t group_index, bool hedged);
   /// Routes members that failed at `fail_us` to their next serving
-  /// replicas, scheduling the new groups, which inherit the failing event's
-  /// attribution triple (queue + service + retry == fail_us - submit_us).
+  /// replicas as new groups, which inherit the failing event's attribution.
   /// Strict-mode exhaustion returns the error (caller aborts the batch).
-  Status AsyncFailOver(const AsyncStatePtr& state,
-                       std::vector<AsyncMultiGetState::Member> failed,
-                       uint64_t fail_us, uint32_t next_round,
-                       uint64_t attr_queue_us, uint64_t attr_service_us,
-                       uint64_t attr_retry_us, const char* reason);
-  /// Marks one group resolved; the last one schedules FinalizeAsync at the
+  Status FailOver(const BatchPtr& batch, std::vector<Member> members,
+                  uint64_t fail_us, uint32_t next_round,
+                  const EventAttribution& attr, const char* reason);
+  /// Marks one group resolved; the last one schedules FinishBatch at the
   /// batch's simulated completion instant.
-  void AsyncGroupResolved(const AsyncStatePtr& state);
-  /// Charges stats/metrics, emits the trace children + simulated advance,
-  /// and completes the promise (with no locks held).
-  void FinalizeAsync(const AsyncStatePtr& state);
-  /// Strict-mode batch failure: mirrors the sync early return — the span
-  /// closes without an advance and nothing is charged.
-  void AbortAsync(const AsyncStatePtr& state, Status error);
+  void GroupResolved(const BatchPtr& batch);
+  /// Charges the batch, emits its trace children and simulated advance,
+  /// and completes it.
+  void FinishBatch(const BatchPtr& batch);
+  /// Strict-mode batch failure: the span closes without an advance and
+  /// nothing is charged.
+  void AbortBatch(const BatchPtr& batch, Status error);
 
-  /// Samples every node's async busy horizon into the process-wide
-  /// FlightRecorder time series, at most once per sampling interval of
-  /// virtual time. Snapshot under mu_, recording outside it.
-  void MaybeSampleAsyncLoad(uint64_t now_us);
+  /// The shared timeline of `executor`, created on first use.
+  Timeline* SharedTimeline(const Executor& executor);
+  /// Samples a shared timeline's node queues into the process-wide
+  /// FlightRecorder, at most once per sampling interval of virtual time.
+  static void MaybeSampleLoad(Timeline* timeline, uint64_t now_us);
+
+  /// Put (`is_delete` false) or Delete on every replica in parallel,
+  /// staging hints for the ones that are down or fail.
+  Status WriteReplicas(const std::string& table, Slice key, Slice value,
+                       bool is_delete);
+
+  /// The one epilogue of every charge (each Get, Put, Delete, batch and
+  /// hint replay): adds it to stats() and to the rstore_kvs_* registry
+  /// counters together, so the two always match.
+  void Charge(const KVStats& charge);
 
   /// Replays staged hints for every node that is up at `tick`. Called at
   /// the start of each coordinator operation (before routing, so a write
@@ -294,8 +263,9 @@ class Cluster : public KVStore {
 
   /// Routing state (ring_, nodes_, options_) is immutable after
   /// construction and alive_ is atomic, so requests route lock-free; mu_
-  /// guards only the coordinator's stats and is never held across a node
-  /// call (node locks rank below kLockRankCluster — see sync.h).
+  /// guards only the coordinator's stats and timeline registry and is never
+  /// held across a node call (node locks rank below kLockRankCluster — see
+  /// sync.h).
   ClusterOptions options_;
   HashRing ring_;
   std::vector<std::unique_ptr<MemoryStore>> nodes_;
@@ -322,19 +292,10 @@ class Cluster : public KVStore {
 
   mutable Mutex mu_{kLockRankCluster, "Cluster::mu_"};
   KVStats stats_ RSTORE_GUARDED_BY(mu_);
-  /// Virtual-time instant (on the async executor's clock) until which each
-  /// node is busy serving async reads — the per-node FIFO queue that keeps
-  /// saturation finite when hundreds of async queries overlap. The
-  /// synchronous path never consults it: a sync caller waits out each batch
-  /// before issuing the next, so its nodes are idle by construction.
-  std::vector<uint64_t> async_node_busy_us_ RSTORE_GUARDED_BY(mu_);
-  /// All async traffic on one cluster shares one virtual timeline; pinned
-  /// at the first MultiGetAsync and DCHECKed on every later one.
-  const Executor* async_executor_ RSTORE_GUARDED_BY(mu_) = nullptr;
-  /// Next virtual instant at which the async path samples the per-node
-  /// busy horizons into the flight recorder's time series (saturation
-  /// visibility over time; see common/flight_recorder.h).
-  uint64_t next_sample_us_ RSTORE_GUARDED_BY(mu_) = 0;
+  /// The timeline of every executor that has read from this cluster, keyed
+  /// by Executor::id(). Entries are never erased, so the Timeline pointers
+  /// that batches hold stay valid (std::map nodes never move).
+  std::map<uint64_t, Timeline> timelines_ RSTORE_GUARDED_BY(mu_);
 };
 
 }  // namespace rstore

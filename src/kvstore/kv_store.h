@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,8 +55,9 @@ struct KVStats {
   // holds exactly (all four are zero for plain in-memory stores, which
   // charge nothing). Batched reads attribute the critical path — the event
   // chain of the member that determined the batch's completion time.
-  /// Time spent queued behind earlier work at the serving node (async engine
-  /// busy horizons; always zero on the one-at-a-time sync path).
+  /// Time spent queued behind earlier work at the serving node on the
+  /// batch's virtual timeline (see Cluster: a sync call's private timeline
+  /// only queues a batch behind its own earlier groups).
   uint64_t queue_wait_us = 0;
   /// Time the serving node (plus coordinator overhead) spent doing work.
   uint64_t service_us = 0;
@@ -66,28 +68,58 @@ struct KVStats {
   /// from the sum: the primary's full service time is still attributed).
   uint64_t hedge_delta_us = 0;
 
-  KVStats& operator+=(const KVStats& other) {
-    gets += other.gets;
-    puts += other.puts;
-    deletes += other.deletes;
-    multiget_batches += other.multiget_batches;
-    keys_requested += other.keys_requested;
-    bytes_read += other.bytes_read;
-    bytes_written += other.bytes_written;
-    simulated_micros += other.simulated_micros;
-    retries += other.retries;
-    hedges += other.hedges;
-    hedge_wins += other.hedge_wins;
-    timeouts += other.timeouts;
-    handoff_hints += other.handoff_hints;
-    handoff_replays += other.handoff_replays;
-    queue_wait_us += other.queue_wait_us;
-    service_us += other.service_us;
-    retry_penalty_us += other.retry_penalty_us;
-    hedge_delta_us += other.hedge_delta_us;
-    return *this;
-  }
+  struct Field {
+    const char* name;
+    uint64_t KVStats::* member;
+  };
+
+  inline KVStats& operator+=(const KVStats& other);
+  /// What happened between two snapshots: `after - before`, field by field.
+  static inline KVStats Delta(const KVStats& after, const KVStats& before);
 };
+
+/// The counter registry: every KVStats counter, exactly once.
+inline constexpr KVStats::Field kKVStatsFields[] = {
+    {"gets", &KVStats::gets},
+    {"puts", &KVStats::puts},
+    {"deletes", &KVStats::deletes},
+    {"multiget_batches", &KVStats::multiget_batches},
+    {"keys_requested", &KVStats::keys_requested},
+    {"bytes_read", &KVStats::bytes_read},
+    {"bytes_written", &KVStats::bytes_written},
+    {"simulated_micros", &KVStats::simulated_micros},
+    {"retries", &KVStats::retries},
+    {"hedges", &KVStats::hedges},
+    {"hedge_wins", &KVStats::hedge_wins},
+    {"timeouts", &KVStats::timeouts},
+    {"handoff_hints", &KVStats::handoff_hints},
+    {"handoff_replays", &KVStats::handoff_replays},
+    {"queue_wait_us", &KVStats::queue_wait_us},
+    {"service_us", &KVStats::service_us},
+    {"retry_penalty_us", &KVStats::retry_penalty_us},
+    {"hedge_delta_us", &KVStats::hedge_delta_us},
+};
+
+/// Every KVStats field is a uint64_t, so this trips the moment a field is
+/// added without a kKVStatsFields entry (aggregation would drop it).
+static_assert(sizeof(KVStats) ==
+                  std::size(kKVStatsFields) * sizeof(uint64_t),
+              "KVStats field added without a kKVStatsFields entry");
+
+inline KVStats& KVStats::operator+=(const KVStats& other) {
+  for (const Field& field : kKVStatsFields) {
+    this->*field.member += other.*field.member;
+  }
+  return *this;
+}
+
+inline KVStats KVStats::Delta(const KVStats& after, const KVStats& before) {
+  KVStats delta;
+  for (const Field& field : kKVStatsFields) {
+    delta.*field.member = after.*field.member - before.*field.member;
+  }
+  return delta;
+}
 
 /// One key a partial batched read could not serve, with the reason (e.g. all
 /// replicas down, or attempts exhausted). Reported by MultiGetPartial so
@@ -98,27 +130,17 @@ struct KeyReadFailure {
 };
 
 /// Completion payload of one asynchronous MultiGet batch. Unlike the
-/// synchronous path — where callers difference stats() snapshots — every
-/// per-call figure rides in the result, because stats() deltas are
+/// synchronous path — where callers difference stats() snapshots — the
+/// batch's own charge rides in the result, because stats() deltas are
 /// meaningless while hundreds of batches are in flight.
 struct AsyncMultiGetResult {
   Status status = Status::OK();
   std::map<std::string, std::string> values;
   /// Per-key degradations (partial mode only; strict batches fail whole).
   std::vector<KeyReadFailure> failures;
-  uint64_t bytes_read = 0;
-  /// Exactly what this batch added to stats().simulated_micros.
-  uint64_t charged_micros = 0;
-  uint64_t retries = 0;
-  uint64_t hedges = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t timeouts = 0;
-  /// Attribution of charged_micros (see KVStats): queue_wait + service +
-  /// retry_penalty - hedge_delta == charged_micros, exactly.
-  uint64_t queue_wait_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_penalty_us = 0;
-  uint64_t hedge_delta_us = 0;
+  /// Exactly what this batch added to stats(): its keys and bytes, the
+  /// simulated micros with their attribution, and the fault counters.
+  KVStats charge;
 };
 
 /// Abstract distributed key-value store interface.
@@ -220,23 +242,11 @@ class KVStore {
     (void)executor;
     AsyncMultiGetResult result;
     const KVStats before = stats();
-    if (partial) {
-      result.status = MultiGetPartial(table, keys, &result.values,
-                                      &result.failures, trace);
-    } else {
-      result.status = MultiGet(table, keys, &result.values, trace);
-    }
-    const KVStats after = stats();
-    result.bytes_read = after.bytes_read - before.bytes_read;
-    result.charged_micros = after.simulated_micros - before.simulated_micros;
-    result.retries = after.retries - before.retries;
-    result.hedges = after.hedges - before.hedges;
-    result.hedge_wins = after.hedge_wins - before.hedge_wins;
-    result.timeouts = after.timeouts - before.timeouts;
-    result.queue_wait_us = after.queue_wait_us - before.queue_wait_us;
-    result.service_us = after.service_us - before.service_us;
-    result.retry_penalty_us = after.retry_penalty_us - before.retry_penalty_us;
-    result.hedge_delta_us = after.hedge_delta_us - before.hedge_delta_us;
+    result.status =
+        partial ? MultiGetPartial(table, keys, &result.values,
+                                  &result.failures, trace)
+                : MultiGet(table, keys, &result.values, trace);
+    result.charge = KVStats::Delta(stats(), before);
     return MakeReadyFuture(std::move(result));
   }
 

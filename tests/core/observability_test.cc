@@ -541,6 +541,12 @@ TEST(ObservabilityTest, RegistryCountersFoldIntoStoreReport) {
   };
   EXPECT_EQ(counter("rstore_query_queries_total"), 1u);
   EXPECT_GT(counter("rstore_kvs_multiget_batches_total"), 0u);
+
+  // Repartition deletes every old chunk: Delete charges must reach the
+  // registry counters just as every other coordinator charge does.
+  ASSERT_TRUE(q->store->Repartition().ok());
+  snapshot = MetricsRegistry::Default().Snapshot();
+  EXPECT_GT(q->cluster.stats().deletes, 0u);
   EXPECT_EQ(counter("rstore_kvs_simulated_micros_total"),
             q->cluster.stats().simulated_micros);
 

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace.h"
 #include "kvstore/cluster.h"
 
 namespace rstore {
@@ -105,6 +106,51 @@ TEST(ClusterConcurrencyTest, TrafficWhileNodesFlap) {
   EXPECT_EQ(stats.puts, static_cast<uint64_t>(kSeeds + 3 * 400));
   EXPECT_EQ(stats.multiget_batches,
             static_cast<uint64_t>(ok_multigets.load()));
+}
+
+// A sync MultiGet drains a private timeline: threads issuing them at the
+// same time never queue behind one another, so each call is charged what
+// the same batch costs alone (a trace's simulated advance is the charge).
+TEST(ClusterConcurrencyTest, ConcurrentSyncMultiGetsKeepPrivateTimelines) {
+  ClusterOptions options;
+  options.num_nodes = 4;
+  options.replication_factor = 2;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.CreateTable("t").ok());
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back("k" + std::to_string(i));
+    ASSERT_TRUE(cluster.Put("t", keys.back(), std::string(100, 'v')).ok());
+  }
+  cluster.ResetStats();
+  TraceContext alone;
+  std::map<std::string, std::string> expected;
+  ASSERT_TRUE(cluster.MultiGet("t", keys, &expected, &alone).ok());
+  const uint64_t alone_us = alone.sim_now_us();
+  ASSERT_GT(alone_us, 0u);
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 50;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        TraceContext trace;
+        std::map<std::string, std::string> out;
+        if (!cluster.MultiGet("t", keys, &out, &trace).ok() ||
+            out != expected || trace.sim_now_us() != alone_us) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const KVStats stats = cluster.stats();
+  EXPECT_EQ(stats.multiget_batches, 1u + kThreads * kCalls);
+  EXPECT_EQ(stats.simulated_micros, alone_us * (1 + kThreads * kCalls));
+  EXPECT_EQ(stats.queue_wait_us, 0u);
 }
 
 TEST(ClusterConcurrencyTest, ScanRunsConcurrentlyWithWrites) {

@@ -64,7 +64,9 @@ TEST(TrafficTest, MixWeightsAndZipfSkewShapeTheStream) {
     ++by_kind[q.kind];
     ++by_version[q.version];
     EXPECT_LT(q.version, gen.dataset.graph.size());
-    if (q.kind == Query::Kind::kRange) EXPECT_LE(q.key_lo, q.key_hi);
+    if (q.kind == Query::Kind::kRange) {
+      EXPECT_LE(q.key_lo, q.key_hi);
+    }
   }
   // Every class appears, and the default point-heavy mix dominates.
   EXPECT_GT(by_kind[Query::Kind::kFullVersion], 0);

@@ -269,6 +269,30 @@ class Tally {
 """)
         self.assertEqual(len(findings_for(self.CHECK, ("src/a.h", text))), 1)
 
+    def test_good_out_of_line_nested_struct_is_its_own_class(self):
+        # `struct Outer::Inner {` defines Inner: its fields are not the
+        # shared state of the lock-owning Outer.
+        h = wrap("""
+class Outer {
+ public:
+  void Run();
+ private:
+  struct Inner;
+  Mutex mu_;
+};
+""")
+        cc = wrap("""
+struct Outer::Inner {
+  int hits = 0;
+};
+void Outer::Run() {
+  Inner inner;
+  inner.hits = 1;
+}
+""")
+        self.assertEqual(
+            findings_for(self.CHECK, ("src/o.h", h), ("src/o.cc", cc)), [])
+
     def test_good_untracked_class_ignored(self):
         text = wrap("""
 struct Stats {

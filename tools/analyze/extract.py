@@ -31,7 +31,9 @@ from lint import strip_comments_and_strings  # noqa: E402  (tools/lint.py)
 import facts  # noqa: E402
 
 EXTRACTOR_NAME = "python"
-EXTRACTOR_VERSION = 3  # v3: `->` no longer closes an angle bracket in arg splits
+# v3: `->` no longer closes an angle bracket in arg splits
+# v4: `struct Outer::Inner {` defines Outer::Inner, not Outer
+EXTRACTOR_VERSION = 4
 
 # Keywords that can precede a '(' without being a call.
 NON_CALL_KEYWORDS = frozenset("""
@@ -255,13 +257,16 @@ def extract_file(abs_path, rel_path):
         m = re.search(r"\benum\s+(?:class\s+|struct\s+)?(\w+)", header)
         if m and "(" not in header:
             return ("enum", m.group(1))
+        # The name may be qualified: `struct Outer::Inner {` defines the
+        # nested class out of line, with the same "Outer::Inner" name an
+        # inline definition gets.
         m = re.search(
-            r"\b(?:class|struct)\s+(?:RSTORE_\w+\s*(?:\([^)]*\))?\s*)*(\w+)"
-            r"\s*(?:final\s*)?(?::|$)", header)
+            r"\b(?:class|struct)\s+(?:RSTORE_\w+\s*(?:\([^)]*\))?\s*)*"
+            r"(\w+(?:::\w+)*)\s*(?:final\s*)?(?::(?!:)|$)", header)
         if m and not header.rstrip().endswith(")"):
             bases = re.findall(
                 r"(?:public|protected|private)\s+([\w:]+)",
-                header.split(":", 1)[1] if ":" in header else "")
+                header[m.end(1):])
             return ("class", (m.group(1), [_strip_ns(b) for b in bases]))
         # Function definition: a top-level '(' whose matching ')' is followed
         # (modulo qualifiers/init-list) by this '{'.

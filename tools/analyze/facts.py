@@ -40,7 +40,7 @@ Facts dict layout (schema SCHEMA_VERSION):
                    "rank_const": "kLockRankCluster", "kind": "Mutex",
                    "line": 188} ],
     "functions": [ {
-       "qual": "Cluster::MultiGetInternal",     # namespaces stripped;
+       "qual": "Cluster::ProcessGroup",         # namespaces stripped;
                                                  # file-static helpers are
                                                  # qualified as "<file>::name"
        "cls": "Cluster" | "",

@@ -6,26 +6,28 @@ Metrics gate in two tiers:
 
   simulated time  names containing "micros" or ending in "_ms". Produced by
                   the deterministic latency model, so exactly reproducible
-                  run-to-run and machine-to-machine: a change is a real
-                  modeling or code-path change, not noise. Tight gate
-                  (--threshold, default 0.25 = +25%).
+                  run-to-run and machine-to-machine. Exact gate: any change,
+                  up or down, fails — it is a modeling or code-path change,
+                  never noise, and is acknowledged by refreshing the
+                  baseline in the same change.
   wall clock      names ending in "_real_ns" (bench_micro). Host- and
                   load-dependent, so the gate is deliberately loose
                   (--wall-threshold, default 3.0 = +300%): it only catches
                   order-of-magnitude regressions — an accidental O(n^2), a
                   lock on the hot path — never scheduler jitter.
 
-Other metrics (counters, bytes) are reported but never gate. Improvements
-and sub-threshold drift are reported but do not fail. Metrics missing from
-the baseline (new benches, new series) warn and pass, so adding coverage
-never blocks a PR; refresh the baseline to start gating them.
+Other metrics (counters, bytes) are reported but never gate. Wall-clock
+improvements and sub-threshold drift are reported but do not fail. Metrics
+missing from the baseline (new benches, new series) warn and pass, so
+adding coverage never blocks a PR; refresh the baseline to start gating
+them.
 
 Usage:
-  tools/bench_diff.py [--threshold 0.25] [--wall-threshold 3.0]
-                      [--baselines bench/baselines]
+  tools/bench_diff.py [--wall-threshold 3.0] [--baselines bench/baselines]
                       BENCH_a.json [BENCH_b.json ...]
 
-Exit status: 1 when any gated metric regressed, else 0.
+Exit status: 1 when any simulated-time metric changed or any wall-clock
+metric regressed past its gate, else 0.
 """
 
 import argparse
@@ -37,7 +39,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def metric_tier(name):
-    """"sim" (tight gate), "wall" (loose gate), or None (never gates)."""
+    """"sim" (exact gate), "wall" (loose gate), or None (never gates)."""
     if "micros" in name or name.endswith("_ms"):
         return "sim"
     if name.endswith("_real_ns"):
@@ -53,18 +55,18 @@ def load_metrics(path):
     return metrics
 
 
-def compare(current_path, baseline_path, thresholds):
-    """Returns (regressions, lines) for one bench file pair; `thresholds`
-    maps metric tier ("sim"/"wall") to its relative gate."""
+def compare(current_path, baseline_path, wall_threshold):
+    """Returns (failures, lines) for one bench file pair: simulated-time
+    metrics must equal their baseline, wall-clock ones stay within
+    `wall_threshold` (relative) above it."""
     current = load_metrics(current_path)
     baseline = load_metrics(baseline_path)
-    regressions = 0
+    failures = 0
     lines = []
     for name in sorted(current):
         tier = metric_tier(name)
         if tier is None:
             continue
-        threshold = thresholds[tier]
         value = float(current[name])
         if name not in baseline:
             lines.append("  NEW      %-45s %14.3f (no baseline)"
@@ -75,34 +77,36 @@ def compare(current_path, baseline_path, thresholds):
             delta = 0.0 if value == 0.0 else float("inf")
         else:
             delta = (value - base) / base
-        tag = "ok"
-        if delta > threshold:
-            tag = "REGRESSED"
-            regressions += 1
-        elif delta < -threshold:
-            tag = "improved"
-        lines.append("  %-8s %-45s %14.3f vs %14.3f  (%+.1f%%, gate %+.0f%%)"
-                     % (tag, name, value, base, delta * 100.0,
-                        threshold * 100.0))
-    return regressions, lines
+        if tier == "sim":
+            tag = "ok" if value == base else "CHANGED"
+            gate = "exact"
+        else:
+            tag = "ok"
+            if delta > wall_threshold:
+                tag = "REGRESSED"
+            elif delta < -wall_threshold:
+                tag = "improved"
+            gate = "%+.0f%%" % (wall_threshold * 100.0)
+        if tag in ("CHANGED", "REGRESSED"):
+            failures += 1
+        lines.append("  %-8s %-45s %14.3f vs %14.3f  (%+.1f%%, gate %s)"
+                     % (tag, name, value, base, delta * 100.0, gate))
+    return failures, lines
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench_files", nargs="+",
                         help="BENCH_*.json files produced by this run")
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="relative gate for simulated-time metrics "
-                             "(default 0.25 = +25%%)")
     parser.add_argument("--wall-threshold", type=float, default=3.0,
                         help="relative gate for wall-clock *_real_ns "
                              "metrics (default 3.0 = +300%%)")
     parser.add_argument("--baselines",
                         default=os.path.join(REPO_ROOT, "bench", "baselines"),
                         help="directory of committed baseline BENCH_*.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    total_regressions = 0
+    total_failures = 0
     compared = 0
     for path in args.bench_files:
         name = os.path.basename(path)
@@ -112,33 +116,31 @@ def main():
                   "gating)" % (name, baseline_path))
             continue
         try:
-            regressions, lines = compare(
-                path, baseline_path,
-                {"sim": args.threshold, "wall": args.wall_threshold})
+            failures, lines = compare(path, baseline_path,
+                                      args.wall_threshold)
         except (OSError, ValueError, KeyError) as e:
             print("%s: cannot compare: %s" % (name, e), file=sys.stderr)
             return 1
         compared += 1
         print("%s: %s" % (name,
-                          "%d regression(s)" % regressions
-                          if regressions else "ok"))
+                          "%d gated metric(s) failed" % failures
+                          if failures else "ok"))
         for line in lines:
             print(line)
-        total_regressions += regressions
+        total_failures += failures
 
     if not compared:
         print("bench_diff.py: nothing compared (no baselines found)",
               file=sys.stderr)
         return 0
-    if total_regressions:
-        print("\nbench_diff.py: %d gated metric(s) regressed past their "
-              "tier's threshold (sim %.0f%%, wall %.0f%%)"
-              % (total_regressions, args.threshold * 100,
-                 args.wall_threshold * 100), file=sys.stderr)
+    if total_failures:
+        print("\nbench_diff.py: %d gated metric(s) failed: simulated time "
+              "must match its baseline exactly, wall clock stay within "
+              "%+.0f%%" % (total_failures, args.wall_threshold * 100),
+              file=sys.stderr)
         return 1
-    print("\nbench_diff.py: all gated metrics within threshold "
-          "(sim %.0f%%, wall %.0f%%)"
-          % (args.threshold * 100, args.wall_threshold * 100))
+    print("\nbench_diff.py: all gated metrics pass (simulated time exact, "
+          "wall clock %+.0f%%)" % (args.wall_threshold * 100))
     return 0
 
 
