@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 
 #include "bench_util.h"
@@ -12,6 +13,7 @@
 #include "compress/bitmap.h"
 #include "compress/delta_codec.h"
 #include "compress/lz_codec.h"
+#include "core/chunk.h"
 #include "kvstore/cluster.h"
 #include "workload/dataset_catalog.h"
 #include "workload/record_generator.h"
@@ -91,6 +93,79 @@ void BM_BitmapSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapSerialize)->Arg(10000)->Arg(1000000);
+
+/// A chunk body and its map at the end-to-end benchmark's shape: 200
+/// versions of 1000 records of 500 B, 10 % updates per version, k = 4 LZ
+/// sub-chunks, BOTTOM-UP chunks of a tenth of a version. The chunk is the
+/// one of median body size (about 35 KB and 70 sub-chunks).
+struct EncodedChunkFixture {
+  std::string body;
+  std::string map;
+  size_t sub_chunks = 0;
+};
+
+EncodedChunkFixture MakeChunkFixture() {
+  workload::DatasetConfig config;
+  config.num_versions = 200;
+  config.records_per_version = 1000;
+  config.record_size_bytes = 500;
+  config.update_fraction = 0.10;
+  config.branch_probability = 0.2;
+  config.pd = 0.05;
+  workload::GeneratedDataset gen = workload::GenerateDataset(config);
+  Options options;
+  options.algorithm = PartitionAlgorithm::kBottomUp;
+  options.max_sub_chunk_records = 4;
+  options.compression = CompressionType::kLZ;
+  options.chunk_capacity_bytes = bench::ScaledChunkCapacity(gen);
+  RecordVersionMap versions = gen.dataset.BuildRecordVersionMap();
+  auto built = BuildSubChunks(gen.dataset, gen.payloads, versions, options);
+  PartitionInput input;
+  input.dataset = &gen.dataset;
+  input.items = &built->items;
+  input.options = options;
+  auto partitioned = CreatePartitioner(options.algorithm)->Partition(input);
+  std::vector<EncodedChunkFixture> chunks;
+  for (const std::vector<uint32_t>& items : partitioned->chunks) {
+    Chunk chunk(chunks.size() + 1);
+    for (uint32_t item : items) {
+      chunk.AddSubChunk(std::move(built->sub_chunks[item]));
+    }
+    chunk.InitChunkMap();
+    for (uint32_t i = 0; i < chunk.record_count(); ++i) {
+      for (VersionId v : versions.at(chunk.records()[i])) {
+        chunk.chunk_map()->Add(v, i);
+      }
+    }
+    EncodedChunkFixture& encoded = chunks.emplace_back();
+    chunk.EncodeTo(&encoded.body);
+    chunk.chunk_map()->EncodeTo(&encoded.map);
+    encoded.sub_chunks = items.size();
+  }
+  std::sort(chunks.begin(), chunks.end(), [](const auto& a, const auto& b) {
+    return a.body.size() < b.body.size();
+  });
+  return chunks[chunks.size() / 2];
+}
+
+/// Client-side decode of one fetched chunk, as the cache-off read path
+/// does it: the body is copied out of the fetched batch and decoded, the
+/// map decoded and installed, and the chunk destroyed.
+void BM_ChunkDecode(benchmark::State& state) {
+  static const EncodedChunkFixture fixture = MakeChunkFixture();
+  for (auto _ : state) {
+    Chunk chunk;
+    bool ok = Chunk::DecodeFrom(fixture.body, &chunk).ok();
+    Slice map_input(fixture.map);
+    ChunkMap map;
+    ok = ok && ChunkMap::DecodeFrom(&map_input, &map).ok() &&
+         chunk.SetChunkMap(std::move(map)).ok();
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["body_bytes"] = static_cast<double>(fixture.body.size());
+  state.counters["sub_chunks"] = static_cast<double>(fixture.sub_chunks);
+}
+BENCHMARK(BM_ChunkDecode);
 
 void BM_MinHashVersionSet(benchmark::State& state) {
   HashFamily family(4, 99);

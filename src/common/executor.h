@@ -174,6 +174,25 @@ class Future {
     fn(state_->value);  // ready observed under mu: publish protocol
   }
 
+  /// Like OnReady, but `fn` receives a handle to the completed future
+  /// rather than a reference to its value, so a continuation can keep the
+  /// value (by keeping the handle) instead of copying it. Until completion
+  /// the callback holds the future only weakly: one that never completes
+  /// is still freed with its promise.
+  void OnComplete(std::function<void(const Future&)> fn) const {
+    std::weak_ptr<future_internal::SharedState<T>> weak = state_;
+    OnReady([weak, fn = std::move(fn)](const T&) {
+      // The completing promise (or this call) still holds the state.
+      fn(Future(weak.lock()));
+    });
+  }
+
+  /// The value of a completed future, valid while any handle to it lives.
+  const T& value() const {
+    RSTORE_DCHECK(ready()) << "value() of a pending future";
+    return state_->value;  // ready: publish protocol in SharedState
+  }
+
   /// Monadic map: returns a future completed with `fn(value)` once this
   /// future completes. `fn` must return a plain value, not a Future.
   template <typename F>

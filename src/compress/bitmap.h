@@ -2,6 +2,7 @@
 #define RSTORE_COMPRESS_BITMAP_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,14 +35,37 @@ class Bitmap {
   size_t Count() const;
 
   /// Indices of all set bits, ascending.
-  std::vector<uint32_t> ToVector() const;
+  std::vector<uint32_t> ToVector() const { return SetBits(words_); }
 
   /// In-place union/intersection; both bitmaps must have equal size.
   void UnionWith(const Bitmap& other);
   void IntersectWith(const Bitmap& other);
 
-  void SerializeTo(std::string* out) const;
+  void SerializeTo(std::string* out) const {
+    SerializeWords(size_, words_, out);
+  }
   static Status DeserializeFrom(Slice* input, Bitmap* out);
+
+  // The codec over caller-owned words. ChunkMap keeps all its per-version
+  // bitmaps in one flat word array and goes through these, so the wire
+  // format has one implementation. A bitmap of `size` bits has
+  // WordsFor(size) words.
+  static size_t WordsFor(uint64_t size) { return (size + 63) / 64; }
+  /// Largest size DeserializeSize accepts: far above any legitimate bitmap
+  /// (chunk maps cover at most a chunk's records) but far below memory
+  /// exhaustion (64M bits, 8 MB of words).
+  static constexpr uint64_t kMaxBits = 1ull << 26;
+  /// Indices of the set bits of `words`, ascending, reserved by popcount.
+  static std::vector<uint32_t> SetBits(std::span<const uint64_t> words);
+  static void SerializeWords(uint64_t size, std::span<const uint64_t> words,
+                             std::string* out);
+  /// Reads a serialized bitmap's size. The size is untrusted, so sizes past
+  /// the decoder's cap are corruption.
+  static Status DeserializeSize(Slice* input, uint64_t* size);
+  /// Reads the token stream that follows the size into `words`, which must
+  /// be WordsFor(size) zeroed words. Bits at or past `size` are cleared.
+  static Status DeserializeWords(Slice* input, uint64_t size,
+                                 std::span<uint64_t> words);
 
   bool operator==(const Bitmap& other) const {
     return size_ == other.size_ && words_ == other.words_;

@@ -27,6 +27,13 @@ std::string ChunkMapKey(ChunkId id);
 ///
 /// The chunk's *record list* is the flattened sequence of all sub-chunk
 /// member keys, in sub-chunk order; the chunk map's bitmaps index into it.
+///
+/// Built and decoded chunks share one flat layout: the sub-chunk encodings
+/// back to back (the wire bytes after the id and count), one table of where
+/// each sub-chunk's pieces sit in them, and per-record arrays of keys and
+/// parent links. Blobs are read in place. The tables hold offsets, never
+/// pointers, so a chunk can be copied or moved freely, and a const chunk is
+/// never mutated, so cache entries can be shared across threads.
 class Chunk {
  public:
   Chunk() = default;
@@ -43,7 +50,10 @@ class Chunk {
   ChunkMap* chunk_map() { return &map_; }
   const ChunkMap& chunk_map() const { return map_; }
 
-  const std::vector<SubChunk>& sub_chunks() const { return sub_chunks_; }
+  size_t num_sub_chunks() const { return sub_chunks_.size(); }
+  /// A view of sub-chunk `s`, valid while this chunk is alive and unchanged.
+  SubChunkView sub_chunk(size_t s) const;
+
   uint32_t record_count() const {
     return static_cast<uint32_t>(records_.size());
   }
@@ -54,21 +64,23 @@ class Chunk {
   /// its delta chain). kNotFound if absent. A resolver is needed when the
   /// record is delta-encoded against a base outside this chunk.
   Result<std::string> ExtractPayload(
-      const CompositeKey& ck,
-      const SubChunk::PayloadResolver& resolver = nullptr) const;
+      const CompositeKey& ck, const PayloadResolver& resolver = nullptr) const;
 
   /// Payloads of the records at `record_indices` (as returned by the chunk
-  /// map), decompressing each involved sub-chunk once.
+  /// map), decompressing each involved sub-chunk once. Results are grouped
+  /// by sub-chunk, each group in request order.
   Result<std::vector<std::pair<CompositeKey, std::string>>> ExtractRecords(
       const std::vector<uint32_t>& record_indices,
-      const SubChunk::PayloadResolver& resolver = nullptr) const;
+      const PayloadResolver& resolver = nullptr) const;
 
   /// Total bytes of the sub-chunks' serialized forms — the value the packing
   /// algorithms compare against chunk capacity. Excludes the chunk map.
-  uint64_t payload_bytes() const { return payload_bytes_; }
-  /// Approximate heap footprint of this decoded chunk (sub-chunk blobs,
-  /// member keys, record index, chunk map) — what a ChunkCache entry is
-  /// charged against its byte budget.
+  uint64_t payload_bytes() const { return data_.size() - payload_begin_; }
+  /// What a ChunkCache entry is charged against its byte budget: the heap
+  /// footprint of the per-sub-chunk layout chunks had before the flat one
+  /// (blobs, member keys, record index, chunk map). The model is kept as it
+  /// was so that cache budgets, hit rates and the gated cache-ablation
+  /// baselines do not move with the in-memory representation.
   uint64_t ApproximateMemoryBytes() const;
   /// Sum of original record sizes, for compression-ratio reporting.
   uint64_t uncompressed_bytes() const;
@@ -78,24 +90,35 @@ class Chunk {
   /// index table, so the online partitioner can rewrite maps without
   /// fetching chunk payloads (paper §4).
   void EncodeTo(std::string* out) const;
-  static Status DecodeFrom(Slice* input, Chunk* out);
+  /// Decodes a whole chunk body, taking it over: its bytes become the
+  /// chunk's, so a caller that owns the body moves it in and nothing is
+  /// copied. Bytes past the last sub-chunk are corruption.
+  static Status DecodeFrom(std::string body, Chunk* out);
   /// Installs a chunk map fetched from the index table.
   Status SetChunkMap(ChunkMap map);
 
-  /// Internal-consistency check over the chunk index: the flattened record
-  /// list must mirror the sub-chunks' member keys in order, the
-  /// record->sub-chunk mapping must be in range and non-decreasing,
-  /// payload_bytes() must equal the sum of sub-chunk serialized sizes, and a
-  /// populated chunk map must only reference records this chunk holds.
-  /// Returns kCorruption with a description of the first violation.
+  /// Internal-consistency check: re-parsing the sub-chunk encodings must
+  /// give back exactly the sub-chunk table and the per-record arrays, with
+  /// the encodings back to back up to the end of the bytes, and a populated
+  /// chunk map must cover exactly this chunk's records. Returns kCorruption
+  /// with a description of the first violation.
   Status Validate() const;
 
  private:
+  friend class ChunkTestPeer;
+
+  /// The sub-chunk holding record `record` (which must be in range).
+  size_t SubChunkOf(uint32_t record) const;
+
   ChunkId id_ = 0;
-  std::vector<SubChunk> sub_chunks_;
-  std::vector<CompositeKey> records_;        // flattened member keys
-  std::vector<uint32_t> sub_chunk_of_record_;  // record idx -> sub-chunk idx
-  uint64_t payload_bytes_ = 0;
+  /// The sub-chunk encodings back to back, starting at payload_begin_: a
+  /// decoded chunk keeps its body's id and count in front of them.
+  std::string data_;
+  uint32_t payload_begin_ = 0;
+  std::vector<SubChunkExtent> sub_chunks_;  // offsets into data_
+  // Per record, in flattened order.
+  std::vector<CompositeKey> records_;
+  std::vector<SubChunkMember> members_;
   ChunkMap map_;
 };
 

@@ -2,7 +2,7 @@
 #define RSTORE_CORE_CHUNK_MAP_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +19,11 @@ namespace rstore {
 /// (all sub-chunk members in order); per-version membership is a compressed
 /// bitmap over those indices ("the adjacency list in each chunk map file is
 /// then converted to a bitmap, compressed and stored in the KVS", §3.1).
+///
+/// In memory the map is flat: the versions in ascending order, and one word
+/// array holding each version's bitmap in turn. The wire format is a record
+/// count followed by (version, bitmap) pairs in ascending version order,
+/// each bitmap in Bitmap's encoding.
 class ChunkMap {
  public:
   ChunkMap() = default;
@@ -29,34 +34,46 @@ class ChunkMap {
   /// Marks record `record_index` as belonging to `version`.
   void Add(VersionId version, uint32_t record_index);
 
-  /// Versions with at least one record in this chunk.
-  std::vector<VersionId> Versions() const;
+  /// Versions with at least one record in this chunk, ascending.
+  const std::vector<VersionId>& Versions() const { return versions_; }
 
-  bool HasVersion(VersionId version) const {
-    return bitmaps_.count(version) > 0;
-  }
+  bool HasVersion(VersionId version) const;
 
-  /// Indices of this chunk's records that belong to `version` (empty if the
-  /// version has none).
+  /// Indices of this chunk's records that belong to `version`, ascending
+  /// (empty if the version has none).
   std::vector<uint32_t> RecordsOf(VersionId version) const;
 
   void EncodeTo(std::string* out) const;
+  /// Rejects versions that repeat or descend: EncodeTo only writes
+  /// ascending ones.
   static Status DecodeFrom(Slice* input, ChunkMap* out);
 
-  /// Approximate heap footprint (for cache charging): one fixed-size bitmap
-  /// plus map-node overhead per version touching the chunk.
+  /// What a ChunkCache entry is charged for the map: one fixed-size bitmap
+  /// plus 64 bytes of overhead per version touching the chunk. The model
+  /// predates the flat layout and is kept so that cache budgets and hit
+  /// rates do not move with the representation.
   uint64_t ApproximateMemoryBytes() const {
-    uint64_t per_bitmap = (record_count_ + 63) / 64 * 8 + 64;
-    return sizeof(ChunkMap) + bitmaps_.size() * per_bitmap;
+    constexpr uint64_t kMapCharge = 56;
+    uint64_t per_bitmap = Bitmap::WordsFor(record_count_) * 8 + 64;
+    return kMapCharge + versions_.size() * per_bitmap;
   }
 
   bool operator==(const ChunkMap& other) const {
-    return record_count_ == other.record_count_ && bitmaps_ == other.bitmaps_;
+    return record_count_ == other.record_count_ &&
+           versions_ == other.versions_ && words_ == other.words_;
   }
 
  private:
+  size_t words_per_version() const { return Bitmap::WordsFor(record_count_); }
+  /// The bitmap of the version at `slot` in versions_.
+  std::span<const uint64_t> WordsAt(size_t slot) const {
+    return std::span<const uint64_t>(words_).subspan(
+        slot * words_per_version(), words_per_version());
+  }
+
   uint32_t record_count_ = 0;
-  std::map<VersionId, Bitmap> bitmaps_;
+  std::vector<VersionId> versions_;  // ascending
+  std::vector<uint64_t> words_;      // versions_.size() bitmaps, in order
 };
 
 }  // namespace rstore

@@ -63,6 +63,11 @@ Result<Record> PointAnswer(Result<std::vector<Record>> records,
   return std::move(records->front());
 }
 
+/// A fetched body for Chunk::DecodeFrom, which takes it over: moved out of
+/// a batch the caller owns, copied out of one it only reads.
+std::string TakeBody(std::string& body) { return std::move(body); }
+std::string TakeBody(const std::string& body) { return body; }
+
 using ReplayedRecords =
     std::unordered_map<CompositeKey, std::string, CompositeKeyHash>;
 
@@ -140,9 +145,9 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
   return plan;
 }
 
+template <typename BodyMap>
 Status QueryProcessor::DecodeAndInsert(
-    const std::vector<ChunkId>& ids, FetchPlan* plan,
-    const std::map<std::string, std::string>& chunk_values,
+    const std::vector<ChunkId>& ids, FetchPlan* plan, BodyMap& chunk_values,
     const std::map<std::string, std::string>& map_values,
     const std::vector<KeyReadFailure>& chunk_failures,
     const std::vector<KeyReadFailure>& map_failures, TraceContext* trace,
@@ -190,8 +195,8 @@ Status QueryProcessor::DecodeAndInsert(
       return;
     }
     auto decoded = std::make_shared<Chunk>();
-    Slice body(cit->second);
-    Status s = Chunk::DecodeFrom(&body, decoded.get());
+    // Each body is taken once: the ids of one fetch are distinct.
+    Status s = Chunk::DecodeFrom(TakeBody(cit->second), decoded.get());
     if (!s.ok()) {
       statuses[m] = s;
       return;
@@ -333,12 +338,12 @@ Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
   // (and required to keep this trace's spans LIFO).
   kvs_->MultiGetAsync(executor, options_.chunk_table, state->plan.chunk_keys,
                       best_effort, trace)
-      .OnReady([this, state](const AsyncMultiGetResult& chunk_result) {
-        if (!chunk_result.status.ok()) {
-          AbortFetchAsync(state, chunk_result.status);
+      .OnComplete([this, state](const Future<AsyncMultiGetResult>& bodies) {
+        if (!bodies.value().status.ok()) {
+          AbortFetchAsync(state, bodies.value().status);
           return;
         }
-        state->chunk_result = chunk_result;
+        state->chunk_batch = bodies;
         kvs_->MultiGetAsync(state->executor, options_.index_table,
                             state->plan.map_keys, state->best_effort,
                             state->trace)
@@ -355,17 +360,19 @@ Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
 
 void QueryProcessor::FinishFetchAsync(const FetchStatePtr& state,
                                       const AsyncMultiGetResult& map_result) {
+  KVStats charge;  // a fetch the cache serves whole costs nothing
   if (!state->plan.miss.empty()) {
+    const AsyncMultiGetResult& chunk_result = state->chunk_batch.value();
     Status s = DecodeAndInsert(
-        state->ids, &state->plan, state->chunk_result.values,
-        map_result.values, state->chunk_result.failures, map_result.failures,
-        state->trace, state->best_effort ? &state->out.degradation : nullptr);
+        state->ids, &state->plan, chunk_result.values, map_result.values,
+        chunk_result.failures, map_result.failures, state->trace,
+        state->best_effort ? &state->out.degradation : nullptr);
     if (!s.ok()) {
       AbortFetchAsync(state, s);
       return;
     }
+    charge = chunk_result.charge;
   }
-  KVStats charge = state->chunk_result.charge;
   charge += map_result.charge;
   uint64_t n_missing =
       AccountFetch(state->ids, state->plan, charge, &state->out.stats);

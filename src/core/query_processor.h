@@ -243,9 +243,13 @@ class QueryProcessor {
   /// Decodes fetched bodies + maps into plan->chunks and inserts them into
   /// the cache. With `degradation` non-null, keys in the failure lists
   /// leave null refs and a report entry (best-effort); otherwise any
-  /// unserved chunk is an error.
+  /// unserved chunk is an error. A chunk takes its body over: from a
+  /// mutable `chunk_values` (a batch the caller owns) each body is moved
+  /// into its chunk, from a const one (an async result other continuations
+  /// may read) it is copied once.
+  template <typename BodyMap>
   Status DecodeAndInsert(const std::vector<ChunkId>& ids, FetchPlan* plan,
-                         const std::map<std::string, std::string>& chunk_values,
+                         BodyMap& chunk_values,
                          const std::map<std::string, std::string>& map_values,
                          const std::vector<KeyReadFailure>& chunk_failures,
                          const std::vector<KeyReadFailure>& map_failures,
@@ -287,7 +291,9 @@ class QueryProcessor {
     bool best_effort = false;
     uint32_t fetch_span = TraceSpan::kNoParent;
     FetchPlan plan;
-    AsyncMultiGetResult chunk_result;
+    /// The completed body batch. Its bodies are decoded from the future's
+    /// value, which this handle keeps alive until the map batch is in.
+    Future<AsyncMultiGetResult> chunk_batch;
     AsyncFetchOutcome out;
     Promise<AsyncFetchOutcome> promise;
   };

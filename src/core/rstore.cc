@@ -567,9 +567,8 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
   RSTORE_RETURN_IF_ERROR(backend->Scan(
       options.chunk_table, [&](Slice, Slice value) {
         if (!decode_status.ok()) return;
-        Slice body(value);
         Chunk chunk;
-        Status s = Chunk::DecodeFrom(&body, &chunk);
+        Status s = Chunk::DecodeFrom(value.ToString(), &chunk);
         if (!s.ok()) {
           decode_status = s;
           return;
@@ -620,14 +619,14 @@ Status RStore::Repartition(TraceContext* trace) {
       options_.chunk_table, [&](Slice key, Slice value) {
         if (!extract_status.ok()) return;
         old_entries.emplace_back(options_.chunk_table, key.ToString());
-        Slice body(value);
         Chunk chunk;
-        Status cs = Chunk::DecodeFrom(&body, &chunk);
+        Status cs = Chunk::DecodeFrom(value.ToString(), &chunk);
         if (!cs.ok()) {
           extract_status = cs;
           return;
         }
-        for (const SubChunk& sc : chunk.sub_chunks()) {
+        for (size_t sub = 0; sub < chunk.num_sub_chunks(); ++sub) {
+          SubChunkView sc = chunk.sub_chunk(sub);
           auto extracted = sc.ExtractAllPayloads();
           if (!extracted.ok()) {
             extract_status = extracted.status();
@@ -667,9 +666,8 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
       return Status::Corruption("chunk " + std::to_string(id) +
                                 " unreadable: " + body.status().ToString());
     }
-    Slice input(*body);
     Chunk chunk;
-    RSTORE_RETURN_IF_ERROR(Chunk::DecodeFrom(&input, &chunk));
+    RSTORE_RETURN_IF_ERROR(Chunk::DecodeFrom(std::move(*body), &chunk));
     if (chunk.id() != id) {
       return Status::Corruption("chunk id mismatch under key " +
                                 std::to_string(id));
@@ -710,7 +708,8 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
     // Payloads decode. Records delta-encoded against external bases (DELTA
     // layout) are exercised by the chain-replay queries instead; decoding
     // them here would require replaying every chain.
-    for (const SubChunk& sc : chunk.sub_chunks()) {
+    for (size_t sub = 0; sub < chunk.num_sub_chunks(); ++sub) {
+      SubChunkView sc = chunk.sub_chunk(sub);
       if (sc.HasExternalParents()) continue;
       auto payloads = sc.ExtractAllPayloads();
       if (!payloads.ok()) {

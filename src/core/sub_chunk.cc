@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/logging.h"
 #include "compress/delta_codec.h"
 
 namespace rstore {
@@ -15,24 +16,21 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
   if (members[0].parent_index != 0 && !members[0].external_parent) {
     return Status::InvalidArgument("head member must be its own parent");
   }
-  SubChunk sc;
-  sc.compression_ = compression;
-  sc.keys_.reserve(members.size());
-  sc.parent_index_.reserve(members.size());
-  sc.external_parents_.resize(members.size());
-
-  std::string raw;
+  std::string table;  // the member table, encoded
+  std::string raw;    // length-prefixed payloads and deltas, uncompressed
+  uint64_t uncompressed_bytes = 0;
+  PutVarint64(&table, members.size());
   for (uint32_t i = 0; i < members.size(); ++i) {
     const Member& m = members[i];
     if (i > 0 && m.key.key != members[0].key.key) {
       return Status::InvalidArgument(
           "sub-chunk members must share a primary key");
     }
-    sc.keys_.push_back(m.key);
-    sc.uncompressed_bytes_ += m.payload.size();
+    m.key.EncodeTo(&table);
+    uncompressed_bytes += m.payload.size();
     if (m.external_parent) {
-      sc.parent_index_.push_back(kExternalParent);
-      sc.external_parents_[i] = *m.external_parent;
+      PutVarint32(&table, SubChunkMember::kExternalParent);
+      m.external_parent->EncodeTo(&table);
       std::string delta;
       delta_codec::Encode(Slice(m.external_parent_payload), Slice(m.payload),
                           &delta);
@@ -43,7 +41,7 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
       return Status::InvalidArgument(
           "member " + std::to_string(i) + " references non-earlier parent");
     }
-    sc.parent_index_.push_back(m.parent_index);
+    PutVarint32(&table, m.parent_index);
     if (i == 0) {
       PutLengthPrefixed(&raw, Slice(m.payload));
     } else {
@@ -53,44 +51,120 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
       PutLengthPrefixed(&raw, Slice(delta));
     }
   }
-  GetCompressor(compression)->Compress(Slice(raw), &sc.blob_);
-  return sc;
-}
+  std::string blob;
+  GetCompressor(compression)->Compress(Slice(raw), &blob);
 
-bool SubChunk::HasExternalParents() const {
-  for (uint32_t parent : parent_index_) {
-    if (parent == kExternalParent) return true;
-  }
-  return false;
+  SubChunk sc;
+  sc.encoded_ = std::move(table);
+  sc.encoded_.push_back(static_cast<char>(compression));
+  PutVarint64(&sc.encoded_, uncompressed_bytes);
+  PutLengthPrefixed(&sc.encoded_, Slice(blob));
+  // The member table comes from parsing the encoding back, so a built
+  // sub-chunk and a decoded one are the same by construction.
+  Slice input(sc.encoded_);
+  Status parsed = Parse(sc.encoded_.data(), &input, &sc.keys_, &sc.members_,
+                        &sc.extent_);
+  RSTORE_CHECK(parsed.ok() && input.empty())
+      << "built sub-chunk does not parse: " << parsed.ToString();
+  return sc;
 }
 
 bool SubChunk::Contains(const CompositeKey& ck) const {
   return std::find(keys_.begin(), keys_.end(), ck) != keys_.end();
 }
 
-uint64_t SubChunk::serialized_size() const {
-  std::string tmp;
-  EncodeTo(&tmp);
-  return tmp.size();
+Status SubChunk::DecodeFrom(Slice* input, SubChunk* out) {
+  *out = SubChunk();
+  Slice rest = *input;
+  RSTORE_RETURN_IF_ERROR(
+      Parse(input->data(), &rest, &out->keys_, &out->members_, &out->extent_));
+  out->encoded_.assign(input->data(), out->extent_.end);
+  *input = rest;
+  return Status::OK();
 }
 
-Result<std::vector<std::string>> SubChunk::ExtractAllPayloads(
+Status SubChunk::Parse(const char* buffer, Slice* input,
+                       std::vector<CompositeKey>* keys,
+                       std::vector<SubChunkMember>* members,
+                       SubChunkExtent* extent) {
+  if (static_cast<uint64_t>(input->data() + input->size() - buffer) >
+      UINT32_MAX) {
+    return Status::Corruption("sub-chunk buffer exceeds 32-bit offsets");
+  }
+  auto offset = [buffer](const char* at) {
+    return static_cast<uint32_t>(at - buffer);
+  };
+  extent->begin = offset(input->data());
+  extent->first_member = static_cast<uint32_t>(keys->size());
+  uint64_t count;
+  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &count));
+  if (count == 0) return Status::Corruption("empty sub-chunk");
+  if (count > input->size()) {
+    // Untrusted count: each member costs >= 2 encoded bytes, so never
+    // accept more members than the input could possibly hold.
+    return Status::Corruption("sub-chunk member count exceeds input");
+  }
+  extent->member_count = static_cast<uint32_t>(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    CompositeKey& key = keys->emplace_back();
+    RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(input, &key));
+    SubChunkMember& member = members->emplace_back();
+    RSTORE_RETURN_IF_ERROR(GetVarint32(input, &member.parent));
+    if (member.parent == SubChunkMember::kExternalParent) {
+      member.external_key_at = offset(input->data());
+      Slice external_key;
+      uint32_t external_version;
+      RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(input, &external_key));
+      RSTORE_RETURN_IF_ERROR(GetVarint32(input, &external_version));
+    } else if (i == 0 && member.parent != 0) {
+      return Status::Corruption("sub-chunk head parent must be 0");
+    } else if (i > 0 && member.parent >= i) {
+      return Status::Corruption("sub-chunk parent index out of order");
+    }
+  }
+  if (input->empty()) return Status::Corruption("truncated sub-chunk");
+  extent->compression = static_cast<CompressionType>((*input)[0]);
+  input->RemovePrefix(1);
+  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &extent->uncompressed_bytes));
+  Slice blob;
+  RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(input, &blob));
+  extent->blob_begin = offset(blob.data());
+  extent->end = offset(blob.data() + blob.size());
+  return Status::OK();
+}
+
+bool SubChunkView::HasExternalParents() const {
+  for (uint32_t i = 0; i < extent_.member_count; ++i) {
+    if (members_[i].parent == SubChunkMember::kExternalParent) return true;
+  }
+  return false;
+}
+
+Result<std::vector<std::string>> SubChunkView::ExtractAllPayloads(
     const PayloadResolver& resolver) const {
+  const Slice blob(buffer_ + extent_.blob_begin,
+                   extent_.end - extent_.blob_begin);
   std::string raw;
   RSTORE_RETURN_IF_ERROR(
-      GetCompressor(compression_)->Decompress(Slice(blob_), &raw));
+      GetCompressor(extent_.compression)->Decompress(blob, &raw));
   Slice input(raw);
-  std::vector<std::string> payloads(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
+  std::vector<std::string> payloads(extent_.member_count);
+  for (uint32_t i = 0; i < extent_.member_count; ++i) {
     Slice piece;
     RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(&input, &piece));
-    if (parent_index_[i] == kExternalParent) {
+    const SubChunkMember& member = members_[i];
+    if (member.parent == SubChunkMember::kExternalParent) {
       if (!resolver) {
         return Status::InvalidArgument(
             "sub-chunk member " + keys_[i].ToString() +
             " needs an external base record but no resolver was given");
       }
-      auto base = resolver(external_parents_[i]);
+      // Parse checked this key when the sub-chunk was decoded.
+      Slice key_input(buffer_ + member.external_key_at,
+                      extent_.end - member.external_key_at);
+      CompositeKey external;
+      RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(&key_input, &external));
+      auto base = resolver(external);
       if (!base.ok()) return base.status();
       RSTORE_RETURN_IF_ERROR(
           delta_codec::Apply(Slice(*base), piece, &payloads[i]));
@@ -98,79 +172,23 @@ Result<std::vector<std::string>> SubChunk::ExtractAllPayloads(
       payloads[0] = piece.ToString();
     } else {
       RSTORE_RETURN_IF_ERROR(delta_codec::Apply(
-          Slice(payloads[parent_index_[i]]), piece, &payloads[i]));
+          Slice(payloads[member.parent]), piece, &payloads[i]));
     }
   }
   return payloads;
 }
 
-Result<std::string> SubChunk::ExtractPayload(
+Result<std::string> SubChunkView::ExtractPayload(
     const CompositeKey& ck, const PayloadResolver& resolver) const {
-  auto it = std::find(keys_.begin(), keys_.end(), ck);
-  if (it == keys_.end()) {
+  std::span<const CompositeKey> members = keys();
+  auto it = std::find(members.begin(), members.end(), ck);
+  if (it == members.end()) {
     return Status::NotFound("record " + ck.ToString() + " not in sub-chunk");
   }
-  // Reconstruct only the chain head..target (parents always precede).
+  // Parents always precede their dependents, so the whole chain is needed.
   auto payloads = ExtractAllPayloads(resolver);
   if (!payloads.ok()) return payloads.status();
-  return std::move(
-      payloads.value()[static_cast<size_t>(it - keys_.begin())]);
-}
-
-void SubChunk::EncodeTo(std::string* out) const {
-  PutVarint64(out, keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    keys_[i].EncodeTo(out);
-    PutVarint32(out, parent_index_[i]);
-    if (parent_index_[i] == kExternalParent) {
-      external_parents_[i].EncodeTo(out);
-    }
-  }
-  out->push_back(static_cast<char>(compression_));
-  PutVarint64(out, uncompressed_bytes_);
-  PutLengthPrefixed(out, Slice(blob_));
-}
-
-Status SubChunk::DecodeFrom(Slice* input, SubChunk* out) {
-  uint64_t count;
-  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &count));
-  if (count == 0) return Status::Corruption("empty sub-chunk");
-  if (count > input->size()) {
-    // Untrusted count: each member costs >= 2 encoded bytes, so never
-    // allocate more slots than the input could possibly hold.
-    return Status::Corruption("sub-chunk member count exceeds input");
-  }
-  out->keys_.clear();
-  out->parent_index_.clear();
-  out->external_parents_.clear();
-  out->keys_.reserve(count);
-  out->parent_index_.reserve(count);
-  out->external_parents_.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    CompositeKey key;
-    uint32_t parent;
-    RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(input, &key));
-    RSTORE_RETURN_IF_ERROR(GetVarint32(input, &parent));
-    CompositeKey external;
-    if (parent == kExternalParent) {
-      RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(input, &external));
-    } else if (i == 0 && parent != 0) {
-      return Status::Corruption("sub-chunk head parent must be 0");
-    } else if (i > 0 && parent >= i) {
-      return Status::Corruption("sub-chunk parent index out of order");
-    }
-    out->keys_.push_back(std::move(key));
-    out->parent_index_.push_back(parent);
-    out->external_parents_.push_back(std::move(external));
-  }
-  if (input->empty()) return Status::Corruption("truncated sub-chunk");
-  out->compression_ = static_cast<CompressionType>((*input)[0]);
-  input->RemovePrefix(1);
-  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &out->uncompressed_bytes_));
-  Slice blob;
-  RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(input, &blob));
-  out->blob_ = blob.ToString();
-  return Status::OK();
+  return std::move(payloads.value()[static_cast<size_t>(it - members.begin())]);
 }
 
 }  // namespace rstore

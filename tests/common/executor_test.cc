@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,43 @@ TEST(FutureTest, ThenMapsTheValue) {
       [](const std::string& s) { return static_cast<int>(s.size()); });
   ASSERT_TRUE(len.ready());
   EXPECT_EQ(len.Get(), 2);
+}
+
+TEST(FutureTest, OnCompleteHandleKeepsTheValueWithoutCopying) {
+  Future<std::string> kept;
+  const std::string* seen = nullptr;
+  {
+    Promise<std::string> p;
+    p.future().OnComplete([&](const Future<std::string>& done) {
+      kept = done;
+      seen = &done.value();
+    });
+    p.Set(std::string(100, 'v'));
+  }
+  // The promise and every other handle are gone; the kept handle still
+  // reads the one stored value.
+  ASSERT_TRUE(kept.valid());
+  EXPECT_EQ(&kept.value(), seen);
+  EXPECT_EQ(kept.value(), std::string(100, 'v'));
+  // On a complete future the callback runs inline.
+  int calls = 0;
+  kept.OnComplete([&calls](const Future<std::string>& done) {
+    calls += done.value().size() == 100 ? 1 : 0;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(FutureTest, PendingOnCompleteDoesNotKeepItsFutureAlive) {
+  // A continuation that later holds its own future must not leak the
+  // future when it never completes.
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = token;
+  {
+    Promise<int> p;
+    p.future().OnComplete(
+        [token = std::move(token)](const Future<int>&) { (void)token; });
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(FutureTest, GetBlocksAcrossThreads) {

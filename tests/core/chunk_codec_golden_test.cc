@@ -1,0 +1,202 @@
+// Pins the chunk and chunk-map codecs. For every partitioning algorithm,
+// each chunk built the way RStore builds it and its decoded twin agree on
+// every observable and re-encode to the same bytes, and the encodings and
+// the cache charges equal constants recorded when they were last meant to
+// change. Stored bytes, the Fig. 10 compression ratios and the cache
+// ablation's hit rates (which depend on each entry's charge) therefore
+// cannot drift with the in-memory layout.
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+
+#include "common/hash.h"
+#include "core/chunk.h"
+#include "core/partitioner.h"
+#include "core/sub_chunk_builder.h"
+#include "workload/dataset_generator.h"
+
+namespace rstore {
+namespace {
+
+constexpr PartitionAlgorithm kAllAlgorithms[] = {
+    PartitionAlgorithm::kBottomUp,        PartitionAlgorithm::kShingle,
+    PartitionAlgorithm::kDepthFirst,      PartitionAlgorithm::kBreadthFirst,
+    PartitionAlgorithm::kDeltaBaseline,   PartitionAlgorithm::kSubChunkBaseline,
+    PartitionAlgorithm::kSingleAddressSpace,
+};
+
+struct Golden {
+  PartitionAlgorithm algorithm;
+  size_t chunks;
+  uint64_t encoding_hash;  // over every body and map encoding, in id order
+  uint64_t charge_bytes;   // Σ ApproximateMemoryBytes() of decoded chunks
+};
+
+// A change to these constants changes stored bytes or cache charges, so it
+// must be deliberate and come with refreshed bench baselines.
+constexpr Golden kGolden[] = {
+    {PartitionAlgorithm::kBottomUp, 13, 11368349762569480375ull, 93114},
+    {PartitionAlgorithm::kShingle, 12, 2225245188908802572ull, 92698},
+    {PartitionAlgorithm::kDepthFirst, 12, 15149092814126728489ull, 94210},
+    {PartitionAlgorithm::kBreadthFirst, 12, 11971891521223176018ull, 94210},
+    {PartitionAlgorithm::kDeltaBaseline, 30, 11321329202171067566ull, 120001},
+    {PartitionAlgorithm::kSubChunkBaseline, 80, 11439254864560897943ull,
+     227474},
+    {PartitionAlgorithm::kSingleAddressSpace, 115, 3856817594635881433ull,
+     234474},
+};
+
+workload::GeneratedDataset SmallDataset() {
+  workload::DatasetConfig config;
+  config.num_versions = 24;
+  config.records_per_version = 80;
+  config.update_fraction = 0.1;
+  config.branch_probability = 0.3;
+  config.record_size_bytes = 160;
+  config.pd = 0.05;
+  config.seed = 11;
+  return workload::GenerateDataset(config);
+}
+
+Options GoldenOptions(PartitionAlgorithm algorithm) {
+  Options options;
+  options.algorithm = algorithm;
+  options.chunk_capacity_bytes = 2048;
+  options.max_sub_chunk_records = 3;
+  options.compression = CompressionType::kLZ;
+  return options;
+}
+
+/// Chunks with their maps, assembled as RStore's offline load assembles
+/// them: sub-chunks carved, partitioned, appended in partition order, and
+/// each map built from the record -> versions index.
+std::vector<Chunk> BuildChunks(const workload::GeneratedDataset& gen,
+                               const Options& options) {
+  std::vector<Chunk> chunks;
+  RecordVersionMap versions = gen.dataset.BuildRecordVersionMap();
+  auto built = BuildSubChunks(gen.dataset, gen.payloads, versions, options);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return chunks;
+  PartitionInput input;
+  input.dataset = &gen.dataset;
+  input.items = &built->items;
+  input.options = options;
+  auto partitioned = CreatePartitioner(options.algorithm)->Partition(input);
+  EXPECT_TRUE(partitioned.ok()) << partitioned.status().ToString();
+  if (!partitioned.ok()) return chunks;
+  ChunkId next_id = 1;
+  for (const std::vector<uint32_t>& items : partitioned->chunks) {
+    Chunk chunk(next_id++);
+    for (uint32_t item : items) {
+      chunk.AddSubChunk(std::move(built->sub_chunks[item]));
+    }
+    ChunkMap map(chunk.record_count());
+    for (uint32_t i = 0; i < chunk.record_count(); ++i) {
+      auto it = versions.find(chunk.records()[i]);
+      if (it == versions.end()) continue;
+      for (VersionId v : it->second) map.Add(v, i);
+    }
+    EXPECT_TRUE(chunk.SetChunkMap(std::move(map)).ok());
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+class ChunkCodecGoldenTest
+    : public ::testing::TestWithParam<PartitionAlgorithm> {};
+
+TEST_P(ChunkCodecGoldenTest, DecodedChunksMatchBuiltAndPinnedBytes) {
+  const workload::GeneratedDataset gen = SmallDataset();
+  const std::vector<Chunk> chunks = BuildChunks(gen, GoldenOptions(GetParam()));
+  ASSERT_FALSE(chunks.empty());
+  // DELTA records delta against a base stored in another chunk.
+  SubChunk::PayloadResolver resolver =
+      [&gen](const CompositeKey& ck) -> Result<std::string> {
+    auto it = gen.payloads.find(ck);
+    if (it == gen.payloads.end()) return Status::NotFound(ck.ToString());
+    return it->second;
+  };
+
+  uint64_t hash = 0;
+  uint64_t charge = 0;
+  for (const Chunk& built : chunks) {
+    SCOPED_TRACE("chunk " + std::to_string(built.id()));
+    std::string body;
+    std::string map_bytes;
+    built.EncodeTo(&body);
+    built.chunk_map().EncodeTo(&map_bytes);
+    hash = Mix64(hash ^ Fnv1a64(Slice(body)));
+    hash = Mix64(hash ^ Fnv1a64(Slice(map_bytes)));
+
+    Chunk decoded_chunk;
+    ASSERT_TRUE(Chunk::DecodeFrom(body, &decoded_chunk).ok());
+    Slice map_input(map_bytes);
+    ChunkMap map;
+    ASSERT_TRUE(ChunkMap::DecodeFrom(&map_input, &map).ok());
+    EXPECT_TRUE(map_input.empty());
+    ASSERT_TRUE(decoded_chunk.SetChunkMap(std::move(map)).ok());
+    const Chunk& decoded = decoded_chunk;
+    EXPECT_TRUE(decoded.Validate().ok());
+
+    std::string body_again;
+    std::string map_again;
+    decoded.EncodeTo(&body_again);
+    decoded.chunk_map().EncodeTo(&map_again);
+    EXPECT_EQ(body_again, body);
+    EXPECT_EQ(map_again, map_bytes);
+
+    EXPECT_EQ(decoded.id(), built.id());
+    EXPECT_EQ(decoded.payload_bytes(), built.payload_bytes());
+    EXPECT_EQ(decoded.uncompressed_bytes(), built.uncompressed_bytes());
+    EXPECT_EQ(decoded.ApproximateMemoryBytes(),
+              built.ApproximateMemoryBytes());
+    EXPECT_EQ(decoded.records(), built.records());
+    EXPECT_EQ(decoded.chunk_map().Versions(), built.chunk_map().Versions());
+    for (VersionId v : built.chunk_map().Versions()) {
+      EXPECT_EQ(decoded.chunk_map().RecordsOf(v),
+                built.chunk_map().RecordsOf(v))
+          << "version " << v;
+    }
+
+    std::vector<uint32_t> all(built.record_count());
+    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto from_built = built.ExtractRecords(all, resolver);
+    auto from_decoded = decoded.ExtractRecords(all, resolver);
+    ASSERT_TRUE(from_built.ok()) << from_built.status().ToString();
+    ASSERT_TRUE(from_decoded.ok()) << from_decoded.status().ToString();
+    ASSERT_EQ(from_decoded->size(), built.record_count());
+    for (size_t i = 0; i < from_decoded->size(); ++i) {
+      const auto& [ck, payload] = (*from_decoded)[i];
+      EXPECT_EQ(ck, (*from_built)[i].first);
+      EXPECT_EQ(payload, (*from_built)[i].second);
+      EXPECT_EQ(payload, gen.payloads.at(ck)) << ck.ToString();
+      auto single = decoded.ExtractPayload(ck, resolver);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ(*single, payload);
+    }
+    charge += decoded.ApproximateMemoryBytes();
+  }
+
+  const Golden* golden = nullptr;
+  for (const Golden& g : kGolden) {
+    if (g.algorithm == GetParam()) golden = &g;
+  }
+  ASSERT_NE(golden, nullptr);
+  EXPECT_EQ(chunks.size(), golden->chunks);
+  EXPECT_EQ(hash, golden->encoding_hash);
+  EXPECT_EQ(charge, golden->charge_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, ChunkCodecGoldenTest, ::testing::ValuesIn(kAllAlgorithms),
+    [](const ::testing::TestParamInfo<PartitionAlgorithm>& info) {
+      std::string name = PartitionAlgorithmName(info.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace rstore

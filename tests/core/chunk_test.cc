@@ -2,9 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
+#include "common/coding.h"
 #include "core/chunk_map.h"
 
 namespace rstore {
+
+/// Reaches into a chunk's tables so each corruption class Validate() claims
+/// to detect can be injected and shown to fire.
+class ChunkTestPeer {
+ public:
+  static std::string& data(Chunk* c) { return c->data_; }
+  static uint32_t& payload_begin(Chunk* c) { return c->payload_begin_; }
+  static std::vector<SubChunkExtent>& sub_chunks(Chunk* c) {
+    return c->sub_chunks_;
+  }
+  static std::vector<CompositeKey>& records(Chunk* c) { return c->records_; }
+  static std::vector<SubChunkMember>& members(Chunk* c) {
+    return c->members_;
+  }
+};
+
 namespace {
 
 SubChunk MakeSubChunk(const std::string& key,
@@ -48,6 +68,39 @@ TEST(ChunkMapTest, EncodeDecodeRoundTrip) {
   ASSERT_TRUE(ChunkMap::DecodeFrom(&in, &decoded).ok());
   EXPECT_TRUE(in.empty());
   EXPECT_TRUE(decoded == map);
+}
+
+TEST(ChunkMapTest, DecodeRejectsRepeatedOrDescendingVersions) {
+  // EncodeTo writes versions in ascending order only; a repeated version
+  // would otherwise silently keep one of its two bitmaps.
+  auto encode = [](VersionId first, VersionId second) {
+    std::string buf;
+    PutVarint32(&buf, 8);  // record count
+    PutVarint64(&buf, 2);  // versions
+    Bitmap one(8);
+    one.Set(1);
+    Bitmap seven(8);
+    seven.Set(7);
+    PutVarint32(&buf, first);
+    one.SerializeTo(&buf);
+    PutVarint32(&buf, second);
+    seven.SerializeTo(&buf);
+    return buf;
+  };
+  for (auto [first, second] : {std::pair<VersionId, VersionId>{0, 0},
+                               std::pair<VersionId, VersionId>{3, 2}}) {
+    std::string buf = encode(first, second);
+    Slice in(buf);
+    ChunkMap decoded;
+    EXPECT_TRUE(ChunkMap::DecodeFrom(&in, &decoded).IsCorruption())
+        << first << "," << second;
+  }
+  std::string ascending = encode(2, 3);
+  Slice in(ascending);
+  ChunkMap decoded;
+  ASSERT_TRUE(ChunkMap::DecodeFrom(&in, &decoded).ok());
+  EXPECT_EQ(decoded.RecordsOf(2), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(decoded.RecordsOf(3), (std::vector<uint32_t>{7}));
 }
 
 TEST(ChunkMapTest, DecodeRejectsSizeMismatch) {
@@ -123,15 +176,47 @@ TEST(ChunkTest, EncodeDecodeRoundTrip) {
   chunk.AddSubChunk(MakeSubChunk("B", {{0, "b0"}, {3, "b3"}}));
   std::string body;
   chunk.EncodeTo(&body);
-  Slice in(body);
   Chunk decoded;
-  ASSERT_TRUE(Chunk::DecodeFrom(&in, &decoded).ok());
-  EXPECT_TRUE(in.empty());
+  ASSERT_TRUE(Chunk::DecodeFrom(body, &decoded).ok());
   EXPECT_EQ(decoded.id(), 42u);
   EXPECT_EQ(decoded.record_count(), 3u);
   EXPECT_EQ(decoded.records(), chunk.records());
   EXPECT_EQ(*decoded.ExtractPayload(CompositeKey("B", 3)), "b3");
   EXPECT_TRUE(decoded.Validate().ok());
+}
+
+TEST(ChunkTest, DecodeRejectsTrailingBytes) {
+  Chunk chunk(5);
+  chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}}));
+  std::string body;
+  chunk.EncodeTo(&body);
+  Chunk decoded;
+  ASSERT_TRUE(Chunk::DecodeFrom(body, &decoded).ok());
+  body.push_back('\0');
+  EXPECT_TRUE(Chunk::DecodeFrom(body, &decoded).IsCorruption());
+}
+
+TEST(ChunkTest, CopiesAndMovesOutliveTheOriginal) {
+  // The tables index the chunk's bytes by offset, so a copy or a moved-to
+  // chunk reads its own bytes, never the source's.
+  auto decoded = std::make_unique<Chunk>();
+  {
+    Chunk built(8);
+    built.AddSubChunk(MakeSubChunk("A", {{0, std::string(300, 'a')}}));
+    built.AddSubChunk(MakeSubChunk("B", {{0, "b0"}, {1, "b1"}}));
+    std::string body;
+    built.EncodeTo(&body);
+    ASSERT_TRUE(Chunk::DecodeFrom(std::move(body), decoded.get()).ok());
+  }
+  Chunk copy = *decoded;
+  Chunk moved = std::move(*decoded);
+  decoded.reset();
+  for (const Chunk* chunk : {&copy, &moved}) {
+    EXPECT_TRUE(chunk->Validate().ok());
+    EXPECT_EQ(*chunk->ExtractPayload(CompositeKey("A", 0)),
+              std::string(300, 'a'));
+    EXPECT_EQ(*chunk->ExtractPayload(CompositeKey("B", 1)), "b1");
+  }
 }
 
 TEST(ChunkTest, SetChunkMapValidatesCoverage) {
@@ -168,14 +253,58 @@ TEST(ChunkTest, ValidateCatchesStaleChunkMap) {
 }
 
 TEST(ChunkTest, SetChunkMapRejectsForeignMap) {
-  // Maps referencing a different record universe are stopped at the door, so
-  // the out-of-range branch in Validate stays defense-in-depth only.
+  // Maps over a different record universe are stopped at the door, and a
+  // map's bitmaps are exactly its record count wide, so a map a chunk holds
+  // never references a record outside it.
   Chunk chunk(1);
   chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}, {1, "a1"}}));
   ChunkMap foreign(6);
   foreign.Add(0, 5);  // valid for a 6-record chunk, not for this one
   EXPECT_TRUE(chunk.SetChunkMap(std::move(foreign)).IsCorruption());
   EXPECT_TRUE(chunk.Validate().ok());
+}
+
+TEST(ChunkTest, ValidateDetectsEveryTampering) {
+  using Peer = ChunkTestPeer;
+  auto fresh = [] {
+    Chunk built(4);
+    built.AddSubChunk(MakeSubChunk("A", {{0, "a0"}}));
+    built.AddSubChunk(MakeSubChunk("B", {{0, "b0"}, {1, "b1"}, {2, "b2"}}));
+    std::string body;
+    built.EncodeTo(&body);
+    Chunk decoded;
+    EXPECT_TRUE(Chunk::DecodeFrom(std::move(body), &decoded).ok());
+    return decoded;
+  };
+  const std::vector<std::pair<std::string, std::function<void(Chunk*)>>>
+      tamperings = {
+          {"size mismatch", [](Chunk* c) { Peer::members(c).pop_back(); }},
+          {"payload starts past",
+           [](Chunk* c) {
+             Peer::payload_begin(c) =
+                 static_cast<uint32_t>(Peer::data(c).size() + 1);
+           }},
+          {"unreadable",
+           [](Chunk* c) {
+             Peer::data(c)[Peer::sub_chunks(c)[1].begin] = 0;  // no members
+           }},
+          {"table diverges",
+           [](Chunk* c) { Peer::sub_chunks(c)[0].uncompressed_bytes += 1; }},
+          {"bytes past", [](Chunk* c) { Peer::data(c).push_back('x'); }},
+          {"record list diverges",
+           [](Chunk* c) { Peer::records(c)[0].version += 1; }},
+          {"parent links diverge",
+           [](Chunk* c) { Peer::members(c)[3].parent = 0; }},
+      };
+  for (const auto& [expected, tamper] : tamperings) {
+    Chunk chunk = fresh();
+    ASSERT_TRUE(chunk.Validate().ok());
+    tamper(&chunk);
+    Status s = chunk.Validate();
+    EXPECT_TRUE(s.IsCorruption()) << expected;
+    EXPECT_NE(s.ToString().find(expected), std::string::npos)
+        << expected << ": " << s.ToString();
+  }
 }
 
 TEST(ChunkKeyTest, DistinctAndStable) {
