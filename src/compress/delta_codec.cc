@@ -1,7 +1,7 @@
 #include "compress/delta_codec.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "common/coding.h"
@@ -28,6 +28,54 @@ void EmitAdd(const unsigned char* data, size_t start, size_t end,
   out->append(reinterpret_cast<const char*>(data + start), len);
 }
 
+/// The base's anchor index: open addressing with linear probing over the
+/// anchors' 64-bit hashes, at most half full. The first anchor inserted per
+/// hash wins. The slot array is kept per thread across calls (Encode runs
+/// once per delta-coded record) and only the prefix a call uses is cleared.
+class AnchorIndex {
+ public:
+  /// Empties the index and sizes it for `anchors` insertions.
+  void Reset(size_t anchors) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * anchors) ++bits;
+    const size_t capacity = size_t{1} << bits;
+    if (slots_.size() < capacity) slots_.resize(capacity);
+    std::fill_n(slots_.begin(), capacity, Slot{});
+    shift_ = 64 - bits;
+    mask_ = capacity - 1;
+  }
+
+  void Insert(uint64_t hash, uint32_t pos) {
+    for (size_t s = hash >> shift_;; s = (s + 1) & mask_) {
+      Slot& slot = slots_[s];
+      if (slot.pos_plus_one == 0) {
+        slot = Slot{hash, pos + 1};
+        return;
+      }
+      if (slot.hash == hash) return;
+    }
+  }
+
+  /// The position of the first anchor inserted with `hash`, or -1.
+  int64_t Find(uint64_t hash) const {
+    for (size_t s = hash >> shift_;; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.pos_plus_one == 0) return -1;
+      if (slot.hash == hash) return slot.pos_plus_one - 1;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t pos_plus_one = 0;  // 0 marks an empty slot
+  };
+
+  std::vector<Slot> slots_;
+  int shift_ = 60;
+  size_t mask_ = 15;
+};
+
 }  // namespace
 
 void Encode(Slice base, Slice target, std::string* delta) {
@@ -48,19 +96,19 @@ void Encode(Slice base, Slice target, std::string* delta) {
 
   // Index every 4th anchor of the base (dense enough for record-sized
   // payloads, 4x cheaper to build).
-  std::unordered_map<uint64_t, uint32_t> index;
-  index.reserve(bn / 4 + 1);
+  thread_local AnchorIndex index;
+  index.Reset((bn - kAnchor) / 4 + 1);
   for (size_t i = 0; i + kAnchor <= bn; i += 4) {
-    index.emplace(Hash8(b + i), static_cast<uint32_t>(i));
+    index.Insert(Hash8(b + i), static_cast<uint32_t>(i));
   }
 
   size_t add_start = 0;
   size_t i = 0;
   while (i + kAnchor <= tn) {
-    auto it = index.find(Hash8(t + i));
+    const int64_t found = index.Find(Hash8(t + i));
     bool matched = false;
-    if (it != index.end()) {
-      size_t bp = it->second;
+    if (found >= 0) {
+      size_t bp = static_cast<size_t>(found);
       if (std::memcmp(b + bp, t + i, kAnchor) == 0) {
         // Extend forward.
         size_t fwd = kAnchor;

@@ -27,7 +27,9 @@ namespace delta_codec {
 
 /// Produces a delta such that Apply(base, delta) == target. Appends to
 /// `*delta` (cleared first). Worst case (nothing shared) the delta is the
-/// target plus a few bytes of framing.
+/// target plus a few bytes of framing. The anchor index is reused per
+/// thread across calls, so the encoder takes no locks; the output depends
+/// on `base` and `target` alone.
 void Encode(Slice base, Slice target, std::string* delta);
 
 /// Reconstructs the target from the base and a delta produced by Encode.

@@ -1,6 +1,9 @@
 #include "compress/lz_codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/coding.h"
@@ -24,6 +27,23 @@ inline uint32_t Hash4(const unsigned char* p) {
 inline size_t MatchLength(const unsigned char* a, const unsigned char* b,
                           const unsigned char* end) {
   const unsigned char* start = b;
+  // Eight bytes per step; the first differing byte in memory order ends
+  // the match. `a` precedes `b`, so both reads stay inside the input.
+  while (end - b >= 8) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a, 8);
+    std::memcpy(&y, b, 8);
+    if (x != y) {
+      const uint64_t diff = x ^ y;
+      const int bits = std::endian::native == std::endian::little
+                           ? std::countr_zero(diff)
+                           : std::countl_zero(diff);
+      return static_cast<size_t>(b - start) + static_cast<size_t>(bits / 8);
+    }
+    a += 8;
+    b += 8;
+  }
   while (b < end && *a == *b) {
     ++a;
     ++b;
@@ -39,7 +59,31 @@ void EmitLiterals(const unsigned char* base, size_t start, size_t end,
   out->append(reinterpret_cast<const char*>(base + start), len);
 }
 
+/// The match finder's tables, kept per thread across calls: Compress runs
+/// once per sub-chunk, and allocating and zeroing the 256 KB head each time
+/// cost more than compressing a small sub-chunk. Entries hold
+/// `offset + pos + 1`, where `offset` grows by each call's input size, so
+/// every entry an earlier call left behind is <= the current offset and
+/// reads as empty. The head is cleared only when the offset would wrap.
+struct MatchTables {
+  std::vector<uint32_t> head = std::vector<uint32_t>(1u << kHashBits, 0);
+  std::vector<uint32_t> prev;  // chain links, grown to the largest input
+  uint32_t offset = 0;
+};
+
+MatchTables& ThreadMatchTables() {
+  thread_local MatchTables tables;
+  return tables;
+}
+
 }  // namespace
+
+void AdvanceTableOffsetForTesting(uint32_t offset) {
+  MatchTables& tables = ThreadMatchTables();
+  // Raising the offset only ages more entries out; lowering it could revive
+  // stale ones.
+  tables.offset = std::max(tables.offset, offset);
+}
 
 void Compress(Slice input, std::string* output) {
   output->clear();
@@ -57,9 +101,18 @@ void Compress(Slice input, std::string* output) {
   }
 
   // head[h] = most recent position with hash h; prev[i] = previous position
-  // in i's chain. Positions are offset by +1 so 0 means "empty".
-  std::vector<uint32_t> head(1u << kHashBits, 0);
-  std::vector<uint32_t> prev(n, 0);
+  // in i's chain. Positions are stored as base + pos + 1, so any value
+  // <= base means "empty" (see MatchTables).
+  MatchTables& tables = ThreadMatchTables();
+  if (n > std::numeric_limits<uint32_t>::max() - tables.offset) {
+    std::fill(tables.head.begin(), tables.head.end(), 0);
+    tables.offset = 0;
+  }
+  if (tables.prev.size() < n) tables.prev.resize(n);
+  const uint32_t base = tables.offset;
+  tables.offset += static_cast<uint32_t>(n);
+  uint32_t* head = tables.head.data();
+  uint32_t* prev = tables.prev.data();
 
   size_t literal_start = 0;
   size_t i = 0;
@@ -68,7 +121,7 @@ void Compress(Slice input, std::string* output) {
   auto insert = [&](size_t pos) {
     uint32_t h = Hash4(data + pos);
     prev[pos] = head[h];
-    head[h] = static_cast<uint32_t>(pos + 1);
+    head[h] = base + static_cast<uint32_t>(pos + 1);
   };
 
   auto find_match = [&](size_t pos, size_t* match_pos) -> size_t {
@@ -76,8 +129,8 @@ void Compress(Slice input, std::string* output) {
     uint32_t cand = head[h];
     size_t best_len = 0;
     int probes = kMaxChainProbes;
-    while (cand != 0 && probes-- > 0) {
-      size_t c = cand - 1;
+    while (cand > base && probes-- > 0) {
+      size_t c = cand - base - 1;
       if (pos - c > kMaxDistance) break;
       size_t len = MatchLength(data + c, data + pos, end);
       if (len > best_len) {

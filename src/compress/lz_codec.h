@@ -1,6 +1,7 @@
 #ifndef RSTORE_COMPRESS_LZ_CODEC_H_
 #define RSTORE_COMPRESS_LZ_CODEC_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -27,8 +28,16 @@ namespace lz {
 
 /// Compresses `input`, appending to `*output` (which is cleared first).
 /// Never fails; incompressible data degrades to one literal run with ~1.01x
-/// expansion plus the header.
+/// expansion plus the header. The match tables are reused per thread across
+/// calls, so the encoder takes no locks and allocates only on a thread's
+/// first call and for an input larger than any before it on that thread;
+/// the output depends on `input` alone.
 void Compress(Slice input, std::string* output);
+
+/// Test-only: raises the calling thread's match-table position offset to at
+/// least `offset`, so that a test can drive Compress into the branch that
+/// clears the tables before positions would wrap.
+void AdvanceTableOffsetForTesting(uint32_t offset);
 
 /// Decompresses a buffer produced by Compress. Returns kCorruption on any
 /// malformed framing (bad varint, out-of-range match, size mismatch).

@@ -311,6 +311,7 @@ Status RStore::BulkLoad(const VersionedDataset& dataset,
   original_graph_ = dataset.graph;
   TreeTransformResult transform = ConvertToTree(dataset);
   tree_ = std::move(transform.tree);
+  cursor_.Reset();
 
   // Renamed merge-arrivals are stored as fresh records carrying the original
   // payload (paper §2.5: "renamed to make them appear as newly inserted
@@ -338,8 +339,8 @@ Status RStore::BulkLoad(const VersionedDataset& dataset,
 
 Result<VersionId> RStore::Commit(VersionId parent, CommitDelta delta,
                                  TraceContext* trace) {
-  // Resolve the membership delta against the parent version.
-  VersionMembership parent_members;
+  // Resolve the membership delta against the parent version, whose records
+  // the cursor holds by key (empty before the first commit).
   if (tree_.graph.empty()) {
     if (parent != kInvalidVersion) {
       return Status::InvalidArgument(
@@ -349,12 +350,7 @@ Result<VersionId> RStore::Commit(VersionId parent, CommitDelta delta,
     if (parent >= tree_.graph.size()) {
       return Status::InvalidArgument("unknown parent version");
     }
-    parent_members = tree_.MaterializeVersion(parent);
-  }
-  std::unordered_map<std::string, CompositeKey> parent_by_key;
-  parent_by_key.reserve(parent_members.size());
-  for (const CompositeKey& ck : parent_members) {
-    parent_by_key.emplace(ck.key, ck);
+    cursor_.MoveTo(parent);
   }
 
   VersionId version = tree_.graph.empty()
@@ -370,9 +366,8 @@ Result<VersionId> RStore::Commit(VersionId parent, CommitDelta delta,
     }
     CompositeKey ck(record.key.key, version);
     membership_delta.added.push_back(ck);
-    auto it = parent_by_key.find(record.key.key);
-    if (it != parent_by_key.end()) {
-      membership_delta.removed.push_back(it->second);
+    if (const CompositeKey* prior = cursor_.Find(record.key.key)) {
+      membership_delta.removed.push_back(*prior);
     }
     payload_records.push_back(Record{ck, std::move(record.payload)});
   }
@@ -381,11 +376,11 @@ Result<VersionId> RStore::Commit(VersionId parent, CommitDelta delta,
       return Status::InvalidArgument("key " + key +
                                      " appears twice in commit");
     }
-    auto it = parent_by_key.find(key);
-    if (it == parent_by_key.end()) {
+    const CompositeKey* prior = cursor_.Find(key);
+    if (prior == nullptr) {
       return Status::InvalidArgument("cannot delete absent key " + key);
     }
-    membership_delta.removed.push_back(it->second);
+    membership_delta.removed.push_back(*prior);
   }
 
   // Record the version in the graphs and stage the commit.
@@ -477,21 +472,27 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
 
   // Phase 1 (§4): extend the membership indexes with each staged version,
   // collecting the pre-existing chunks whose maps will need one rebuild.
+  // The cursor walks the staged versions one delta at a time.
   ScopedSpan index_span(trace, "write.index_update");
-  std::unordered_set<ChunkId> affected_chunks;
+  std::vector<ChunkId> affected_chunks;
   for (const PendingCommit& commit : delta_store_.pending()) {
-    VersionMembership members = tree_.MaterializeVersion(commit.version);
-    for (const CompositeKey& ck : members) {
+    cursor_.MoveTo(commit.version);
+    cursor_.ForEach([&](const CompositeKey& ck) {
       // Staged versions are processed in id order, so appending keeps the
       // per-record version lists sorted.
       record_versions[ck].push_back(commit.version);
       ChunkId chunk = catalog_.ChunkOfRecord(ck);
       if (chunk != StoreCatalog::kInvalidChunk) {
-        affected_chunks.insert(chunk);
+        affected_chunks.push_back(chunk);
         catalog_.AddVersionChunk(commit.version, chunk);
       }
-    }
+    });
   }
+  // Ascending id order: a canonical write order for the rewrites below.
+  std::sort(affected_chunks.begin(), affected_chunks.end());
+  affected_chunks.erase(
+      std::unique(affected_chunks.begin(), affected_chunks.end()),
+      affected_chunks.end());
 
   index_span.Annotate("affected_chunks",
                       std::to_string(affected_chunks.size()));

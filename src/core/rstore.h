@@ -230,6 +230,10 @@ class RStore {
 
   VersionGraph original_graph_;  // with merge edges
   VersionedDataset tree_;        // transformed, matches storage keys
+  /// Walks tree_'s memberships for the write path: Commit reads the
+  /// parent's records from it and each drain's index update visits the
+  /// staged versions with it, one delta per step.
+  MembershipCursor cursor_{&tree_};
 
   StoreCatalog catalog_;
   DeltaStore delta_store_;

@@ -1,6 +1,7 @@
 #include "version/dataset.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -15,10 +16,10 @@ Status VersionedDataset::Validate() const {
     return Status::InvalidArgument("root delta cannot remove records");
   }
 
-  // DFS over the primary tree with a running membership set: checks every
-  // delta against the actual parent membership in O(total membership).
-  VersionMembership current;
-  Status failure = Status::OK();
+  // DFS over the primary tree with a running membership keyed by primary
+  // key: checks every delta against the actual parent membership, and that
+  // each version holds at most one record per key, in O(total membership).
+  std::unordered_map<std::string_view, const CompositeKey*> current;
 
   // Iterative DFS with explicit apply/undo framing.
   struct Frame {
@@ -27,7 +28,7 @@ Status VersionedDataset::Validate() const {
     bool entered = false;
   };
   std::vector<Frame> stack{{0, 0, false}};
-  while (!stack.empty() && failure.ok()) {
+  while (!stack.empty()) {
     Frame& frame = stack.back();
     VersionId v = frame.v;
     if (!frame.entered) {
@@ -36,12 +37,13 @@ Status VersionedDataset::Validate() const {
       Status s = delta.CheckConsistent();
       if (!s.ok()) return s;
       for (const CompositeKey& ck : delta.removed) {
-        if (!current.count(ck)) {
+        auto it = current.find(ck.key);
+        if (it == current.end() || *it->second != ck) {
           return Status::InvalidArgument(
               "delta of V" + std::to_string(v) + " removes absent record " +
               ck.ToString());
         }
-        current.erase(ck);
+        current.erase(it);
       }
       for (const CompositeKey& ck : delta.added) {
         // Native adds originate here; foreign (merge-arrival) adds must come
@@ -51,19 +53,12 @@ Status VersionedDataset::Validate() const {
               "delta of V" + std::to_string(v) + " adds record " +
               ck.ToString() + " from a non-ancestor version");
         }
-        if (!current.insert(ck).second) {
+        auto [it, inserted] = current.emplace(ck.key, &ck);
+        if (!inserted) {
           return Status::InvalidArgument(
-              "delta of V" + std::to_string(v) + " re-adds present record " +
-              ck.ToString());
-        }
-      }
-      // A version holds at most one record per primary key.
-      std::unordered_map<std::string, int> keys;
-      for (const CompositeKey& ck : delta.added) {
-        if (++keys[ck.key] > 1) {
-          return Status::InvalidArgument(
-              "delta of V" + std::to_string(v) + " adds key " + ck.key +
-              " twice");
+              "delta of V" + std::to_string(v) + " adds " + ck.ToString() +
+              " but V" + std::to_string(v) + " already holds " +
+              it->second->ToString());
         }
       }
     }
@@ -81,11 +76,11 @@ Status VersionedDataset::Validate() const {
     if (descended) continue;
     // Exit: undo the delta.
     const VersionDelta& delta = deltas[v];
-    for (const CompositeKey& ck : delta.added) current.erase(ck);
-    for (const CompositeKey& ck : delta.removed) current.insert(ck);
+    for (const CompositeKey& ck : delta.added) current.erase(ck.key);
+    for (const CompositeKey& ck : delta.removed) current.emplace(ck.key, &ck);
     stack.pop_back();
   }
-  return failure;
+  return Status::OK();
 }
 
 VersionMembership VersionedDataset::MaterializeVersion(VersionId v) const {
@@ -166,6 +161,74 @@ uint64_t VersionedDataset::TotalMembership() const {
     total += size[v];
   }
   return total;
+}
+
+// The cursor keeps pointers into deltas[v].added/removed across appends:
+// they survive the outer vector's reallocation only because it moves each
+// delta (taking over its element buffers) instead of copying it.
+static_assert(std::is_nothrow_move_constructible_v<VersionDelta>);
+
+void MembershipCursor::Reset() {
+  version_ = kInvalidVersion;
+  members_.clear();
+}
+
+void MembershipCursor::MoveTo(VersionId target) {
+  const VersionGraph& graph = dataset_->graph;
+  RSTORE_CHECK(target < graph.size());
+  if (target == version_) return;
+  auto delta_size = [this](VersionId v) {
+    const VersionDelta& delta = dataset_->deltas[v];
+    return delta.added.size() + delta.removed.size();
+  };
+  down_.clear();
+  VersionId up = version_;
+  VersionId down = target;
+  bool replay = version_ == kInvalidVersion;
+  if (!replay) {
+    // Climb from both ends to the common ancestor (ids are topological, so
+    // the larger id is never the ancestor), pricing the undo side.
+    size_t undo_cost = 0;
+    while (up != down) {
+      if (up > down) {
+        undo_cost += delta_size(up);
+        up = graph.PrimaryParent(up);
+      } else {
+        down_.push_back(down);
+        down = graph.PrimaryParent(down);
+      }
+    }
+    // A replay clears the members and re-applies root -> ancestor instead;
+    // stop pricing it as soon as it loses.
+    size_t replay_cost = members_.size();
+    for (VersionId v = up; v != kInvalidVersion && replay_cost <= undo_cost;
+         v = graph.PrimaryParent(v)) {
+      replay_cost += delta_size(v);
+    }
+    replay = replay_cost <= undo_cost;
+  }
+  if (replay) {
+    for (; down != kInvalidVersion; down = graph.PrimaryParent(down)) {
+      down_.push_back(down);
+    }
+    members_.clear();
+  } else {
+    for (VersionId v = version_; v != up; v = graph.PrimaryParent(v)) Undo(v);
+  }
+  for (auto it = down_.rbegin(); it != down_.rend(); ++it) Apply(*it);
+  version_ = target;
+}
+
+void MembershipCursor::Apply(VersionId v) {
+  const VersionDelta& delta = dataset_->deltas[v];
+  for (const CompositeKey& ck : delta.removed) members_.erase(ck.key);
+  for (const CompositeKey& ck : delta.added) members_[ck.key] = &ck;
+}
+
+void MembershipCursor::Undo(VersionId v) {
+  const VersionDelta& delta = dataset_->deltas[v];
+  for (const CompositeKey& ck : delta.added) members_.erase(ck.key);
+  for (const CompositeKey& ck : delta.removed) members_[ck.key] = &ck;
 }
 
 }  // namespace rstore

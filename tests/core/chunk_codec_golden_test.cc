@@ -4,16 +4,21 @@
 // the cache charges equal constants recorded when they were last meant to
 // change. Stored bytes, the Fig. 10 compression ratios and the cache
 // ablation's hit rates (which depend on each entry's charge) therefore
-// cannot drift with the in-memory layout.
+// cannot drift with the in-memory layout. A second case pins the online
+// write path the same way: every byte a commit-by-commit ingest leaves in
+// the backend, and the number of writes it took.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <unordered_set>
 
 #include "common/hash.h"
 #include "core/chunk.h"
 #include "core/partitioner.h"
+#include "core/rstore.h"
 #include "core/sub_chunk_builder.h"
+#include "kvstore/memory_store.h"
 #include "workload/dataset_generator.h"
 
 namespace rstore {
@@ -188,15 +193,91 @@ TEST_P(ChunkCodecGoldenTest, DecodedChunksMatchBuiltAndPinnedBytes) {
   EXPECT_EQ(charge, golden->charge_bytes);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Algorithms, ChunkCodecGoldenTest, ::testing::ValuesIn(kAllAlgorithms),
-    [](const ::testing::TestParamInfo<PartitionAlgorithm>& info) {
-      std::string name = PartitionAlgorithmName(info.param);
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
+std::string AlgorithmTestName(
+    const ::testing::TestParamInfo<PartitionAlgorithm>& info) {
+  std::string name = PartitionAlgorithmName(info.param);
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, ChunkCodecGoldenTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         AlgorithmTestName);
+
+struct OnlineGolden {
+  PartitionAlgorithm algorithm;
+  uint64_t puts;
+  uint64_t store_hash;  // over every (table, key, value), in key order
+};
+
+// Recorded like kGolden: a change here changes what online ingest stores.
+constexpr OnlineGolden kOnlineGolden[] = {
+    {PartitionAlgorithm::kBottomUp, 203, 15358974710284276911ull},
+    {PartitionAlgorithm::kShingle, 191, 4492897110005208394ull},
+    {PartitionAlgorithm::kDepthFirst, 190, 7417002488641144684ull},
+    {PartitionAlgorithm::kBreadthFirst, 191, 12787845483939864079ull},
+    {PartitionAlgorithm::kDeltaBaseline, 236, 6291542020862935235ull},
+    {PartitionAlgorithm::kSubChunkBaseline, 929, 14301107600323188908ull},
+    {PartitionAlgorithm::kSingleAddressSpace, 952, 2804958707249208494ull},
+};
+
+class OnlineWritePathGoldenTest
+    : public ::testing::TestWithParam<PartitionAlgorithm> {};
+
+TEST_P(OnlineWritePathGoldenTest, CommitsDrainsAndFlushStorePinnedBytes) {
+  const workload::GeneratedDataset gen = SmallDataset();
+  const VersionedDataset& dataset = gen.dataset;
+  Options options = GoldenOptions(GetParam());
+  options.online_batch_size = 5;
+  MemoryStore backend;
+  auto store = RStore::Open(&backend, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (VersionId v = 0; v < dataset.graph.size(); ++v) {
+    CommitDelta delta;
+    std::unordered_set<std::string> upserted;
+    for (const CompositeKey& ck : dataset.deltas[v].added) {
+      upserted.insert(ck.key);
+      delta.upserts.push_back(Record{ck, gen.payloads.at(ck)});
+    }
+    for (const CompositeKey& ck : dataset.deltas[v].removed) {
+      if (!upserted.count(ck.key)) delta.deletes.push_back(ck.key);
+    }
+    const VersionId parent =
+        v == 0 ? kInvalidVersion : dataset.graph.PrimaryParent(v);
+    auto committed = (*store)->Commit(parent, std::move(delta));
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    ASSERT_EQ(*committed, v);
+  }
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  const uint64_t puts = backend.stats().puts;
+  uint64_t hash = 0;
+  for (const std::string& table : {options.chunk_table, options.index_table}) {
+    hash = Mix64(hash ^ Fnv1a64(Slice(table)));
+    ASSERT_TRUE(backend
+                    .Scan(table,
+                          [&hash](Slice key, Slice value) {
+                            hash = Mix64(hash ^ Fnv1a64(key));
+                            hash = Mix64(hash ^ Fnv1a64(value));
+                          })
+                    .ok());
+  }
+  EXPECT_TRUE((*store)->VerifyIntegrity().ok());
+
+  const OnlineGolden* golden = nullptr;
+  for (const OnlineGolden& g : kOnlineGolden) {
+    if (g.algorithm == GetParam()) golden = &g;
+  }
+  ASSERT_NE(golden, nullptr);
+  EXPECT_EQ(puts, golden->puts);
+  EXPECT_EQ(hash, golden->store_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, OnlineWritePathGoldenTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         AlgorithmTestName);
 
 }  // namespace
 }  // namespace rstore

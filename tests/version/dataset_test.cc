@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
+#include "common/random.h"
 #include "version/delta.h"
+#include "version/tree_transform.h"
+#include "workload/dataset_generator.h"
 
 namespace rstore {
 namespace {
@@ -165,6 +170,27 @@ TEST(VersionedDatasetTest, ValidateCatchesDuplicateKeyInVersion) {
   EXPECT_FALSE(ds.Validate().ok());
 }
 
+TEST(VersionedDatasetTest, ValidateCatchesSecondRecordForPresentKey) {
+  // V1 adds a@V1 without removing a@V0, so V1 would hold two records for
+  // key `a`: every delta-level check passes, only the running set sees it.
+  VersionedDataset ds;
+  ds.graph.AddRoot();
+  (void)*ds.graph.AddVersion({0});
+  ds.deltas.resize(2);
+  ds.deltas[0].added = {{"a", 0}, {"b", 0}};
+  ds.deltas[1].added = {{"a", 1}};
+  EXPECT_TRUE(ds.Validate().IsInvalidArgument());
+  // Removing the superseded record makes it a plain update.
+  ds.deltas[1].removed = {{"a", 0}};
+  EXPECT_TRUE(ds.Validate().ok());
+}
+
+TEST(VersionedDatasetTest, ValidateCatchesRemovingOtherRecordOfPresentKey) {
+  VersionedDataset ds = Example2();
+  ds.deltas[3].removed.push_back({"K3", 0});  // V1 replaced it with K3@V1
+  EXPECT_TRUE(ds.Validate().IsInvalidArgument());
+}
+
 TEST(VersionedDatasetTest, ValidateCatchesCountMismatch) {
   VersionedDataset ds = Example2();
   ds.deltas.pop_back();
@@ -190,6 +216,160 @@ TEST(VersionedDatasetTest, MergeDeltaWithForeignRecordValidates) {
   EXPECT_TRUE(v3.count({"A", 0}));
   EXPECT_TRUE(v3.count({"B", 1}));
   EXPECT_TRUE(v3.count({"C", 2}));
+}
+
+/// The cursor's current members, checked against MaterializeVersion: the
+/// same records, and Find() answers each one's key.
+void ExpectCursorMatches(const VersionedDataset& ds,
+                         const MembershipCursor& cursor, VersionId v) {
+  ASSERT_EQ(cursor.version(), v);
+  VersionMembership members;
+  cursor.ForEach([&](const CompositeKey& ck) { members.insert(ck); });
+  const VersionMembership expected = ds.MaterializeVersion(v);
+  EXPECT_EQ(cursor.size(), expected.size()) << "V" << v;
+  EXPECT_EQ(members, expected) << "V" << v;
+  for (const CompositeKey& ck : expected) {
+    const CompositeKey* found = cursor.Find(ck.key);
+    ASSERT_NE(found, nullptr) << ck.ToString();
+    EXPECT_EQ(*found, ck);
+  }
+  EXPECT_EQ(cursor.Find("no-such-key"), nullptr);
+}
+
+/// Random walk: half the moves jump anywhere (long paths, replays from the
+/// root), half step to the parent or a child (one delta).
+void RandomWalk(const VersionedDataset& ds, uint64_t seed, int steps) {
+  Random rng(seed);
+  MembershipCursor cursor(&ds);
+  EXPECT_EQ(cursor.version(), kInvalidVersion);
+  VersionId v = static_cast<VersionId>(rng.Uniform(ds.graph.size()));
+  for (int step = 0; step < steps; ++step) {
+    cursor.MoveTo(v);
+    ExpectCursorMatches(ds, cursor, v);
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::vector<VersionId>& children = ds.graph.children(v);
+    if (rng.Uniform(2) == 0) {
+      v = static_cast<VersionId>(rng.Uniform(ds.graph.size()));
+    } else if (!children.empty() && rng.Uniform(2) == 0) {
+      v = children[rng.Uniform(children.size())];
+    } else if (v != 0) {
+      v = ds.graph.PrimaryParent(v);
+    }
+  }
+  cursor.Reset();
+  EXPECT_EQ(cursor.version(), kInvalidVersion);
+  EXPECT_EQ(cursor.size(), 0u);
+  cursor.MoveTo(v);
+  ExpectCursorMatches(ds, cursor, v);
+}
+
+workload::GeneratedDataset GeneratorTree(double branch_probability) {
+  workload::DatasetConfig config;
+  config.num_versions = 60;
+  config.records_per_version = 40;
+  config.update_fraction = 0.1;
+  config.insert_fraction = 0.05;
+  config.delete_fraction = 0.05;
+  config.branch_probability = branch_probability;
+  config.record_size_bytes = 64;
+  config.seed = 5;
+  return workload::GenerateDataset(config);
+}
+
+/// A DAG with merges: each version derives from a random earlier primary
+/// parent, updating, inserting and deleting a few keys; about one in four
+/// also merges another earlier version, taking over some of its records
+/// under their original composite keys.
+VersionedDataset MergeDataset(uint32_t versions, uint64_t seed) {
+  Random rng(seed);
+  VersionedDataset ds;
+  std::vector<std::map<std::string, CompositeKey>> members(1);
+  ds.graph.AddRoot();
+  ds.deltas.emplace_back();
+  for (int k = 0; k < 12; ++k) {
+    CompositeKey ck("k" + std::to_string(k), 0);
+    ds.deltas[0].added.push_back(ck);
+    members[0].emplace(ck.key, ck);
+  }
+  for (VersionId v = 1; v < versions; ++v) {
+    const VersionId primary = static_cast<VersionId>(rng.Uniform(v));
+    const VersionId other = static_cast<VersionId>(rng.Uniform(v));
+    const bool merge = other != primary && rng.Uniform(4) == 0;
+    std::vector<VersionId> parents{primary};
+    if (merge) parents.push_back(other);
+    EXPECT_TRUE(ds.graph.AddVersion(parents).ok());
+    std::map<std::string, CompositeKey> m = members[primary];
+    VersionDelta delta;
+    std::set<std::string> touched;
+    auto put = [&](const CompositeKey& ck) {
+      if (!touched.insert(ck.key).second) return;
+      auto it = m.find(ck.key);
+      if (it != m.end()) {
+        if (it->second == ck) return;
+        delta.removed.push_back(it->second);
+      }
+      delta.added.push_back(ck);
+      m[ck.key] = ck;
+    };
+    if (merge) {
+      for (const auto& [key, ck] : members[other]) {
+        if (rng.Uniform(2) == 0) put(ck);
+      }
+    }
+    for (int u = 0; u < 3; ++u) {
+      put(CompositeKey("k" + std::to_string(rng.Uniform(16)), v));
+    }
+    const std::string doomed = "k" + std::to_string(rng.Uniform(16));
+    auto it = m.find(doomed);
+    if (it != m.end() && touched.insert(doomed).second) {
+      delta.removed.push_back(it->second);
+      m.erase(it);
+    }
+    ds.deltas.push_back(std::move(delta));
+    members.push_back(std::move(m));
+  }
+  return ds;
+}
+
+TEST(MembershipCursorTest, RandomMovesOnChainMatchMaterialization) {
+  const workload::GeneratedDataset gen = GeneratorTree(0.0);
+  ASSERT_TRUE(gen.dataset.Validate().ok());
+  RandomWalk(gen.dataset, 1, 300);
+}
+
+TEST(MembershipCursorTest, RandomMovesOnBranchyTreeMatchMaterialization) {
+  const workload::GeneratedDataset gen = GeneratorTree(0.4);
+  ASSERT_TRUE(gen.dataset.Validate().ok());
+  RandomWalk(gen.dataset, 2, 300);
+}
+
+TEST(MembershipCursorTest, RandomMovesOnTransformedMergesMatchMaterialization) {
+  const VersionedDataset dag = MergeDataset(50, 3);
+  ASSERT_TRUE(dag.Validate().ok());
+  ASSERT_FALSE(dag.graph.IsTree());
+  const TreeTransformResult transformed = ConvertToTree(dag);
+  ASSERT_GT(transformed.renamed_count, 0u);
+  ASSERT_TRUE(transformed.tree.Validate().ok());
+  RandomWalk(transformed.tree, 3, 300);
+}
+
+TEST(MembershipCursorTest, FollowsVersionsAppendedWhilePositioned) {
+  // The write path's pattern: the dataset grows one version at a time
+  // (reallocating its delta vector) while the cursor stays positioned.
+  const workload::GeneratedDataset gen = GeneratorTree(0.4);
+  const VersionedDataset& full = gen.dataset;
+  VersionedDataset growing;
+  growing.graph.AddRoot();
+  growing.deltas.push_back(full.deltas[0]);
+  MembershipCursor cursor(&growing);
+  cursor.MoveTo(0);
+  for (VersionId v = 1; v < full.graph.size(); ++v) {
+    ASSERT_TRUE(growing.graph.AddVersion({full.graph.PrimaryParent(v)}).ok());
+    growing.deltas.push_back(full.deltas[v]);
+    cursor.MoveTo(v);
+    ExpectCursorMatches(growing, cursor, v);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
