@@ -75,11 +75,11 @@ int main() {
   }
   // --- Weak scaling: one large version, records/sec vs ingest_shards ---
   //
-  // The sharded pipeline parallelizes sub-chunk compression and chunk
-  // encoding while keeping backend writes on the calling thread in shard
-  // order, so the wall-clock records/sec should scale with shard count
-  // while the simulated backend charge stays byte-for-byte identical to
-  // serial ingest. The *_sim_micros metrics encode that invariant: they
+  // ingest_shards fans sub-chunk carving and compression out across worker
+  // threads while every chunk is still written from the calling thread in
+  // partition order, so the wall-clock records/sec should scale with shard
+  // count while the simulated backend charge stays byte-for-byte identical
+  // to serial ingest. The *_sim_micros metrics encode that invariant: they
   // are deterministic, gate at the 25% sim tier, and must agree across
   // every shard count.
   DatasetConfig scaling_config;

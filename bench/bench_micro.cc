@@ -98,13 +98,13 @@ BENCHMARK(BM_BitmapSerialize)->Arg(10000)->Arg(1000000);
 /// versions of 1000 records of 500 B, 10 % updates per version, k = 4 LZ
 /// sub-chunks, BOTTOM-UP chunks of a tenth of a version. The chunk is the
 /// one of median body size (about 35 KB and 70 sub-chunks).
-struct EncodedChunkFixture {
+struct StoredChunkFixture {
   std::string body;
   std::string map;
   size_t sub_chunks = 0;
 };
 
-EncodedChunkFixture MakeChunkFixture() {
+StoredChunkFixture MakeChunkFixture() {
   workload::DatasetConfig config;
   config.num_versions = 200;
   config.records_per_version = 1000;
@@ -125,7 +125,7 @@ EncodedChunkFixture MakeChunkFixture() {
   input.items = &built->items;
   input.options = options;
   auto partitioned = CreatePartitioner(options.algorithm)->Partition(input);
-  std::vector<EncodedChunkFixture> chunks;
+  std::vector<StoredChunkFixture> chunks;
   for (const std::vector<uint32_t>& items : partitioned->chunks) {
     Chunk chunk(chunks.size() + 1);
     for (uint32_t item : items) {
@@ -137,7 +137,7 @@ EncodedChunkFixture MakeChunkFixture() {
         chunk.chunk_map()->Add(v, i);
       }
     }
-    EncodedChunkFixture& encoded = chunks.emplace_back();
+    StoredChunkFixture& encoded = chunks.emplace_back();
     chunk.EncodeTo(&encoded.body);
     chunk.chunk_map()->EncodeTo(&encoded.map);
     encoded.sub_chunks = items.size();
@@ -152,7 +152,7 @@ EncodedChunkFixture MakeChunkFixture() {
 /// does it: the body is copied out of the fetched batch and decoded, the
 /// map decoded and installed, and the chunk destroyed.
 void BM_ChunkDecode(benchmark::State& state) {
-  static const EncodedChunkFixture fixture = MakeChunkFixture();
+  static const StoredChunkFixture fixture = MakeChunkFixture();
   for (auto _ : state) {
     Chunk chunk;
     bool ok = Chunk::DecodeFrom(fixture.body, &chunk).ok();

@@ -100,13 +100,6 @@ enum LockRank : int {
   /// call into a backend, but a thread may insert into the cache right after
   /// a fetch, and decode workers touch shards under ParallelFor.
   kLockRankChunkCache = 150,
-  /// Ingest pipeline hand-off queue (src/core/ingest_pipeline.h): encoder
-  /// threads park finished shards and the writer claims them in shard order.
-  /// Below the storage ranks because the writer releases it before touching
-  /// the backend (writes never run under a pipeline lock), and above
-  /// ParallelError so a throwing encoder can still report through
-  /// ParallelFor's capture path.
-  kLockRankIngestPipeline = 120,
   /// ParallelFor first-error capture; taken by a worker after its user fn
   /// has thrown (and therefore released whatever it held).
   kLockRankParallelError = 100,

@@ -10,7 +10,6 @@
 namespace rstore {
 
 class ChunkCache;
-class Executor;
 
 /// The partitioning algorithms of paper §3, plus the §2.2 baselines.
 enum class PartitionAlgorithm {
@@ -113,31 +112,12 @@ struct Options {
   /// safe even across stores reusing chunk ids.
   std::shared_ptr<ChunkCache> chunk_cache;
 
-  /// Ingest shard count for the parallel write path (sub-chunk compression
-  /// and chunk encoding fan out across this many shards; the partitioning
-  /// decision itself stays serial so results are byte-identical at every
-  /// shard count). 1 (the default) keeps the fully serial paper prototype;
-  /// 0 means hardware concurrency.
+  /// Thread count for sub-chunk carving and compression, the one CPU-heavy
+  /// step of the write path (BuildSubChunks). 1 (the default) keeps the
+  /// serial paper prototype; 0 means one thread per core, and larger values
+  /// are capped at the core count. The partitioning decision and the chunk
+  /// writes stay serial, so stored bytes are identical at every value.
   uint32_t ingest_shards = 1;
-
-  /// How many shards the encode stage may run ahead of the streaming chunk
-  /// writer (the pipeline's in-flight window). Bounds memory held in encoded
-  /// form; must be >= 1. Only consulted when ingest_shards > 1.
-  uint32_t ingest_pipeline_depth = 2;
-
-  /// How chunks are assigned to ingest shards: contiguous byte-balanced
-  /// ranges in partition order (kOrdered, the default — preserves write
-  /// locality) or hashed round-robin by chunk index (kHash — evens out
-  /// pathological size skew).
-  enum class IngestShardMode { kOrdered, kHash };
-  IngestShardMode ingest_shard_mode = IngestShardMode::kOrdered;
-
-  /// When set, the ingest pipeline schedules its encode/write tasks on this
-  /// executor's virtual timeline instead of spawning threads — the
-  /// deterministic-simulation mode (same task interleaving every run, single
-  /// OS thread). Borrowed; must outlive the store and must not be running
-  /// queries while a write drains (same contract as the async read path).
-  Executor* ingest_executor = nullptr;
 
   /// Degradation policy for queries over a partially available backend
   /// (see ReadMode). Strict by default.

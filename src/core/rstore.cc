@@ -1,14 +1,12 @@
 #include "core/rstore.h"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_set>
 
 #include "common/coding.h"
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/ingest_pipeline.h"
 #include "core/partitioner.h"
 #include "core/sub_chunk_builder.h"
 
@@ -213,13 +211,6 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
   partition_span.End();
 
   ScopedSpan write_span(trace, "write.encode_and_put");
-  // Chunk assembly and catalog registration stay serial and in partition
-  // order at every shard count: the catalog is single-threaded state and
-  // chunk ids must match serial ingest exactly (the determinism contract,
-  // DESIGN.md "Parallel ingest"). Only the encoding and backend writes
-  // below fan out.
-  std::vector<Chunk> chunks;
-  chunks.reserve(partitioned->chunks.size());
   for (const std::vector<uint32_t>& item_indices : partitioned->chunks) {
     Chunk chunk(next_chunk_id_++);
     VersionId origin = kInvalidVersion;
@@ -237,68 +228,8 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
       catalog_.AddVersionChunk(v, chunk.id());
     }
     RSTORE_RETURN_IF_ERROR(chunk.SetChunkMap(std::move(map).value()));
-    chunks.push_back(std::move(chunk));
+    RSTORE_RETURN_IF_ERROR(WriteChunk(&chunk));
   }
-
-  const uint32_t ingest_shards = ResolveIngestShards(options_);
-  const bool sharded =
-      (ingest_shards > 1 || options_.ingest_executor != nullptr) &&
-      !chunks.empty();
-  if (!sharded) {
-    for (Chunk& chunk : chunks) {
-      RSTORE_RETURN_IF_ERROR(WriteChunk(&chunk));
-    }
-    return Status::OK();
-  }
-
-  // Sharded path: plan over the serial decision, fan the pure per-chunk
-  // encoding out, and stream each shard's group commit in ascending shard
-  // order — same keys, same values, same write order as the serial loop.
-  std::vector<uint64_t> chunk_bytes(chunks.size(), 0);
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    chunk_bytes[i] = chunks[i].payload_bytes();
-  }
-  ShardedPartitioner sharder(ingest_shards, options_.ingest_shard_mode,
-                             options_.seed);
-  const IngestShardPlan plan = sharder.Plan(chunk_bytes);
-  write_span.Annotate("shards", std::to_string(plan.num_shards()));
-
-  std::vector<EncodedChunk> encoded(chunks.size());
-  MultiChunkWriter writer(backend_, options_.chunk_table,
-                          options_.index_table);
-  IngestPipelineOptions pipeline;
-  pipeline.num_shards = plan.num_shards();
-  pipeline.pipeline_depth = options_.ingest_pipeline_depth;
-  // Shard count sets the plan (and thus the stored bytes); the thread count
-  // is capped at the core count, since encode is pure CPU work and extra
-  // threads would only add context switches.
-  pipeline.max_threads = std::min(
-      ingest_shards, std::max(1u, std::thread::hardware_concurrency()));
-  pipeline.executor = options_.ingest_executor;
-  auto encode = [&](uint32_t shard) -> Status {
-    for (uint32_t c : plan.shards[shard]) {
-      EncodedChunk& slot = encoded[c];
-      const Chunk& chunk = chunks[c];
-      slot.id = chunk.id();
-      chunk.EncodeTo(&slot.body);
-      chunk.chunk_map().EncodeTo(&slot.map);
-      slot.uncompressed_bytes = chunk.uncompressed_bytes();
-    }
-    return Status::OK();
-  };
-  auto write = [&](uint32_t shard) -> Status {
-    std::vector<const EncodedChunk*> group;
-    group.reserve(plan.shards[shard].size());
-    for (uint32_t c : plan.shards[shard]) group.push_back(&encoded[c]);
-    return writer.Write(group);
-  };
-  RSTORE_RETURN_IF_ERROR(RunIngestPipeline(pipeline, encode, write));
-
-  stored_chunk_bytes_ += writer.body_bytes();
-  stored_record_bytes_ += writer.uncompressed_bytes();
-  const WriteMetrics& metrics = WriteMetrics::Get();
-  metrics.chunks_written_total->Increment(writer.chunks_written());
-  metrics.chunk_bytes_total->Increment(writer.body_bytes());
   return Status::OK();
 }
 

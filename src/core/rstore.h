@@ -40,11 +40,11 @@ namespace rstore {
 /// Commits accumulate in the delta store and are partitioned in batches
 /// (Options::online_batch_size, paper §4); Flush() forces the pending batch
 /// through. All methods are single-threaded; wrap externally if sharing.
-/// With Options::ingest_shards > 1 the write path fans sub-chunk compression
-/// and chunk encoding out across worker threads internally (or across
-/// Options::ingest_executor's virtual timeline), but the public interface
-/// stays single-threaded and the stored bytes are identical to serial
-/// ingest — see DESIGN.md "Parallel ingest" for the determinism contract.
+/// With Options::ingest_shards > 1 the write path fans sub-chunk carving and
+/// compression out across worker threads internally, but the public
+/// interface stays single-threaded, chunks are written one at a time in
+/// partition order, and the stored bytes are identical to serial ingest —
+/// see DESIGN.md "Parallel ingest" for the determinism contract.
 class RStore {
  public:
   /// Creates the layer on `backend` (borrowed; must outlive the store) and

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/parallel.h"
-#include "core/ingest_pipeline.h"
 
 namespace rstore {
 
@@ -225,70 +224,56 @@ Result<SubChunkBuildResult> BuildSubChunks(
     }
   }
 
-  const uint32_t ingest_shards = ResolveIngestShards(options);
-  if (ingest_shards > 1 && forests.size() > 1) {
-    // Sharded build: contiguous blocks of sorted keys are carved into
-    // private slots, then the slots are concatenated in block order. Every
-    // key's emission is self-contained (Carve/EmitComponent only read
-    // shared state), so the concatenation is byte-identical to the serial
-    // loop below at any shard count. Blocks (a handful per shard, not one
-    // per key) keep the dispatch overhead negligible next to the per-key
-    // carve + compression work; threads are capped at the core count since
-    // the work is pure CPU.
-    std::vector<const KeyForest*> forest_list;
-    forest_list.reserve(forests.size());
-    for (const auto& [key, forest] : forests) forest_list.push_back(&forest);
-    const size_t n = forest_list.size();
-    const unsigned threads = std::min(
-        ingest_shards, std::max(1u, std::thread::hardware_concurrency()));
-    const size_t num_blocks =
-        std::min<size_t>(n, static_cast<size_t>(threads) * 8);
-    std::vector<SubChunkBuildResult> slots(num_blocks);
-    std::vector<Status> statuses(num_blocks, Status::OK());
-    ParallelFor(
-        num_blocks,
-        [&](size_t b) {
-          const size_t begin = b * n / num_blocks;
-          const size_t end = (b + 1) * n / num_blocks;
-          for (size_t i = begin; i < end; ++i) {
-            const KeyForest& forest = *forest_list[i];
-            for (int root : forest.roots) {
-              std::vector<int> component;
-              Status s = Carve(forest, root, k, payloads, record_versions,
-                               options, &slots[b], &component);
-              if (s.ok() && !component.empty()) {
-                s = EmitComponent(forest, component, payloads,
-                                  record_versions, options, &slots[b]);
-              }
-              if (!s.ok()) {
-                statuses[b] = s;
-                return;
-              }
+  // Contiguous blocks of sorted keys are carved into private slots, then the
+  // slots are concatenated in block order. Every key's emission is
+  // self-contained (Carve/EmitComponent only read shared state), so the
+  // output is byte-identical at any thread count. Blocks (a handful per
+  // thread, not one per key) keep the dispatch overhead negligible next to
+  // the per-key carve + compression work. ingest_shards = 0 means one thread
+  // per core, and the count is capped at the core count since the work is
+  // pure CPU.
+  std::vector<const KeyForest*> forest_list;
+  forest_list.reserve(forests.size());
+  for (const auto& [key, forest] : forests) forest_list.push_back(&forest);
+  const size_t n = forest_list.size();
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads = options.ingest_shards == 0
+                               ? cores
+                               : std::min(options.ingest_shards, cores);
+  const size_t num_blocks =
+      std::min<size_t>(n, static_cast<size_t>(threads) * 8);
+  std::vector<SubChunkBuildResult> slots(num_blocks);
+  std::vector<Status> statuses(num_blocks, Status::OK());
+  ParallelFor(
+      num_blocks,
+      [&](size_t b) {
+        const size_t begin = b * n / num_blocks;
+        const size_t end = (b + 1) * n / num_blocks;
+        for (size_t i = begin; i < end; ++i) {
+          const KeyForest& forest = *forest_list[i];
+          for (int root : forest.roots) {
+            std::vector<int> component;
+            Status s = Carve(forest, root, k, payloads, record_versions,
+                             options, &slots[b], &component);
+            if (s.ok() && !component.empty()) {
+              s = EmitComponent(forest, component, payloads, record_versions,
+                                options, &slots[b]);
+            }
+            if (!s.ok()) {
+              statuses[b] = s;
+              return;
             }
           }
-        },
-        threads);
-    for (size_t b = 0; b < num_blocks; ++b) {
-      RSTORE_RETURN_IF_ERROR(statuses[b]);
-      for (SubChunk& sc : slots[b].sub_chunks) {
-        out.sub_chunks.push_back(std::move(sc));
-      }
-      for (PlacementItem& item : slots[b].items) {
-        out.items.push_back(std::move(item));
-      }
+        }
+      },
+      threads);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    RSTORE_RETURN_IF_ERROR(statuses[b]);
+    for (SubChunk& sc : slots[b].sub_chunks) {
+      out.sub_chunks.push_back(std::move(sc));
     }
-    return out;
-  }
-
-  for (const auto& [key, forest] : forests) {
-    for (int root : forest.roots) {
-      std::vector<int> component;
-      RSTORE_RETURN_IF_ERROR(Carve(forest, root, k, payloads, record_versions,
-                                   options, &out, &component));
-      if (!component.empty()) {
-        RSTORE_RETURN_IF_ERROR(EmitComponent(forest, component, payloads,
-                                             record_versions, options, &out));
-      }
+    for (PlacementItem& item : slots[b].items) {
+      out.items.push_back(std::move(item));
     }
   }
   return out;

@@ -166,7 +166,7 @@ class KVStore {
   /// to issuing the Puts in order. The default implementation is exactly
   /// that loop, so stats and simulated charges match the serial path
   /// byte-for-byte; single-node stores override it to apply the whole group
-  /// under one lock acquisition (the ingest pipeline's write batches). Not
+  /// under one lock acquisition (FileStore also flushes its log once). Not
   /// atomic: a mid-batch error leaves the earlier entries applied, like the
   /// equivalent Put sequence.
   virtual Status WriteBatch(

@@ -284,9 +284,9 @@ TEST(ChaosTest, AsyncResultsInvariantUnderSchedulerSeed) {
 }
 
 /// Loads the chain dataset through the ONLINE write path — per-version
-/// commits draining in batches through the sharded ingest pipeline — against
-/// a faulty cluster, then replays the query workload. `shards` > 1 fans the
-/// encode stage out while every backend write still happens on this thread.
+/// commits draining in batches — against a faulty cluster, then replays the
+/// query workload. `shards` > 1 fans sub-chunk carving and compression out
+/// while every backend write still happens on this thread.
 ChaosRun RunShardedIngestWorkload(const ClusterOptions& cluster_options,
                                   uint32_t shards) {
   ChaosRun out;
@@ -324,12 +324,11 @@ ChaosRun RunShardedIngestWorkload(const ClusterOptions& cluster_options,
   return out;
 }
 
-// Ingest under faults: online commits drain through the sharded pipeline
+// Ingest under faults: online commits drain with sharded sub-chunk builds
 // while the cluster injects transient errors, latency spikes and crash
 // windows under the writes themselves (hinted handoff on the write path).
 // Strict queries over the result must match a fault-free SERIAL ingest byte
-// for byte — the fault schedule and the shard count may each cost simulated
-// time, never bytes.
+// for byte — the fault schedule may cost simulated time, never bytes.
 TEST(ChaosTest, ShardedIngestUnderFaultsMatchesSerialFaultFree) {
   ClusterOptions clean;
   clean.num_nodes = 5;
@@ -351,9 +350,9 @@ TEST(ChaosTest, ShardedIngestUnderFaultsMatchesSerialFaultFree) {
       // crashed replicas mid-ingest.
       EXPECT_GT(faulty.kv.handoff_hints, 0u);
     }
-    // Same seed, same shard fan-out: the simulated write timeline is
-    // identical because every backend write is issued from the one writer
-    // thread in shard order, regardless of encoder scheduling.
+    // Same seed, any shard count: the simulated write timeline is identical
+    // because every backend write is issued from this thread in partition
+    // order, regardless of how the carve workers were scheduled.
     const ChaosRun serial =
         RunShardedIngestWorkload(ChaosClusterOptions(seed), 1);
     const ChaosRun sharded =

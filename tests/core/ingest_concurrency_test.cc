@@ -1,18 +1,13 @@
-// TSan-targeted stress over the threaded ingest pipeline: many encoder
-// threads racing a strict in-order writer, repeated across iterations, plus
-// a full sharded store ingest whose bytes must match serial even while the
-// sanitizer perturbs scheduling. CI's TSan job matches this binary by the
-// IngestConcurrency suite name.
+// TSan-targeted stress over sharded ingest: a full store ingest whose
+// sub-chunk carving and compression run on worker threads, repeated at
+// several thread counts, must leave the backend byte-identical to serial
+// ingest even while the sanitizer perturbs scheduling. CI's TSan job matches
+// this binary by the Concurrency suite-name filter.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "common/random.h"
-#include "core/ingest_pipeline.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
@@ -22,90 +17,6 @@ namespace {
 
 using testing::ExampleData;
 using testing::MakeChain;
-
-TEST(IngestConcurrencyTest, ManyEncodersOneWriterPreservesOrder) {
-  for (int iteration = 0; iteration < 20; ++iteration) {
-    const uint32_t num_shards = 32;
-    IngestPipelineOptions options;
-    options.num_shards = num_shards;
-    options.pipeline_depth = 1 + iteration % 6;
-    options.max_threads = 2 + iteration % 7;
-
-    // Each encode fills a slot only it may touch; the writer checks the
-    // slot was filled before its shard is consumed (encode happens-before
-    // write for the same shard).
-    std::vector<uint64_t> slots(num_shards, 0);
-    Random rng(7777 + iteration);
-    std::vector<uint32_t> spin(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      spin[s] = 100 + static_cast<uint32_t>(rng.Uniform(5000));
-    }
-    std::atomic<uint32_t> encodes{0};
-    auto encode = [&](uint32_t shard) {
-      // Uneven busy work so shard completion order scrambles.
-      uint64_t acc = 1;
-      for (uint32_t i = 0; i < spin[shard]; ++i) {
-        acc += acc >> 3;
-        std::atomic_signal_fence(std::memory_order_seq_cst);
-      }
-      (void)acc;
-      slots[shard] = 1000 + shard;
-      encodes.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    };
-    std::vector<uint32_t> writes;
-    auto write = [&](uint32_t shard) {
-      EXPECT_EQ(slots[shard], 1000u + shard);
-      writes.push_back(shard);
-      return Status::OK();
-    };
-    ASSERT_TRUE(RunIngestPipeline(options, encode, write).ok());
-    EXPECT_EQ(encodes.load(), num_shards);
-    ASSERT_EQ(writes.size(), num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) EXPECT_EQ(writes[s], s);
-  }
-}
-
-TEST(IngestConcurrencyTest, EncodeFailureUnderContentionStopsCleanly) {
-  for (int iteration = 0; iteration < 20; ++iteration) {
-    IngestPipelineOptions options;
-    options.num_shards = 24;
-    options.pipeline_depth = 3;
-    options.max_threads = 4;
-    const uint32_t bad_shard = 3 + iteration % 20;
-    auto encode = [bad_shard](uint32_t shard) {
-      if (shard == bad_shard) return Status::Corruption("injected");
-      return Status::OK();
-    };
-    std::vector<uint32_t> writes;
-    auto write = [&writes](uint32_t shard) {
-      writes.push_back(shard);
-      return Status::OK();
-    };
-    Status status = RunIngestPipeline(options, encode, write);
-    ASSERT_FALSE(status.ok());
-    EXPECT_TRUE(status.IsCorruption());
-    // Never writes at or past the failed shard, and always a prefix.
-    ASSERT_LE(writes.size(), bad_shard);
-    for (size_t i = 0; i < writes.size(); ++i) {
-      EXPECT_EQ(writes[i], static_cast<uint32_t>(i));
-    }
-  }
-}
-
-TEST(IngestConcurrencyTest, EncoderExceptionPropagatesToCaller) {
-  IngestPipelineOptions options;
-  options.num_shards = 12;
-  options.pipeline_depth = 4;
-  options.max_threads = 4;
-  auto encode = [](uint32_t shard) -> Status {
-    if (shard == 7) throw std::runtime_error("boom");
-    return Status::OK();
-  };
-  auto write = [](uint32_t) { return Status::OK(); };
-  EXPECT_THROW((void)RunIngestPipeline(options, encode, write),
-               std::runtime_error);
-}
 
 TEST(IngestConcurrencyTest, ShardedStoreIngestMatchesSerialUnderStress) {
   const ExampleData data = MakeChain(24, 16, 5);

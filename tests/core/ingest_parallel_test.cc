@@ -1,20 +1,18 @@
 // Parallel-ingest determinism contract (DESIGN.md "Parallel ingest"): the
-// partitioning decision stays serial, so sharded ingest must leave the
-// backend byte-identical to serial ingest at every shard count, for every
+// partitioning decision and the chunk writes stay serial and only sub-chunk
+// carving and compression fan out, so ingest must leave the backend
+// byte-identical to serial ingest at every shard count, for every
 // partitioning algorithm, on both the offline (BulkLoad) and the online
 // (Commit/Flush) write path — and strict queries must therefore match byte
-// for byte. Plus unit coverage of the shard planner and pipeline runner.
+// for byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/executor.h"
-#include "core/ingest_pipeline.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
@@ -25,244 +23,6 @@ namespace {
 using testing::ExampleData;
 using testing::MakeChain;
 using testing::ReplayQueryWorkload;
-
-// ---------------------------------------------------------------------------
-// ShardedPartitioner
-
-std::vector<uint32_t> Flatten(const IngestShardPlan& plan) {
-  std::vector<uint32_t> out;
-  for (const auto& shard : plan.shards) {
-    out.insert(out.end(), shard.begin(), shard.end());
-  }
-  return out;
-}
-
-TEST(ShardedPartitionerTest, OrderedPlanIsContiguousAndComplete) {
-  ShardedPartitioner sharder(4, Options::IngestShardMode::kOrdered, 7);
-  const std::vector<uint64_t> bytes = {100, 100, 100, 100, 100, 100, 100,
-                                       100};
-  IngestShardPlan plan = sharder.Plan(bytes);
-  ASSERT_EQ(plan.num_shards(), 4u);
-  EXPECT_EQ(plan.num_chunks(), bytes.size());
-  // Contiguous ascending runs covering [0, n) exactly once.
-  std::vector<uint32_t> flat = Flatten(plan);
-  ASSERT_EQ(flat.size(), bytes.size());
-  for (size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(flat[i], static_cast<uint32_t>(i));
-  }
-  // Uniform sizes split evenly.
-  for (const auto& shard : plan.shards) EXPECT_EQ(shard.size(), 2u);
-}
-
-TEST(ShardedPartitionerTest, OrderedPlanBalancesBySize) {
-  ShardedPartitioner sharder(2, Options::IngestShardMode::kOrdered, 7);
-  // One giant chunk up front: it should get a shard of its own.
-  IngestShardPlan plan = sharder.Plan({1000, 10, 10, 10});
-  ASSERT_EQ(plan.num_shards(), 2u);
-  EXPECT_EQ(plan.shards[0].size(), 1u);
-  EXPECT_EQ(plan.shards[1].size(), 3u);
-}
-
-TEST(ShardedPartitionerTest, EveryShardGetsAChunkWhenChunksAreScarce) {
-  ShardedPartitioner sharder(4, Options::IngestShardMode::kOrdered, 7);
-  // Fewer chunks than shards: plan clamps to one chunk per shard.
-  IngestShardPlan plan = sharder.Plan({5, 5});
-  EXPECT_EQ(plan.num_shards(), 2u);
-  EXPECT_EQ(plan.num_chunks(), 2u);
-  // Skewed sizes must still leave no shard empty.
-  ShardedPartitioner skew(3, Options::IngestShardMode::kOrdered, 7);
-  IngestShardPlan skewed = skew.Plan({1000, 1, 1});
-  ASSERT_EQ(skewed.num_shards(), 3u);
-  for (const auto& shard : skewed.shards) EXPECT_FALSE(shard.empty());
-}
-
-TEST(ShardedPartitionerTest, HashPlanIsSeedDeterministicAndComplete) {
-  ShardedPartitioner a(4, Options::IngestShardMode::kHash, 99);
-  ShardedPartitioner b(4, Options::IngestShardMode::kHash, 99);
-  const std::vector<uint64_t> bytes(23, 64);
-  IngestShardPlan pa = a.Plan(bytes);
-  IngestShardPlan pb = b.Plan(bytes);
-  EXPECT_EQ(pa.shards, pb.shards);
-  EXPECT_EQ(pa.num_chunks(), bytes.size());
-  std::vector<bool> seen(bytes.size(), false);
-  for (const auto& shard : pa.shards) {
-    for (uint32_t c : shard) {
-      ASSERT_LT(c, bytes.size());
-      EXPECT_FALSE(seen[c]);
-      seen[c] = true;
-    }
-  }
-}
-
-TEST(ShardedPartitionerTest, ZeroByteChunksFallBackToCountSplit) {
-  ShardedPartitioner sharder(3, Options::IngestShardMode::kOrdered, 7);
-  IngestShardPlan plan = sharder.Plan(std::vector<uint64_t>(9, 0));
-  ASSERT_EQ(plan.num_shards(), 3u);
-  for (const auto& shard : plan.shards) EXPECT_EQ(shard.size(), 3u);
-}
-
-// ---------------------------------------------------------------------------
-// RunIngestPipeline
-
-struct StageLog {
-  std::vector<uint32_t> encodes;
-  std::vector<uint32_t> writes;
-};
-
-IngestStageFn LogStage(std::vector<uint32_t>* log) {
-  return [log](uint32_t shard) {
-    log->push_back(shard);
-    return Status::OK();
-  };
-}
-
-TEST(IngestPipelineTest, SerialModeRunsEncodeThenWritePerShard) {
-  IngestPipelineOptions options;
-  options.num_shards = 4;
-  options.max_threads = 1;  // forces the serial runner
-  StageLog log;
-  ASSERT_TRUE(RunIngestPipeline(options, LogStage(&log.encodes),
-                                LogStage(&log.writes))
-                  .ok());
-  EXPECT_EQ(log.encodes, (std::vector<uint32_t>{0, 1, 2, 3}));
-  EXPECT_EQ(log.writes, (std::vector<uint32_t>{0, 1, 2, 3}));
-}
-
-TEST(IngestPipelineTest, ExecutorModeIsDeterministicAndOrdersWrites) {
-  for (int run = 0; run < 2; ++run) {
-    Executor executor;
-    IngestPipelineOptions options;
-    options.num_shards = 5;
-    options.pipeline_depth = 2;
-    options.executor = &executor;
-    StageLog log;
-    ASSERT_TRUE(RunIngestPipeline(options, LogStage(&log.encodes),
-                                  LogStage(&log.writes))
-                    .ok());
-    // Writes always drain in ascending shard order; encodes may lead by at
-    // most the window but the executor schedule is deterministic, so both
-    // sequences are identical run to run.
-    EXPECT_EQ(log.writes, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(log.encodes, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
-  }
-}
-
-TEST(IngestPipelineTest, ThreadedModeWritesEveryShardInOrder) {
-  IngestPipelineOptions options;
-  options.num_shards = 16;
-  options.pipeline_depth = 4;
-  options.max_threads = 4;
-  std::vector<uint32_t> writes;  // writer runs on the calling thread only
-  Mutex encode_mu(kLockRankLeaf, "test encode log");
-  std::vector<uint32_t> encodes;
-  auto encode = [&](uint32_t shard) {
-    MutexLock lock(encode_mu);
-    encodes.push_back(shard);
-    return Status::OK();
-  };
-  ASSERT_TRUE(RunIngestPipeline(options, encode, LogStage(&writes)).ok());
-  ASSERT_EQ(writes.size(), 16u);
-  for (uint32_t s = 0; s < 16; ++s) EXPECT_EQ(writes[s], s);
-  EXPECT_EQ(encodes.size(), 16u);
-}
-
-TEST(IngestPipelineTest, EncodeErrorStopsWritesAtPrefix) {
-  IngestPipelineOptions options;
-  options.num_shards = 8;
-  options.pipeline_depth = 2;
-  options.max_threads = 3;
-  std::vector<uint32_t> writes;
-  auto encode = [](uint32_t shard) {
-    if (shard == 5) return Status::Corruption("encode blew up");
-    return Status::OK();
-  };
-  Status status = RunIngestPipeline(options, encode, LogStage(&writes));
-  ASSERT_FALSE(status.ok());
-  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
-  // Written shards form a prefix strictly below the failed shard.
-  ASSERT_LE(writes.size(), 5u);
-  for (size_t i = 0; i < writes.size(); ++i) {
-    EXPECT_EQ(writes[i], static_cast<uint32_t>(i));
-  }
-}
-
-TEST(IngestPipelineTest, WriteErrorPropagatesAndStopsTheRun) {
-  IngestPipelineOptions options;
-  options.num_shards = 6;
-  options.max_threads = 2;
-  std::vector<uint32_t> writes;
-  auto write = [&writes](uint32_t shard) {
-    if (shard == 2) return Status::IOError("backend down");
-    writes.push_back(shard);
-    return Status::OK();
-  };
-  auto ok = [](uint32_t) { return Status::OK(); };
-  Status status = RunIngestPipeline(options, ok, write);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(writes, (std::vector<uint32_t>{0, 1}));
-}
-
-TEST(IngestPipelineTest, ZeroShardsIsANoOp) {
-  IngestPipelineOptions options;
-  options.num_shards = 0;
-  bool touched = false;
-  auto stage = [&touched](uint32_t) {
-    touched = true;
-    return Status::OK();
-  };
-  EXPECT_TRUE(RunIngestPipeline(options, stage, stage).ok());
-  EXPECT_FALSE(touched);
-}
-
-// ---------------------------------------------------------------------------
-// MultiChunkWriter
-
-TEST(MultiChunkWriterTest, GroupCommitMatchesIndividualPuts) {
-  EncodedChunk a{1, "body-a", "map-a", 100};
-  EncodedChunk b{2, "body-b", "map-b", 200};
-
-  MemoryStore grouped;
-  ASSERT_TRUE(grouped.CreateTable("c").ok());
-  ASSERT_TRUE(grouped.CreateTable("i").ok());
-  MultiChunkWriter writer(&grouped, "c", "i");
-  ASSERT_TRUE(writer.Write({&a, &b}).ok());
-  EXPECT_EQ(writer.chunks_written(), 2u);
-  EXPECT_EQ(writer.body_bytes(), a.body.size() + b.body.size());
-  EXPECT_EQ(writer.uncompressed_bytes(), 300u);
-
-  MemoryStore serial;
-  ASSERT_TRUE(serial.CreateTable("c").ok());
-  ASSERT_TRUE(serial.CreateTable("i").ok());
-  for (const EncodedChunk* chunk : {&a, &b}) {
-    ASSERT_TRUE(serial.Put("c", ChunkKey(chunk->id), chunk->body).ok());
-    ASSERT_TRUE(serial.Put("i", ChunkMapKey(chunk->id), chunk->map).ok());
-  }
-
-  // Same end state and the same logical put/byte counters: the default
-  // WriteBatch is a loop of Puts, and MemoryStore's override only batches
-  // the locking, never the accounting.
-  for (const char* table : {"c", "i"}) {
-    std::map<std::string, std::string> g, s;
-    ASSERT_TRUE(grouped
-                    .Scan(table,
-                          [&g](Slice k, Slice v) {
-                            g[k.ToString()] = v.ToString();
-                          })
-                    .ok());
-    ASSERT_TRUE(serial
-                    .Scan(table,
-                          [&s](Slice k, Slice v) {
-                            s[k.ToString()] = v.ToString();
-                          })
-                    .ok());
-    EXPECT_EQ(g, s) << table;
-  }
-  EXPECT_EQ(grouped.stats().puts, serial.stats().puts);
-  EXPECT_EQ(grouped.stats().bytes_written, serial.stats().bytes_written);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end equivalence sweep
 
 const PartitionAlgorithm kAllAlgorithms[] = {
     PartitionAlgorithm::kBottomUp,       PartitionAlgorithm::kShingle,
@@ -305,10 +65,9 @@ struct IngestRun {
   std::vector<std::string> queries;
 };
 
-IngestRun RunIngest(const ExampleData& data, Options options, bool online,
-                    Executor* executor = nullptr) {
+IngestRun RunIngest(const ExampleData& data, const Options& options,
+                    bool online) {
   IngestRun out;
-  options.ingest_executor = executor;
   MemoryStore backend;
   auto store = RStore::Open(&backend, options);
   EXPECT_TRUE(store.ok());
@@ -364,20 +123,6 @@ TEST_P(ShardedIngestEquivalenceTest, BackendBytesMatchSerialAtEveryShardCount) {
       EXPECT_EQ(sharded.dump, serial.dump);
       EXPECT_EQ(sharded.queries, serial.queries);
     }
-
-    // Hash shard mode and the deterministic executor runner hit the same
-    // bytes too: the plan shape never leaks into what is stored.
-    Options hash_options = options;
-    hash_options.ingest_shards = 4;
-    hash_options.ingest_shard_mode = Options::IngestShardMode::kHash;
-    EXPECT_EQ(RunIngest(data, hash_options, online).dump, serial.dump);
-
-    Executor executor;
-    Options executor_options = options;
-    executor_options.ingest_shards = 4;
-    const IngestRun simulated =
-        RunIngest(data, executor_options, online, &executor);
-    EXPECT_EQ(simulated.dump, serial.dump);
   }
 }
 

@@ -485,8 +485,8 @@ TEST(ObservabilityTest, IngestSpanReconcilesWithBackendCharge) {
     if (shards == 1) {
       serial_charge = ingest->charged_micros;
     } else {
-      // Writes are issued from the one calling thread in shard order, so
-      // the simulated charge is identical to serial ingest.
+      // Writes are issued from the one calling thread in partition order,
+      // so the simulated charge is identical to serial ingest.
       EXPECT_EQ(ingest->charged_micros, serial_charge);
     }
   }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core_test_util.h"
 
@@ -124,6 +126,28 @@ TEST(SubChunkBuilderTest, MissingPayloadIsError) {
   Options options;
   auto result = BuildSubChunks(data.dataset, data.payloads, rv, options);
   EXPECT_TRUE(result.status().IsInvalidArgument());
+
+  // The missing record belongs to the middle key in sorted order, so its
+  // carve block is neither the first nor the last at any thread count; the
+  // block's error must still reach the caller.
+  ExampleData chain = MakeChain(20, 64, 4);
+  std::set<std::string> keys;
+  for (const auto& [ck, payload] : chain.payloads) keys.insert(ck.key);
+  const CompositeKey missing(*std::next(keys.begin(), keys.size() / 2), 0);
+  ASSERT_EQ(chain.payloads.erase(missing), 1u);
+  RecordVersionMap chain_rv = chain.dataset.BuildRecordVersionMap();
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("ingest_shards=" + std::to_string(shards));
+    Options sharded;
+    sharded.max_sub_chunk_records = 3;
+    sharded.ingest_shards = shards;
+    auto built =
+        BuildSubChunks(chain.dataset, chain.payloads, chain_rv, sharded);
+    EXPECT_TRUE(built.status().IsInvalidArgument());
+    EXPECT_NE(built.status().message().find(missing.ToString()),
+              std::string::npos)
+        << built.status().ToString();
+  }
 }
 
 TEST(SubChunkBuilderTest, BranchedKeyHistoryStaysConnected) {

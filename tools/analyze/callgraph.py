@@ -400,37 +400,31 @@ class Program:
         Accesses that resolve to an untracked class, to a sync primitive
         member, or not at all are dropped."""
         member = event["member"]
-        # The clang frontend resolves the owner exactly.
-        cls = event.get("cls", "")
-        if cls:
-            hit = self._find_member(cls, member)
+        recv = event.get("recv", "")
+        if recv in ("", "this"):
+            hit = self._find_member(func.cls, member)
         else:
-            recv = event.get("recv", "")
-            if recv in ("", "this"):
-                hit = self._find_member(func.cls, member)
-            else:
-                recv_base = _base_identifier(recv)
-                classes = set()
-                if recv_base in func.local_types:
-                    classes = self._type_classes(func.local_types[recv_base])
-                if not classes:
-                    classes = self._member_type_classes(func.cls, recv_base)
-                if not classes:
-                    classes |= self._classes_named(recv_base)
-                hit = None
-                for c in classes:
-                    hit = self._find_member(c, member)
-                    if hit:
-                        break
-                if hit is None:
-                    # Program-wide unique owner (tracked or not: an
-                    # ambiguous name must drop, or copies of stat structs
-                    # would masquerade as the guarded originals).
-                    owners = [c for c, info in self.classes.items()
-                              if isinstance(info["members"].get(member),
-                                            dict)]
-                    if len(owners) == 1:
-                        hit = self._find_member(owners[0], member)
+            recv_base = _base_identifier(recv)
+            classes = set()
+            if recv_base in func.local_types:
+                classes = self._type_classes(func.local_types[recv_base])
+            if not classes:
+                classes = self._member_type_classes(func.cls, recv_base)
+            if not classes:
+                classes |= self._classes_named(recv_base)
+            hit = None
+            for c in classes:
+                hit = self._find_member(c, member)
+                if hit:
+                    break
+            if hit is None:
+                # Program-wide unique owner (tracked or not: an ambiguous
+                # name must drop, or copies of stat structs would
+                # masquerade as the guarded originals).
+                owners = [c for c, info in self.classes.items()
+                          if isinstance(info["members"].get(member), dict)]
+                if len(owners) == 1:
+                    hit = self._find_member(owners[0], member)
         if hit is None:
             return None
         owner, rec = hit

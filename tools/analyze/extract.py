@@ -14,10 +14,8 @@ repo lint (tools/lint.py) and clang-format keep uniform:
   * callbacks are `std::function` parameters (or a `using` alias of one);
   * one class per qualified name, CamelCase methods, snake_case members.
 
-The libclang frontend (extract_clang.py) produces the same facts with exact
-name resolution and is preferred when python3-clang is installed; this
-frontend is the portable fallback and the deterministic CI gate until the
-two provably agree (see DESIGN.md "Static analysis").
+It is the analyzer's only frontend; see DESIGN.md "Static analysis" for what
+its name resolution approximates.
 """
 
 import os

@@ -1,17 +1,16 @@
-"""Fact schema shared by the tools/analyze frontends and the analysis stage.
+"""Fact schema shared by the tools/analyze frontend and the analysis stage.
 
-A frontend (extract.py's portable parser, or extract_clang.py's libclang
-walker) turns one translation unit into a *facts* dict; the analysis stage
-(callgraph.py + checks.py) consumes only facts and never looks at C++ again.
-Keeping this boundary strict is what makes the facts cacheable per source
-hash and the frontends interchangeable.
+The frontend (extract.py's portable parser) turns one translation unit into
+a *facts* dict; the analysis stage (callgraph.py + checks.py) consumes only
+facts and never looks at C++ again. Keeping this boundary strict is what
+makes the facts cacheable per source hash.
 
 Facts dict layout (schema SCHEMA_VERSION):
 
   {
     "schema": int,
     "tu": "src/kvstore/cluster.cc",        # repo-relative path
-    "extractor": "python" | "clang",
+    "extractor": "python",
     "ranks": {"kLockRankCluster": 400, ...},     # enum LockRank constants
     "aliases": ["ChunkResolver", ...],           # using X = std::function<..>
     "classes": {
@@ -68,7 +67,7 @@ strings locally held at that point — and "allow", the list of check names a
   random        {"what": "std::random_device"}
   field         {"member": "stats_",          # last path component
                  "recv": "shard" | "this" | "",  # receiver expression
-                 "cls": "Cluster" | "",       # "" = resolve at analysis time
+                 "cls": "",                   # owner resolves at analysis time
                  "write": bool}               # mutation (assign/inc/mutating
                                               # container or atomic method)
 """

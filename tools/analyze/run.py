@@ -3,9 +3,9 @@
 
 Two stages (see DESIGN.md "Static analysis"):
 
-  1. per-TU fact extraction (pluggable frontend: the portable pure-Python
-     parser, or libclang when python3-clang is installed), cached in
-     .analyze-cache/ keyed on source hash + extractor identity;
+  1. per-TU fact extraction (the portable pure-Python parser in
+     extract.py), cached in .analyze-cache/ keyed on source hash +
+     extractor identity;
   2. a merged call-graph analysis running six checks:
        lock-rank-static     ranks must strictly decrease along every
                             acquisition path, including transitive ones
@@ -56,7 +56,7 @@ for p in (ANALYZE_DIR, TOOLS_DIR):
 import callgraph
 import checks as checks_mod
 import compile_commands as ccdb
-import extract as extract_python
+import extract
 import facts as facts_mod
 
 BASELINE_PATH = os.path.join(ANALYZE_DIR, "baseline.json")
@@ -73,37 +73,19 @@ EXPECT_RE = re.compile(
     r"//\s*analyze:expect-([\w-]+)(?:\s+chain>=(\d+))?")
 
 
-# -- frontends ---------------------------------------------------------------
-
-def load_extractor(name):
-    """(module, resolved_name); exits with guidance when 'clang' is asked
-    for but python3-clang is not installed."""
-    if name in ("clang", "auto"):
-        try:
-            import extract_clang
-            extract_clang.require_usable()
-            return extract_clang, "clang"
-        except Exception as exc:  # noqa: BLE001 - any import/probe failure
-            if name == "clang":
-                print("run.py: libclang frontend unavailable (%s);\n"
-                      "  install python3-clang + libclang, or use "
-                      "--extractor python" % exc, file=sys.stderr)
-                sys.exit(2)
-    return extract_python, "python"
-
+# -- extraction --------------------------------------------------------------
 
 def _extract_one(job):
     """Worker: returns (path, facts, status). `status` is "hit" or a
     "miss:<why>" tag for --incremental reporting; on a broken TU the worker
     returns (path, None, "error:<message>") instead of raising, so one bad
     file cannot poison the whole pool (the parent reports it and exits 2)."""
-    path, extractor_name, cache_dir = job
+    path, cache_dir = job
     try:
-        module, _ = load_extractor(extractor_name)
         with open(path, "rb") as f:
             source = f.read()
         key = facts_mod.facts_cache_key(
-            source, module.EXTRACTOR_NAME, module.EXTRACTOR_VERSION)
+            source, extract.EXTRACTOR_NAME, extract.EXTRACTOR_VERSION)
         cache_path = (os.path.join(cache_dir, key + ".json")
                       if cache_dir else None)
         status = "miss:disabled" if not cache_dir else "miss:new"
@@ -116,7 +98,8 @@ def _extract_one(job):
                 status = "miss:schema"
             except (OSError, ValueError):
                 status = "miss:corrupt"
-        tu_facts = module.extract_file(path, os.path.relpath(path, REPO_ROOT))
+        tu_facts = extract.extract_file(path,
+                                        os.path.relpath(path, REPO_ROOT))
         if cache_path:
             os.makedirs(cache_dir, exist_ok=True)
             tmp = cache_path + ".tmp.%d" % os.getpid()
@@ -292,10 +275,6 @@ def main():
     parser.add_argument("--self-test", action="store_true",
                         help="analyze the bad-fixture corpus and assert "
                              "every expected finding fires")
-    parser.add_argument("--extractor", choices=("auto", "python", "clang"),
-                        default="auto",
-                        help="fact-extraction frontend (auto: libclang when "
-                             "installed, else the portable parser)")
     parser.add_argument("--jobs", "-j", type=int,
                         default=min(8, os.cpu_count() or 1),
                         help="parallel extraction workers (clamped to >= 1)")
@@ -322,17 +301,15 @@ def main():
               file=sys.stderr)
         return 2
 
-    module, extractor_name = load_extractor(args.extractor)
     cache_dir = "" if args.no_cache else args.cache_dir
 
     sources, notes = collect_sources(args)
     if args.verbose:
         for note in notes:
             print("note: %s" % note)
-        print("extracting %d file(s) with the %s frontend"
-              % (len(sources), extractor_name))
+        print("extracting %d file(s)" % len(sources))
 
-    jobs = [(path, extractor_name, cache_dir) for path in sources]
+    jobs = [(path, cache_dir) for path in sources]
     njobs = max(1, min(args.jobs, len(jobs)))
     if njobs > 1:
         # chunksize=1 keeps the stragglers balanced; map() preserves the
@@ -391,7 +368,7 @@ def main():
 
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({"extractor": extractor_name,
+            json.dump({"extractor": extract.EXTRACTOR_NAME,
                        "sources": len(sources),
                        "functions": len(program.functions),
                        "findings": findings,
@@ -411,14 +388,10 @@ def main():
                  os.path.relpath(BASELINE_PATH, REPO_ROOT)))
     if new:
         print("\n%d new finding(s) across %d file(s), %d function(s) "
-              "analyzed [%s frontend]"
-              % (len(new), len(sources), len(program.functions),
-                 extractor_name))
+              "analyzed" % (len(new), len(sources), len(program.functions)))
         return 1
-    print("analyze: clean (%d file(s), %d function(s), %d baselined) "
-          "[%s frontend]"
-          % (len(sources), len(program.functions), len(known),
-             extractor_name))
+    print("analyze: clean (%d file(s), %d function(s), %d baselined)"
+          % (len(sources), len(program.functions), len(known)))
     return 0
 
 
