@@ -215,4 +215,28 @@ Status Chunk::SetChunkMap(ChunkMap map) {
   return Status::OK();
 }
 
+Result<RecordPayloadMap> ReplayChunks(
+    const std::vector<std::shared_ptr<const Chunk>>& chunks) {
+  RecordPayloadMap replayed;
+  PayloadResolver resolver =
+      [&replayed](const CompositeKey& ck) -> Result<std::string> {
+    auto it = replayed.find(ck);
+    if (it == replayed.end()) {
+      return Status::Corruption("delta base record " + ck.ToString() +
+                                " not yet replayed");
+    }
+    return it->second;
+  };
+  for (const auto& chunk : chunks) {
+    std::vector<uint32_t> all(chunk->record_count());
+    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto extracted = chunk->ExtractRecords(all, resolver);
+    if (!extracted.ok()) return extracted.status();
+    for (auto& [ck, payload] : extracted.value()) {
+      replayed[ck] = std::move(payload);
+    }
+  }
+  return replayed;
+}
+
 }  // namespace rstore

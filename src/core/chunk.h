@@ -2,10 +2,12 @@
 #define RSTORE_CORE_CHUNK_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/chunk_map.h"
+#include "core/record.h"
 #include "core/sub_chunk.h"
 
 namespace rstore {
@@ -121,6 +123,15 @@ class Chunk {
   std::vector<SubChunkMember> members_;
   ChunkMap map_;
 };
+
+/// Every record of `chunks` with its payload — the DELTA baseline's chain
+/// replay, which decompresses every record of every delta object since
+/// later deltas may be record-level-encoded against earlier records. A
+/// record delta-encoded against a base in another chunk is resolved from
+/// the records already replayed, so `chunks` must be in ascending id order:
+/// ids ascend with origin version, so bases precede dependents.
+Result<RecordPayloadMap> ReplayChunks(
+    const std::vector<std::shared_ptr<const Chunk>>& chunks);
 
 }  // namespace rstore
 

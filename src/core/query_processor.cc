@@ -68,38 +68,6 @@ Result<Record> PointAnswer(Result<std::vector<Record>> records,
 std::string TakeBody(std::string& body) { return std::move(body); }
 std::string TakeBody(const std::string& body) { return body; }
 
-using ReplayedRecords =
-    std::unordered_map<CompositeKey, std::string, CompositeKeyHash>;
-
-/// Replays a fetched delta chain in full — the DELTA baseline's cost
-/// profile: every record of every delta object is decompressed, since
-/// later deltas may be record-level-encoded against earlier records.
-Result<ReplayedRecords> ReplayAll(
-    const std::vector<std::shared_ptr<const Chunk>>& chunks) {
-  ReplayedRecords replayed;
-  SubChunk::PayloadResolver resolver =
-      [&replayed](const CompositeKey& ck) -> Result<std::string> {
-    auto it = replayed.find(ck);
-    if (it == replayed.end()) {
-      return Status::Corruption("delta base record " + ck.ToString() +
-                                " not yet replayed");
-    }
-    return it->second;
-  };
-  for (const auto& chunk_ref : chunks) {
-    const Chunk& chunk = *chunk_ref;
-    // Chunk ids ascend with origin version, so bases precede dependents.
-    std::vector<uint32_t> all(chunk.record_count());
-    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-    auto extracted = chunk.ExtractRecords(all, resolver);
-    if (!extracted.ok()) return extracted.status();
-    for (auto& [ck, payload] : extracted.value()) {
-      replayed[ck] = std::move(payload);
-    }
-  }
-  return replayed;
-}
-
 }  // namespace
 
 QueryProcessor::QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
@@ -700,7 +668,7 @@ std::vector<ChunkId> QueryProcessor::RangeChunkIds(
 Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
     const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
     const std::string& key_lo, const std::string& key_hi) const {
-  auto replayed = ReplayAll(chunks);
+  auto replayed = ReplayChunks(chunks);
   if (!replayed.ok()) return replayed.status();
   // Membership — replayed on the application server from the in-memory
   // deltas — selects the live records.
@@ -727,7 +695,7 @@ Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
   if (layout_ == LayoutKind::kDeltaChain) {
     // Everything was fetched; replay it all (record-level deltas may chain
     // across versions) and filter by key.
-    auto replayed = ReplayAll(chunks);
+    auto replayed = ReplayChunks(chunks);
     if (!replayed.ok()) return replayed.status();
     for (auto& [ck, payload] : *replayed) {
       if (ck.key == key) out.push_back(Record{ck, std::move(payload)});

@@ -24,7 +24,8 @@ struct StoreReport {
   uint64_t chunk_bytes = 0;
   uint64_t uncompressed_record_bytes = 0;
   double compression_ratio = 1.0;
-  /// Bytes of chunk maps + persisted projections in the index table.
+  /// Bytes of the index table: chunk maps, the graph key and any branch
+  /// and tag keys. The projections live only in memory.
   uint64_t index_table_bytes = 0;
   /// In-memory footprint of the two lossy projections.
   uint64_t projection_memory_bytes = 0;

@@ -213,21 +213,11 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
   ScopedSpan write_span(trace, "write.encode_and_put");
   for (const std::vector<uint32_t>& item_indices : partitioned->chunks) {
     Chunk chunk(next_chunk_id_++);
-    VersionId origin = kInvalidVersion;
     for (uint32_t item : item_indices) {
-      origin = std::min(origin, result.items[item].origin_version);
       chunk.AddSubChunk(std::move(result.sub_chunks[item]));
     }
-    catalog_.RegisterChunk(chunk.id(), chunk.records());
-    if (origin != kInvalidVersion) {
-      catalog_.SetChunkOrigin(chunk.id(), origin);
-    }
-    auto map = catalog_.BuildChunkMap(chunk.id());
-    if (!map.ok()) return map.status();
-    for (VersionId v : map->Versions()) {
-      catalog_.AddVersionChunk(v, chunk.id());
-    }
-    RSTORE_RETURN_IF_ERROR(chunk.SetChunkMap(std::move(map).value()));
+    RSTORE_RETURN_IF_ERROR(
+        chunk.SetChunkMap(catalog_.AddChunk(chunk.id(), chunk.records())));
     RSTORE_RETURN_IF_ERROR(WriteChunk(&chunk));
   }
   return Status::OK();
@@ -494,7 +484,11 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
   // 2. Membership indexes from the recovered deltas.
   *store->catalog_.record_versions() = store->tree_.BuildRecordVersionMap();
 
-  // 3. Chunk bookkeeping from the chunk table.
+  // 3. The catalog, derived from the chunk table: each chunk is registered
+  // the way the write path registers it. A chunk holding a record of a
+  // version the graph does not know was written by a drain after the last
+  // Flush; it is left out, but its id is never reused.
+  const VersionId num_versions = store->tree_.graph.size();
   Status decode_status = Status::OK();
   RSTORE_RETURN_IF_ERROR(backend->Scan(
       options.chunk_table, [&](Slice, Slice value) {
@@ -505,26 +499,21 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
           decode_status = s;
           return;
         }
-        VersionId origin = kInvalidVersion;
-        for (const CompositeKey& ck : chunk.records()) {
-          origin = std::min(origin, ck.version);
-        }
-        store->catalog_.RegisterChunk(chunk.id(), chunk.records());
-        if (origin != kInvalidVersion) {
-          store->catalog_.SetChunkOrigin(chunk.id(), origin);
-        }
         store->next_chunk_id_ =
             std::max(store->next_chunk_id_, chunk.id() + 1);
+        if (std::any_of(chunk.records().begin(), chunk.records().end(),
+                        [num_versions](const CompositeKey& ck) {
+                          return ck.version >= num_versions;
+                        })) {
+          return;
+        }
+        (void)store->catalog_.AddChunk(chunk.id(), chunk.records());
         store->stored_chunk_bytes_ += value.size();
         store->stored_record_bytes_ += chunk.uncompressed_bytes();
       }));
   RSTORE_RETURN_IF_ERROR(decode_status);
 
-  // 4. The persisted lossy projections.
-  RSTORE_RETURN_IF_ERROR(
-      store->catalog_.LoadProjections(backend, options.index_table));
-
-  // 5. Retrieval rules follow the configured algorithm.
+  // 4. Retrieval rules follow the configured algorithm.
   switch (options.algorithm) {
     case PartitionAlgorithm::kDeltaBaseline:
       store->layout_ = LayoutKind::kDeltaChain;
@@ -543,36 +532,30 @@ Status RStore::Repartition(TraceContext* trace) {
   if (tree_.graph.empty()) return Status::OK();
 
   // Read every record payload back from the backend (the authoritative
-  // copy; the application server keeps no payloads in memory).
-  RecordPayloadMap payloads;
+  // copy; the application server keeps no payloads in memory). DELTA
+  // records are encoded against bases in other chunks, so the chunks are
+  // replayed in id order, as a chain-replay query does.
+  std::vector<std::shared_ptr<const Chunk>> chunks;
   std::vector<std::pair<std::string, std::string>> old_entries;  // table,key
-  Status extract_status = Status::OK();
+  Status decode_status = Status::OK();
   Status s = backend_->Scan(
       options_.chunk_table, [&](Slice key, Slice value) {
-        if (!extract_status.ok()) return;
+        if (!decode_status.ok()) return;
         old_entries.emplace_back(options_.chunk_table, key.ToString());
-        Chunk chunk;
-        Status cs = Chunk::DecodeFrom(value.ToString(), &chunk);
-        if (!cs.ok()) {
-          extract_status = cs;
-          return;
-        }
-        for (size_t sub = 0; sub < chunk.num_sub_chunks(); ++sub) {
-          SubChunkView sc = chunk.sub_chunk(sub);
-          auto extracted = sc.ExtractAllPayloads();
-          if (!extracted.ok()) {
-            extract_status = extracted.status();
-            return;
-          }
-          for (size_t i = 0; i < sc.keys().size(); ++i) {
-            payloads[sc.keys()[i]] = std::move(extracted.value()[i]);
-          }
-        }
+        auto chunk = std::make_shared<Chunk>();
+        decode_status = Chunk::DecodeFrom(value.ToString(), chunk.get());
+        if (!decode_status.ok()) return;
         old_entries.emplace_back(options_.index_table,
-                                 ChunkMapKey(chunk.id()));
+                                 ChunkMapKey(chunk->id()));
+        chunks.push_back(std::move(chunk));
       });
   RSTORE_RETURN_IF_ERROR(s);
-  RSTORE_RETURN_IF_ERROR(extract_status);
+  RSTORE_RETURN_IF_ERROR(decode_status);
+  std::sort(chunks.begin(), chunks.end(),
+            [](const auto& a, const auto& b) { return a->id() < b->id(); });
+  auto payloads = ReplayChunks(chunks);
+  if (!payloads.ok()) return payloads.status();
+  chunks.clear();
 
   // Rebuild from scratch: fresh catalog, fresh chunk ids, offline pass over
   // the full tree.
@@ -583,7 +566,7 @@ Status RStore::Repartition(TraceContext* trace) {
   stored_chunk_bytes_ = 0;
   stored_record_bytes_ = 0;
   *catalog_.record_versions() = tree_.BuildRecordVersionMap();
-  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, payloads, trace));
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, *payloads, trace));
   return Status::OK();
 }
 
@@ -673,9 +656,8 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
 
 Status RStore::Flush(TraceContext* trace) {
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  // Persist the projections and the version graph alongside the data.
-  RSTORE_RETURN_IF_ERROR(
-      catalog_.PersistProjections(backend_, options_.index_table));
+  // The graph key is the only index state persisted: Reopen derives the
+  // catalog from it and the chunk table.
   std::string graph_blob;
   tree_.graph.EncodeTo(&graph_blob);
   for (const VersionDelta& delta : tree_.deltas) delta.EncodeTo(&graph_blob);

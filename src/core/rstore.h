@@ -54,9 +54,12 @@ class RStore {
 
   /// Recovers an application server from a backend previously populated by
   /// another RStore instance that called Flush(): reloads the version graph
-  /// and deltas, the persisted projections, and rebuilds the chunk/record
-  /// bookkeeping by scanning the chunk table. The paper's AS "uses the KVS
-  /// for persisting any of its data structures" — this is the restart path.
+  /// and deltas from the graph key, then scans the chunk table and registers
+  /// each chunk as the write path does, deriving both projections from the
+  /// chunks' record lists and the deltas. A chunk holding a record of a
+  /// version the graph does not know (written by a drain after the last
+  /// Flush) is left out. The paper's AS "uses the KVS for persisting any of
+  /// its data structures" — this is the restart path.
   static Result<std::unique_ptr<RStore>> Reopen(KVStore* backend,
                                                 const Options& options);
 
@@ -86,14 +89,16 @@ class RStore {
       VersionId parent, const std::map<std::string, std::string>& snapshot,
       TraceContext* trace = nullptr);
 
-  /// Forces the pending batch through the online partitioner and persists
-  /// the projections.
+  /// Forces the pending batch through the online partitioner, then writes
+  /// the version graph and deltas to the graph key — the one index-state
+  /// key Reopen needs besides the chunks.
   Status Flush(TraceContext* trace = nullptr);
 
-  /// Full offline repartitioning of the entire store: every record payload
-  /// is read back from the backend, the configured algorithm is re-run over
-  /// the complete version tree, and all chunks, chunk maps and projections
-  /// are rewritten. Restores offline-quality layout after a long sequence of
+  /// Full offline repartitioning of the entire store: every chunk is read
+  /// back from the backend and replayed in id order (so DELTA records find
+  /// their bases), the configured algorithm is re-run over the complete
+  /// version tree, all chunks and chunk maps are rewritten and the catalog
+  /// is rebuilt. Restores offline-quality layout after a long sequence of
   /// online batches — "online partitioning without repartitioning, combined
   /// with a full repartitioning periodically, presents a pragmatic approach
   /// to handling updates" (paper §4).

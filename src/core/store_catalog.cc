@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/coding.h"
-
 namespace rstore {
 
 namespace {
@@ -15,21 +13,23 @@ void InsertSorted(std::vector<ChunkId>* list, ChunkId id) {
 
 }  // namespace
 
-void StoreCatalog::RegisterChunk(ChunkId id,
-                                 std::vector<CompositeKey> records) {
+ChunkMap StoreCatalog::AddChunk(ChunkId id,
+                                std::vector<CompositeKey> records) {
+  VersionId origin = kInvalidVersion;
   for (const CompositeKey& ck : records) {
     chunk_of_record_[ck] = id;
     InsertSorted(&key_chunks_[ck.key], id);
+    origin = std::min(origin, ck.version);
   }
+  if (origin != kInvalidVersion) InsertSorted(&origin_chunks_[origin], id);
+  ChunkMap map = MapOf(records);
+  for (VersionId v : map.Versions()) AddVersionChunk(v, id);
   chunk_records_[id] = std::move(records);
+  return map;
 }
 
 void StoreCatalog::AddVersionChunk(VersionId version, ChunkId id) {
   InsertSorted(&version_chunks_[version], id);
-}
-
-void StoreCatalog::SetChunkOrigin(ChunkId id, VersionId origin) {
-  InsertSorted(&origin_chunks_[origin], id);
 }
 
 std::vector<ChunkId> StoreCatalog::ChunksOriginatedAt(
@@ -73,9 +73,13 @@ Result<ChunkMap> StoreCatalog::BuildChunkMap(ChunkId id) const {
     return Status::NotFound("chunk " + std::to_string(id) +
                             " not in catalog");
   }
-  ChunkMap map(static_cast<uint32_t>(records->size()));
-  for (uint32_t i = 0; i < records->size(); ++i) {
-    auto it = record_versions_.find((*records)[i]);
+  return MapOf(*records);
+}
+
+ChunkMap StoreCatalog::MapOf(const std::vector<CompositeKey>& records) const {
+  ChunkMap map(static_cast<uint32_t>(records.size()));
+  for (uint32_t i = 0; i < records.size(); ++i) {
+    auto it = record_versions_.find(records[i]);
     if (it == record_versions_.end()) continue;
     for (VersionId v : it->second) map.Add(v, i);
   }
@@ -104,11 +108,6 @@ uint64_t StoreCatalog::TotalVersionSpan() const {
   return total;
 }
 
-uint64_t StoreCatalog::KeySpan(const std::string& key) const {
-  auto it = key_chunks_.find(key);
-  return it == key_chunks_.end() ? 0 : it->second.size();
-}
-
 uint64_t StoreCatalog::ProjectionMemoryBytes() const {
   uint64_t total = 0;
   for (const auto& [version, chunks] : version_chunks_) {
@@ -118,87 +117,6 @@ uint64_t StoreCatalog::ProjectionMemoryBytes() const {
     total += key.size() + chunks.size() * sizeof(ChunkId);
   }
   return total;
-}
-
-namespace {
-
-// The projections are sorted chunk-id lists ("adjacency lists"); persist
-// them gap-encoded — "standard techniques from inverted indexes literature
-// can be used to compress the adjacency lists" (paper §2.4).
-void EncodeChunkList(const std::vector<ChunkId>& chunks, std::string* out) {
-  PutVarint64(out, chunks.size());
-  ChunkId previous = 0;
-  for (ChunkId id : chunks) {
-    PutVarint64(out, id - previous);
-    previous = id;
-  }
-}
-
-Status DecodeChunkList(Slice* input, std::vector<ChunkId>* chunks) {
-  uint64_t count;
-  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &count));
-  chunks->resize(count);
-  ChunkId previous = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t gap;
-    RSTORE_RETURN_IF_ERROR(GetVarint64(input, &gap));
-    previous += gap;
-    (*chunks)[i] = previous;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status StoreCatalog::PersistProjections(KVStore* kvs,
-                                        const std::string& table) const {
-  RSTORE_RETURN_IF_ERROR(kvs->CreateTable(table));
-  for (const auto& [version, chunks] : version_chunks_) {
-    std::string key = "v";
-    PutVarint32(&key, version);
-    std::string value;
-    EncodeChunkList(chunks, &value);
-    RSTORE_RETURN_IF_ERROR(kvs->Put(table, key, value));
-  }
-  for (const auto& [record_key, chunks] : key_chunks_) {
-    std::string key = "k" + record_key;
-    std::string value;
-    EncodeChunkList(chunks, &value);
-    RSTORE_RETURN_IF_ERROR(kvs->Put(table, key, value));
-  }
-  return Status::OK();
-}
-
-Status StoreCatalog::LoadProjections(KVStore* kvs, const std::string& table) {
-  version_chunks_.clear();
-  key_chunks_.clear();
-  Status parse_status = Status::OK();
-  Status s = kvs->Scan(table, [&](Slice key, Slice value) {
-    if (!parse_status.ok() || key.empty()) return;
-    char tag = key[0];
-    if (tag != 'v' && tag != 'k') return;  // other index-table entries
-    Slice rest(key.data() + 1, key.size() - 1);
-    Slice v(value);
-    std::vector<ChunkId> chunks;
-    Status cs = DecodeChunkList(&v, &chunks);
-    if (!cs.ok()) {
-      parse_status = cs;
-      return;
-    }
-    if (tag == 'v') {
-      uint32_t version;
-      cs = GetVarint32(&rest, &version);
-      if (!cs.ok()) {
-        parse_status = cs;
-        return;
-      }
-      version_chunks_[version] = std::move(chunks);
-    } else {
-      key_chunks_[rest.ToString()] = std::move(chunks);
-    }
-  });
-  RSTORE_RETURN_IF_ERROR(s);
-  return parse_status;
 }
 
 }  // namespace rstore

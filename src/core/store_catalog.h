@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "core/chunk.h"
 #include "core/chunk_map.h"
-#include "kvstore/kv_store.h"
 #include "version/dataset.h"
 
 namespace rstore {
@@ -20,24 +19,28 @@ namespace rstore {
 /// key->chunks — plus the bookkeeping the online partitioner needs to
 /// rebuild chunk maps from memory (chunk->records and record->versions).
 ///
-/// "We use in-memory hashmaps to store these mappings"; both projections can
-/// also be persisted to / recovered from the index table in the KVS.
+/// "We use in-memory hashmaps to store these mappings." The catalog itself
+/// is never persisted: each chunk's entries are derived from its record
+/// list and record_versions by AddChunk, the one call through which both
+/// the write path and RStore::Reopen register chunks.
 class StoreCatalog {
  public:
   StoreCatalog() = default;
 
-  /// Registers a freshly written chunk and indexes its records. The record
-  /// list must be the chunk's flattened member keys in order.
-  void RegisterChunk(ChunkId id, std::vector<CompositeKey> records);
+  /// Registers chunk `id`, whose flattened member keys in order are
+  /// `records`: indexes the records under their keys, files the chunk under
+  /// its origin (its earliest record version), builds its map from
+  /// record_versions and lists the chunk under every version in that map.
+  /// Returns the map.
+  ChunkMap AddChunk(ChunkId id, std::vector<CompositeKey> records);
 
   /// Marks `version` as containing records of chunk `id` (drives the
   /// version->chunks projection).
   void AddVersionChunk(VersionId version, ChunkId id);
 
-  /// Records the version a chunk's contents originated at (the version whose
-  /// ∆⁺ produced its earliest record). The DELTA baseline's chain-replay
-  /// retrieval fetches chunks by origin rather than membership.
-  void SetChunkOrigin(ChunkId id, VersionId origin);
+  /// Chunks whose earliest record was added at `version` (sorted). The
+  /// DELTA baseline's chain-replay retrieval fetches chunks by origin
+  /// rather than membership.
   std::vector<ChunkId> ChunksOriginatedAt(VersionId version) const;
 
   /// Authoritative record -> sorted versions map (the source from which all
@@ -80,20 +83,15 @@ class StoreCatalog {
   /// as maintained by the live projections.
   uint64_t VersionSpan(VersionId version) const;
   uint64_t TotalVersionSpan() const;
-  /// Span of a key-evolution query: |ChunksOfKey(key)|.
-  uint64_t KeySpan(const std::string& key) const;
 
   /// Approximate heap footprint of the two projections, reported like the
   /// paper's index-size discussion (§2.4).
   uint64_t ProjectionMemoryBytes() const;
 
-  /// Persists both projections into `table` (keys "v<id>" / "k<key>"), e.g.
-  /// at flush/close.
-  Status PersistProjections(KVStore* kvs, const std::string& table) const;
-  /// Restores projections written by PersistProjections.
-  Status LoadProjections(KVStore* kvs, const std::string& table);
-
  private:
+  /// The map of a chunk holding `records`, built from record_versions.
+  ChunkMap MapOf(const std::vector<CompositeKey>& records) const;
+
   std::unordered_map<ChunkId, std::vector<CompositeKey>> chunk_records_;
   std::unordered_map<CompositeKey, ChunkId, CompositeKeyHash>
       chunk_of_record_;

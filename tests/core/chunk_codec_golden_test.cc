@@ -214,13 +214,13 @@ struct OnlineGolden {
 
 // Recorded like kGolden: a change here changes what online ingest stores.
 constexpr OnlineGolden kOnlineGolden[] = {
-    {PartitionAlgorithm::kBottomUp, 203, 15358974710284276911ull},
-    {PartitionAlgorithm::kShingle, 191, 4492897110005208394ull},
-    {PartitionAlgorithm::kDepthFirst, 190, 7417002488641144684ull},
-    {PartitionAlgorithm::kBreadthFirst, 191, 12787845483939864079ull},
-    {PartitionAlgorithm::kDeltaBaseline, 236, 6291542020862935235ull},
-    {PartitionAlgorithm::kSubChunkBaseline, 929, 14301107600323188908ull},
-    {PartitionAlgorithm::kSingleAddressSpace, 952, 2804958707249208494ull},
+    {PartitionAlgorithm::kBottomUp, 99, 16920213482785204936ull},
+    {PartitionAlgorithm::kShingle, 87, 1966874143667304968ull},
+    {PartitionAlgorithm::kDepthFirst, 86, 5571245948157778383ull},
+    {PartitionAlgorithm::kBreadthFirst, 87, 13746106971442846290ull},
+    {PartitionAlgorithm::kDeltaBaseline, 132, 17410260754128984786ull},
+    {PartitionAlgorithm::kSubChunkBaseline, 825, 12113805788411598756ull},
+    {PartitionAlgorithm::kSingleAddressSpace, 848, 7485472966011022087ull},
 };
 
 class OnlineWritePathGoldenTest

@@ -4,18 +4,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <map>
+#include <set>
+#include <tuple>
+#include <unordered_set>
 
 #include "core/branch_manager.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
+#include "workload/dataset_generator.h"
 
 namespace rstore {
 namespace {
 
 using testing::ExampleData;
 using testing::MakeChain;
+using testing::SerializeRecords;
 
 Options SmallOptions() {
   Options options;
@@ -29,6 +36,29 @@ std::map<std::string, std::string> ToMap(const std::vector<Record>& records) {
   std::map<std::string, std::string> out;
   for (const Record& r : records) out[r.key.key] = r.payload;
   return out;
+}
+
+/// Commits versions [first, end) of `dataset` into `store`, each as the
+/// delta from its primary parent.
+void CommitVersions(RStore* store, const VersionedDataset& dataset,
+                    const RecordPayloadMap& payloads, VersionId first,
+                    VersionId end) {
+  for (VersionId v = first; v < end; ++v) {
+    CommitDelta delta;
+    std::unordered_set<std::string> upserted;
+    for (const CompositeKey& ck : dataset.deltas[v].added) {
+      upserted.insert(ck.key);
+      delta.upserts.push_back(Record{ck, payloads.at(ck)});
+    }
+    for (const CompositeKey& ck : dataset.deltas[v].removed) {
+      if (!upserted.count(ck.key)) delta.deletes.push_back(ck.key);
+    }
+    const VersionId parent =
+        v == 0 ? kInvalidVersion : dataset.graph.PrimaryParent(v);
+    auto committed = store->Commit(parent, std::move(delta));
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    ASSERT_EQ(*committed, v);
+  }
 }
 
 TEST(ReopenTest, RecoversFullStateAfterRestart) {
@@ -80,6 +110,75 @@ TEST(ReopenTest, RecoveredStoreAcceptsNewCommits) {
   EXPECT_TRUE((*reopened)->VerifyIntegrity().ok());
 }
 
+// The projections are derived at Reopen, never stored: with nothing staged,
+// Flush writes the graph key and nothing else, and the index table holds
+// only chunk maps besides it.
+TEST(ReopenTest, FlushWritesOnlyTheGraphKey) {
+  ExampleData data = MakeChain(12, 6, 2);
+  MemoryStore backend;
+  auto store = RStore::Open(&backend, SmallOptions());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+  const uint64_t puts_before = backend.stats().puts;
+  ASSERT_TRUE((*store)->Flush().ok());
+  EXPECT_EQ(backend.stats().puts, puts_before + 1);
+  std::vector<std::string> index_keys;
+  ASSERT_TRUE(backend
+                  .Scan((*store)->options().index_table,
+                        [&](Slice key, Slice) {
+                          index_keys.push_back(key.ToString());
+                        })
+                  .ok());
+  EXPECT_EQ(std::count(index_keys.begin(), index_keys.end(), "g"), 1);
+  for (const std::string& key : index_keys) {
+    EXPECT_TRUE(key == "g" || key[0] == 'm') << key;
+  }
+}
+
+// A drain after the last Flush writes chunks whose records belong to
+// versions the persisted graph does not know. Reopen leaves them out of the
+// catalog, so the recovered store answers exactly as it did at the Flush.
+TEST(ReopenTest, ChunksDrainedAfterLastFlushAreNotAdopted) {
+  ExampleData data = MakeChain(20, 10, 3);
+  Options options = SmallOptions();
+  options.online_batch_size = 4;
+  MemoryStore backend;
+  auto store = RStore::Open(&backend, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_NO_FATAL_FAILURE(
+      CommitVersions(store->get(), data.dataset, data.payloads, 0, 12));
+  ASSERT_TRUE((*store)->Flush().ok());
+  const uint64_t flushed_chunks = (*store)->NumChunks();
+  std::vector<std::string> flushed_answers;
+  for (VersionId v = 0; v < 12; ++v) {
+    flushed_answers.push_back(SerializeRecords(*(*store)->GetVersion(v)));
+  }
+
+  // Two more drains write chunks; nothing flushes them.
+  ASSERT_NO_FATAL_FAILURE(
+      CommitVersions(store->get(), data.dataset, data.payloads, 12, 20));
+  ASSERT_GT((*store)->NumChunks(), flushed_chunks);
+
+  auto reopened = RStore::Reopen(&backend, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  RStore& db = **reopened;
+  EXPECT_EQ(db.num_versions(), 12u);
+  EXPECT_EQ(db.NumChunks(), flushed_chunks);
+  for (VersionId v = 0; v < 12; ++v) {
+    auto got = db.GetVersion(v);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(SerializeRecords(*got), flushed_answers[v]) << "version " << v;
+  }
+  for (const CompositeKey& ck : data.dataset.deltas[0].added) {
+    auto history = db.GetHistory(ck.key);
+    ASSERT_TRUE(history.ok()) << history.status().ToString();
+    EXPECT_FALSE(history->empty()) << ck.key;
+    for (const Record& r : *history) {
+      EXPECT_LT(r.key.version, 12u) << r.key.ToString();
+    }
+  }
+}
+
 TEST(ReopenTest, EmptyBackendIsInvalid) {
   MemoryStore backend;
   EXPECT_TRUE(
@@ -117,6 +216,118 @@ TEST(ReopenTest, MergeGraphSurvivesRestart) {
   EXPECT_TRUE((*reopened)->dataset().graph.IsTree());
   EXPECT_EQ((*reopened)->GetVersion(3)->size(), 3u);
 }
+
+/// How a ReopenCatalogTest store receives its versions.
+enum class LoadPath { kBulkLoad, kCommits, kCommitsThenRepartition };
+
+constexpr PartitionAlgorithm kAllAlgorithms[] = {
+    PartitionAlgorithm::kBottomUp,        PartitionAlgorithm::kShingle,
+    PartitionAlgorithm::kDepthFirst,      PartitionAlgorithm::kBreadthFirst,
+    PartitionAlgorithm::kDeltaBaseline,   PartitionAlgorithm::kSubChunkBaseline,
+    PartitionAlgorithm::kSingleAddressSpace,
+};
+
+using ReopenCase = std::tuple<PartitionAlgorithm, LoadPath>;
+
+std::string ReopenCaseName(const ::testing::TestParamInfo<ReopenCase>& info) {
+  std::string name = PartitionAlgorithmName(std::get<0>(info.param));
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  switch (std::get<1>(info.param)) {
+    case LoadPath::kBulkLoad:
+      return name + "_BulkLoad";
+    case LoadPath::kCommits:
+      return name + "_Commits";
+    case LoadPath::kCommitsThenRepartition:
+      return name + "_CommitsThenRepartition";
+  }
+  return name;
+}
+
+/// Reopen derives the whole catalog from the chunk table and the graph key.
+/// A store that flushed after its last write must come back with the same
+/// catalog, the same answers and the same layout figures as the live one,
+/// whichever way its chunks were written.
+class ReopenCatalogTest : public ::testing::TestWithParam<ReopenCase> {};
+
+TEST_P(ReopenCatalogTest, ReopenedCatalogMatchesLive) {
+  const auto [algorithm, path] = GetParam();
+  workload::DatasetConfig config;
+  config.num_versions = 24;
+  config.records_per_version = 60;
+  config.update_fraction = 0.1;
+  config.branch_probability = 0.3;
+  config.record_size_bytes = 120;
+  config.seed = 5;
+  const workload::GeneratedDataset gen = workload::GenerateDataset(config);
+  Options options;
+  options.algorithm = algorithm;
+  options.chunk_capacity_bytes = 2048;
+  options.max_sub_chunk_records = 3;
+  options.online_batch_size = 5;
+  MemoryStore backend;
+  auto opened = RStore::Open(&backend, options);
+  ASSERT_TRUE(opened.ok());
+  RStore& live = **opened;
+  if (path == LoadPath::kBulkLoad) {
+    ASSERT_TRUE(live.BulkLoad(gen.dataset, gen.payloads).ok());
+  } else {
+    ASSERT_NO_FATAL_FAILURE(CommitVersions(&live, gen.dataset, gen.payloads,
+                                           0, gen.dataset.graph.size()));
+    if (path == LoadPath::kCommitsThenRepartition) {
+      Status repartitioned = live.Repartition();
+      ASSERT_TRUE(repartitioned.ok()) << repartitioned.ToString();
+    }
+  }
+  ASSERT_TRUE(live.Flush().ok());
+
+  auto reopened = RStore::Reopen(&backend, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  RStore& db = **reopened;
+  const StoreCatalog& want = live.catalog();
+  const StoreCatalog& got = db.catalog();
+
+  ASSERT_EQ(got.AllChunks(), want.AllChunks());
+  std::set<std::string> keys;
+  for (ChunkId id : want.AllChunks()) {
+    ASSERT_NE(got.RecordsOfChunk(id), nullptr) << "chunk " << id;
+    EXPECT_EQ(*got.RecordsOfChunk(id), *want.RecordsOfChunk(id))
+        << "chunk " << id;
+    for (const CompositeKey& ck : *want.RecordsOfChunk(id)) {
+      keys.insert(ck.key);
+    }
+  }
+  ASSERT_EQ(db.num_versions(), live.num_versions());
+  for (VersionId v = 0; v < live.num_versions(); ++v) {
+    EXPECT_EQ(got.ChunksOfVersion(v), want.ChunksOfVersion(v))
+        << "version " << v;
+    EXPECT_EQ(got.ChunksOriginatedAt(v), want.ChunksOriginatedAt(v))
+        << "version " << v;
+    auto live_records = live.GetVersion(v);
+    auto got_records = db.GetVersion(v);
+    ASSERT_TRUE(live_records.ok()) << live_records.status().ToString();
+    ASSERT_TRUE(got_records.ok()) << got_records.status().ToString();
+    EXPECT_EQ(SerializeRecords(*got_records), SerializeRecords(*live_records))
+        << "version " << v;
+  }
+  for (const std::string& key : keys) {
+    EXPECT_EQ(got.ChunksOfKey(key), want.ChunksOfKey(key)) << key;
+  }
+  EXPECT_EQ(db.layout(), live.layout());
+  EXPECT_EQ(db.TotalVersionSpan(), live.TotalVersionSpan());
+  EXPECT_EQ(db.CompressionRatio(), live.CompressionRatio());
+  Status integrity = db.VerifyIntegrity();
+  EXPECT_TRUE(integrity.ok()) << integrity.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, ReopenCatalogTest,
+    ::testing::Combine(::testing::ValuesIn(kAllAlgorithms),
+                       ::testing::Values(LoadPath::kBulkLoad,
+                                         LoadPath::kCommits,
+                                         LoadPath::kCommitsThenRepartition)),
+    ReopenCaseName);
 
 TEST(VerifyIntegrityTest, CleanStorePasses) {
   ExampleData data = MakeChain(15, 8, 2);

@@ -357,27 +357,6 @@ TEST(RStoreTest, CompressionRatioReported) {
   EXPECT_EQ(ToMap(*got), ExpectedVersion(data, 29));
 }
 
-TEST(RStoreTest, ProjectionsPersistAndReload) {
-  ExampleData data = MakeChain(12, 6, 2);
-  MemoryStore backend;
-  auto store =
-      RStore::Open(&backend, SmallChunkOptions(PartitionAlgorithm::kBottomUp));
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
-  ASSERT_TRUE((*store)->Flush().ok());
-
-  StoreCatalog reloaded;
-  ASSERT_TRUE(
-      reloaded.LoadProjections(&backend, Options().index_table).ok());
-  for (VersionId v = 0; v < 12; ++v) {
-    EXPECT_EQ(reloaded.ChunksOfVersion(v),
-              (*store)->catalog().ChunksOfVersion(v))
-        << v;
-  }
-  EXPECT_EQ(reloaded.ChunksOfKey("key1002"),
-            (*store)->catalog().ChunksOfKey("key1002"));
-}
-
 TEST(RStoreTest, ProjectionMemoryFootprintIsSmall) {
   ExampleData data = MakeChain(50, 20, 4);
   MemoryStore backend;
