@@ -165,25 +165,9 @@ Result<std::unique_ptr<RStore>> RStore::Open(KVStore* backend,
   return store;
 }
 
-Status RStore::WriteChunk(Chunk* chunk) {
-  std::string body;
-  chunk->EncodeTo(&body);
-  std::string map;
-  chunk->chunk_map()->EncodeTo(&map);
-  RSTORE_RETURN_IF_ERROR(
-      backend_->Put(options_.chunk_table, ChunkKey(chunk->id()), body));
-  RSTORE_RETURN_IF_ERROR(
-      backend_->Put(options_.index_table, ChunkMapKey(chunk->id()), map));
-  stored_chunk_bytes_ += body.size();
-  stored_record_bytes_ += chunk->uncompressed_bytes();
-  const WriteMetrics& metrics = WriteMetrics::Get();
-  metrics.chunks_written_total->Increment();
-  metrics.chunk_bytes_total->Increment(body.size());
-  return Status::OK();
-}
-
 Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
                                  const RecordPayloadMap& payloads,
+                                 const std::vector<ChunkId>& rewrites,
                                  TraceContext* trace) {
   ScopedSpan build_span(trace, "write.build_subchunks");
   auto built = BuildSubChunks(placement_view, payloads,
@@ -210,7 +194,15 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
                           std::to_string(partitioned->chunks.size()));
   partition_span.End();
 
+  // Chunks are assembled and registered in partition order, and their
+  // bodies go out as one batch, which the cluster serves node-parallel.
   ScopedSpan write_span(trace, "write.encode_and_put");
+  std::vector<std::pair<std::string, std::string>> bodies;
+  std::vector<std::pair<std::string, std::string>> maps;
+  bodies.reserve(partitioned->chunks.size());
+  maps.reserve(partitioned->chunks.size() + rewrites.size());
+  uint64_t body_bytes = 0;
+  uint64_t record_bytes = 0;
   for (const std::vector<uint32_t>& item_indices : partitioned->chunks) {
     Chunk chunk(next_chunk_id_++);
     for (uint32_t item : item_indices) {
@@ -218,9 +210,41 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
     }
     RSTORE_RETURN_IF_ERROR(
         chunk.SetChunkMap(catalog_.AddChunk(chunk.id(), chunk.records())));
-    RSTORE_RETURN_IF_ERROR(WriteChunk(&chunk));
+    std::string body;
+    chunk.EncodeTo(&body);
+    std::string map;
+    chunk.chunk_map()->EncodeTo(&map);
+    body_bytes += body.size();
+    record_bytes += chunk.uncompressed_bytes();
+    bodies.emplace_back(ChunkKey(chunk.id()), std::move(body));
+    maps.emplace_back(ChunkMapKey(chunk.id()), std::move(map));
   }
-  return Status::OK();
+  RSTORE_RETURN_IF_ERROR(backend_->WriteBatch(options_.chunk_table, bodies));
+  stored_chunk_bytes_ += body_bytes;
+  stored_record_bytes_ += record_bytes;
+  const WriteMetrics& metrics = WriteMetrics::Get();
+  metrics.chunks_written_total->Increment(bodies.size());
+  metrics.chunk_bytes_total->Increment(body_bytes);
+  write_span.End();
+
+  // Every map goes out as the second batch: the new chunks' maps, then
+  // each rewritten map of an older chunk, rebuilt from the in-memory
+  // indexes with no chunk fetch (§4).
+  ScopedSpan rewrite_span(trace, "write.map_rewrite");
+  rewrite_span.Annotate("maps", std::to_string(rewrites.size()));
+  for (ChunkId id : rewrites) {
+    auto map = catalog_.BuildChunkMap(id);
+    if (!map.ok()) return map.status();
+    std::string encoded;
+    map->EncodeTo(&encoded);
+    maps.emplace_back(ChunkMapKey(id), std::move(encoded));
+    // A rewrite invalidates every cached copy of this chunk: bumping the
+    // generation changes the cache key, so stale entries are unreachable and
+    // simply age out of the LRU. It happens before the batch, which may
+    // land only some of the rewrites if it fails.
+    catalog_.BumpChunkMapGeneration(id);
+  }
+  return backend_->WriteBatch(options_.index_table, maps);
 }
 
 Status RStore::BulkLoad(const VersionedDataset& dataset,
@@ -253,7 +277,7 @@ Status RStore::BulkLoad(const VersionedDataset& dataset,
   }
 
   *catalog_.record_versions() = tree_.BuildRecordVersionMap();
-  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, *effective));
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, *effective, {}));
   loaded_ = true;
   return Status::OK();
 }
@@ -419,7 +443,9 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
                       std::to_string(affected_chunks.size()));
   index_span.End();
 
-  // Phase 2: partition the batch's new records. The placement view shares
+  // Phase 2: partition the batch's new records and write them, then
+  // rewrite each affected old chunk map exactly once, rebuilt from the
+  // in-memory indexes — no chunk fetches (§4). The placement view shares
   // the full tree but exposes only the staged deltas, so the partitioning
   // algorithm sees exactly the batch sub-graph.
   VersionedDataset view;
@@ -428,25 +454,8 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
   for (const PendingCommit& commit : delta_store_.pending()) {
     view.deltas[commit.version] = commit.delta;
   }
-  RSTORE_RETURN_IF_ERROR(
-      PartitionAndWrite(view, delta_store_.payloads(), trace));
-
-  // Phase 3: rewrite each affected old chunk map exactly once, rebuilt from
-  // the in-memory indexes — no chunk fetches (§4).
-  ScopedSpan rewrite_span(trace, "write.map_rewrite");
-  rewrite_span.Annotate("maps", std::to_string(affected_chunks.size()));
-  for (ChunkId id : affected_chunks) {
-    auto map = catalog_.BuildChunkMap(id);
-    if (!map.ok()) return map.status();
-    std::string encoded;
-    map->EncodeTo(&encoded);
-    RSTORE_RETURN_IF_ERROR(
-        backend_->Put(options_.index_table, ChunkMapKey(id), encoded));
-    // The rewrite invalidates every cached copy of this chunk: bumping the
-    // generation changes the cache key, so stale entries are unreachable and
-    // simply age out of the LRU.
-    catalog_.BumpChunkMapGeneration(id);
-  }
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(view, delta_store_.payloads(),
+                                           affected_chunks, trace));
   delta_store_.Clear();
   const WriteMetrics& metrics = WriteMetrics::Get();
   metrics.batches_total->Increment();
@@ -534,20 +543,27 @@ Status RStore::Repartition(TraceContext* trace) {
   // Read every record payload back from the backend (the authoritative
   // copy; the application server keeps no payloads in memory). DELTA
   // records are encoded against bases in other chunks, so the chunks are
-  // replayed in id order, as a chain-replay query does.
+  // replayed in id order, as a chain-replay query does. A chunk the catalog
+  // does not hold (left behind by a failed Repartition, or drained after
+  // the last Flush before a Reopen) is not read, only deleted with the old
+  // layout.
   std::vector<std::shared_ptr<const Chunk>> chunks;
   std::vector<std::pair<std::string, std::string>> old_entries;  // table,key
   Status decode_status = Status::OK();
   Status s = backend_->Scan(
       options_.chunk_table, [&](Slice key, Slice value) {
         if (!decode_status.ok()) return;
-        old_entries.emplace_back(options_.chunk_table, key.ToString());
         auto chunk = std::make_shared<Chunk>();
         decode_status = Chunk::DecodeFrom(value.ToString(), chunk.get());
         if (!decode_status.ok()) return;
+        // The map goes first: a body left without its map is still found
+        // by the next Repartition's scan.
         old_entries.emplace_back(options_.index_table,
                                  ChunkMapKey(chunk->id()));
-        chunks.push_back(std::move(chunk));
+        old_entries.emplace_back(options_.chunk_table, key.ToString());
+        if (catalog_.RecordsOfChunk(chunk->id()) != nullptr) {
+          chunks.push_back(std::move(chunk));
+        }
       });
   RSTORE_RETURN_IF_ERROR(s);
   RSTORE_RETURN_IF_ERROR(decode_status);
@@ -557,16 +573,32 @@ Status RStore::Repartition(TraceContext* trace) {
   if (!payloads.ok()) return payloads.status();
   chunks.clear();
 
-  // Rebuild from scratch: fresh catalog, fresh chunk ids, offline pass over
-  // the full tree.
-  for (const auto& [table, key] : old_entries) {
-    RSTORE_RETURN_IF_ERROR(backend_->Delete(table, key));
-  }
+  // Copy, then swap: an offline pass over the full tree writes the new
+  // layout under fresh chunk ids into a fresh catalog while the old chunks
+  // stay intact. If a write fails the old catalog comes back (the ids drawn
+  // are never reused); the old entries are deleted only once both batches
+  // have landed.
+  StoreCatalog old_catalog = std::move(catalog_);
+  const LayoutKind old_layout = layout_;
+  const uint64_t old_chunk_bytes = stored_chunk_bytes_;
+  const uint64_t old_record_bytes = stored_record_bytes_;
   catalog_ = StoreCatalog();
   stored_chunk_bytes_ = 0;
   stored_record_bytes_ = 0;
   *catalog_.record_versions() = tree_.BuildRecordVersionMap();
-  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, *payloads, trace));
+  Status written = PartitionAndWrite(tree_, *payloads, {}, trace);
+  if (!written.ok()) {
+    catalog_ = std::move(old_catalog);
+    layout_ = old_layout;
+    stored_chunk_bytes_ = old_chunk_bytes;
+    stored_record_bytes_ = old_record_bytes;
+    return written;
+  }
+  // The new layout serves from here on; a failed delete leaves garbage the
+  // next Repartition collects.
+  for (const auto& [table, key] : old_entries) {
+    RSTORE_RETURN_IF_ERROR(backend_->Delete(table, key));
+  }
   return Status::OK();
 }
 

@@ -42,9 +42,11 @@ namespace rstore {
 /// through. All methods are single-threaded; wrap externally if sharing.
 /// With Options::ingest_shards > 1 the write path fans sub-chunk carving and
 /// compression out across worker threads internally, but the public
-/// interface stays single-threaded, chunks are written one at a time in
-/// partition order, and the stored bytes are identical to serial ingest —
-/// see DESIGN.md "Parallel ingest" for the determinism contract.
+/// interface stays single-threaded, chunks are registered in partition
+/// order, and the stored bytes are identical to serial ingest — see
+/// DESIGN.md "Parallel ingest" for the determinism contract. Every drain
+/// sends two write batches, which the backend may serve node-parallel: the
+/// chunk bodies, then the chunk maps.
 class RStore {
  public:
   /// Creates the layer on `backend` (borrowed; must outlive the store) and
@@ -97,8 +99,12 @@ class RStore {
   /// Full offline repartitioning of the entire store: every chunk is read
   /// back from the backend and replayed in id order (so DELTA records find
   /// their bases), the configured algorithm is re-run over the complete
-  /// version tree, all chunks and chunk maps are rewritten and the catalog
-  /// is rebuilt. Restores offline-quality layout after a long sequence of
+  /// version tree, and the new layout is written under fresh chunk ids into
+  /// a fresh catalog. Only then are the old chunks and maps deleted: if a
+  /// write of the new layout fails, the store keeps serving the old one
+  /// (the failure is returned and a retry starts over); if a delete fails,
+  /// the new layout serves and the leftovers are collected by the next
+  /// Repartition. Restores offline-quality layout after a long sequence of
   /// online batches — "online partitioning without repartitioning, combined
   /// with a full repartitioning periodically, presents a pragmatic approach
   /// to handling updates" (paper §4).
@@ -194,13 +200,17 @@ class RStore {
  private:
   RStore(KVStore* backend, const Options& options);
 
-  /// Runs sub-chunking + partitioning over `dataset` restricted to
-  /// `delta_source` and writes the resulting chunks; shared by BulkLoad
-  /// (whole graph) and ProcessBatch (batch subgraph). When `trace` is
-  /// non-null, the sub-chunk build / partition / encode+write phases each
-  /// get a "write.*" span.
+  /// Runs sub-chunking + partitioning over `placement_view`, registers
+  /// the resulting chunks in partition order, and writes them as two
+  /// batches: every chunk body to the chunk table, then every chunk map to
+  /// the index table — the new chunks' maps, then the rebuilt maps of the
+  /// older chunks in `rewrites`, in that order. Shared by BulkLoad and
+  /// Repartition (whole graph, no rewrites) and ProcessBatch (batch
+  /// subgraph). When `trace` is non-null, the sub-chunk build, partition,
+  /// encode+write and map-write phases each get a "write.*" span.
   Status PartitionAndWrite(const VersionedDataset& placement_view,
                            const RecordPayloadMap& payloads,
+                           const std::vector<ChunkId>& rewrites,
                            TraceContext* trace = nullptr);
 
   /// Drains the delta store: updates membership indexes, partitions the
@@ -212,8 +222,6 @@ class RStore {
   /// ProcessBatch's body; the wrapper owns the "write.process_batch" span,
   /// stats bracketing, sim-clock reconciliation and flight-recorder entry.
   Status ProcessBatchImpl(TraceContext* trace);
-
-  Status WriteChunk(Chunk* chunk);
 
   /// Every sync query: the flush prologue, a QueryProcessor over the
   /// current catalog running `query(processor, &stats)`, and the

@@ -187,6 +187,38 @@ struct Cluster::Batch {
   std::optional<Promise<AsyncMultiGetResult>> promise;
 };
 
+/// One coordinator write operation (a Put, a Delete or a WriteBatch),
+/// accumulated entry by entry. Each node serves its share of the entries as
+/// one group, as a MultiGet node serves its keys; a replica chain that gave
+/// up or timed out is an event of its own. Events keep the order in which
+/// they first appeared and ties resolve toward the first, so a one-entry
+/// operation's critical event is its first latest replica.
+struct Cluster::WriteOp {
+  struct Share {
+    uint64_t keys = 0;
+    uint64_t bytes = 0;  // value bytes
+    /// The share is served once its last entry's serving attempt is
+    /// issued ...
+    uint64_t start_us = 0;
+    /// ... and each slow attempt adds the time its slowdown costs its own
+    /// entry.
+    uint64_t slow_extra_us = 0;
+  };
+  /// A node's share (`node` >= 0, timed once every entry has joined it) or
+  /// a chain that gave up or timed out at `at_us`.
+  struct Event {
+    int node = -1;
+    uint64_t at_us = 0;
+    EventAttribution attr;
+  };
+
+  explicit WriteOp(size_t num_nodes) : shares(num_nodes) {}
+
+  std::vector<Share> shares;  // by node
+  std::vector<Event> events;
+  KVStats charge;
+};
+
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
       ring_(options.num_nodes, options.virtual_nodes_per_node,
@@ -268,19 +300,77 @@ Cluster::AttemptChain Cluster::SimulateAttempts(uint32_t node, uint64_t tick,
 }
 
 Status Cluster::Put(const std::string& table, Slice key, Slice value) {
-  return WriteReplicas(table, key, value, /*is_delete=*/false);
+  return Write(table, {{key, value}}, /*is_delete=*/false);
+}
+
+Status Cluster::WriteBatch(
+    const std::string& table,
+    const std::vector<std::pair<std::string, std::string>>& entries) {
+  return Write(table, {entries.begin(), entries.end()}, /*is_delete=*/false);
 }
 
 Status Cluster::Delete(const std::string& table, Slice key) {
-  return WriteReplicas(table, key, Slice(), /*is_delete=*/true);
+  return Write(table, {{key, Slice()}}, /*is_delete=*/true);
 }
 
-Status Cluster::WriteReplicas(const std::string& table, Slice key,
-                              Slice value, bool is_delete) {
+Status Cluster::Write(const std::string& table,
+                      const std::vector<std::pair<Slice, Slice>>& entries,
+                      bool is_delete) {
+  WriteOp op(nodes_.size());
+  Status status = Status::OK();
+  for (const auto& [key, value] : entries) {
+    status = WriteEntry(table, key, value, is_delete, &op);
+    if (!status.ok()) break;
+  }
+  // A failed entry charges nothing, as a failed Put does; the entries before
+  // it landed and are charged.
+  if (op.charge.puts + op.charge.deletes == 0) return status;
+  // The nodes serve their shares in parallel: one coordinator overhead plus
+  // the latest event, each share timed by the MultiGet rule. Strictly-later
+  // events win, so ties resolve toward the first.
+  uint64_t slowest_us = 0;
+  EventAttribution crit;
+  for (const WriteOp::Event& event : op.events) {
+    uint64_t at_us = event.at_us;
+    EventAttribution attr = event.attr;
+    if (event.node >= 0) {
+      const WriteOp::Share& share = op.shares[static_cast<size_t>(event.node)];
+      at_us = share.start_us +
+              options_.latency.NodeServiceMicros(share.keys, share.bytes) +
+              share.slow_extra_us;
+      attr.retry_us = share.start_us;
+      attr.service_us = at_us - share.start_us;
+    }
+    if (at_us > slowest_us) {
+      slowest_us = at_us;
+      crit = attr;
+    }
+  }
+  const uint64_t overhead_us = options_.latency.coordinator_overhead_us;
+  op.charge.simulated_micros = overhead_us + slowest_us;
+  op.charge.service_us = crit.service_us + overhead_us;
+  op.charge.retry_penalty_us = crit.retry_us;
+  Charge(op.charge);
+  return status;
+}
+
+Status Cluster::WriteEntry(const std::string& table, Slice key, Slice value,
+                           bool is_delete, WriteOp* op) {
   const uint64_t tick = injector_.NextTick();
   ReplayReadyHints(tick);
   const auto replicas = ring_.Replicas(key, options_.replication_factor);
   const uint64_t timeout_us = options_.retry.request_timeout_us;
+  // Each replica's outcome, in replica order: `served` by the attempt
+  // issued at `start_us`, which its slowdown costs `slow_extra_us`, or an
+  // event at which its chain gave up or timed out.
+  struct Outcome {
+    uint32_t node;
+    bool served;
+    uint64_t start_us;
+    uint64_t slow_extra_us;
+    WriteOp::Event event;
+  };
+  std::vector<Outcome> outcomes;
   // Hinted handoff: a replica that is down or fails the write gets it
   // replayed when it serves again.
   std::vector<std::pair<uint32_t, Hint>> staged;
@@ -288,9 +378,6 @@ Status Cluster::WriteReplicas(const std::string& table, Slice key,
     staged.push_back(
         {node, Hint{table, key.ToString(), value.ToString(), is_delete}});
   };
-  int wrote = 0;
-  uint64_t slowest_us = 0;
-  EventAttribution crit;
   KVStats charge;
   for (uint32_t node : replicas) {
     if (!NodeUp(node, tick)) {
@@ -301,56 +388,59 @@ Status Cluster::WriteReplicas(const std::string& table, Slice key,
         SimulateAttempts(node, tick, /*round=*/0,
                          is_delete ? kSaltDelete : kSaltWrite, /*start_us=*/0);
     charge.retries += chain.retries;
-    bool ok = chain.served;
-    uint64_t completion = chain.failure_us;
-    EventAttribution event;
-    // A chain that gave up spent its whole interval on failed attempts.
-    event.retry_us = chain.failure_us;
-    if (ok) {
-      completion = chain.start_us +
-                   ScaleMicros(options_.latency.NodeServiceMicros(
-                                   1, value.size()),
-                               chain.slow_multiplier);
-      event.retry_us = chain.start_us;
-      event.service_us = completion - chain.start_us;
-      if (timeout_us > 0 && completion > timeout_us) {
-        ok = false;
-        completion = timeout_us;
-        // The coordinator stopped waiting at the deadline: only the
-        // in-deadline part of the attempt is attributed.
-        event.retry_us = std::min(chain.start_us, timeout_us);
-        event.service_us = timeout_us - event.retry_us;
-        ++charge.timeouts;
-      }
+    if (!chain.served) {
+      // A chain that gave up spent its whole interval on failed attempts.
+      outcomes.push_back({node, false, 0, 0,
+                          {-1, chain.failure_us, {0, 0, chain.failure_us, 0}}});
+      stage(node);
+      continue;
     }
-    if (completion > slowest_us) {
-      slowest_us = completion;
-      crit = event;
-    }
-    if (!ok) {
+    // The deadline applies to each entry's own request, as a lone Put's.
+    const uint64_t service_us =
+        options_.latency.NodeServiceMicros(1, value.size());
+    const uint64_t slowed_us = ScaleMicros(service_us, chain.slow_multiplier);
+    const uint64_t completion = chain.start_us + slowed_us;
+    if (timeout_us > 0 && completion > timeout_us) {
+      ++charge.timeouts;
+      // The coordinator stopped waiting at the deadline: only the
+      // in-deadline part of the attempt is attributed.
+      const uint64_t retry_us = std::min(chain.start_us, timeout_us);
+      outcomes.push_back(
+          {node, false, 0, 0,
+           {-1, timeout_us, {0, timeout_us - retry_us, retry_us, 0}}});
       stage(node);
       continue;
     }
     RSTORE_RETURN_IF_ERROR(is_delete ? nodes_[node]->Delete(table, key)
                                      : nodes_[node]->Put(table, key, value));
-    ++wrote;
+    outcomes.push_back(
+        {node, true, chain.start_us, slowed_us - service_us, {}});
   }
-  if (wrote == 0) {
+  if (std::none_of(outcomes.begin(), outcomes.end(),
+                   [](const Outcome& o) { return o.served; })) {
     // Nothing durable: fail the write loudly and drop the staged hints (a
     // hint is a promise about a write that succeeded somewhere).
     return Status::IOError("all replicas down");
+  }
+  // The entry landed: add its replica work to the operation.
+  for (const Outcome& o : outcomes) {
+    if (!o.served) {
+      op->events.push_back(o.event);
+      continue;
+    }
+    WriteOp::Share& share = op->shares[o.node];
+    if (share.keys++ == 0) {
+      op->events.push_back({static_cast<int>(o.node), 0, {}});
+    }
+    share.bytes += value.size();
+    share.start_us = std::max(share.start_us, o.start_us);
+    share.slow_extra_us += o.slow_extra_us;
   }
   charge.handoff_hints = staged.size();
   CommitHints(std::move(staged));
   (is_delete ? charge.deletes : charge.puts) = 1;
   if (!is_delete) charge.bytes_written = key.size() + value.size();
-  // Replica writes proceed in parallel; charge the slowest replica's chain.
-  charge.simulated_micros = options_.latency.coordinator_overhead_us +
-                            slowest_us;
-  charge.service_us =
-      crit.service_us + options_.latency.coordinator_overhead_us;
-  charge.retry_penalty_us = crit.retry_us;
-  Charge(charge);
+  op->charge += charge;
   return Status::OK();
 }
 

@@ -56,13 +56,31 @@ struct ClusterOptions {
 /// MultiGet is the workhorse: RStore retrieves the chunks for a version "by
 /// issuing queries in parallel to the backend store" (paper §2.4), so the
 /// batch's simulated latency is the *max* over nodes of each node's serial
-/// service time, plus one coordinator overhead.
+/// service time, plus one coordinator overhead. WriteBatch is its write
+/// twin, charged by the same rule: a drain sends its chunk bodies and its
+/// chunk maps as two batches, and each costs what its busiest node serves.
+/// Put, Delete and WriteBatch share one replica-write path, so a one-entry
+/// batch is a Put.
 class Cluster : public KVStore {
  public:
   explicit Cluster(const ClusterOptions& options);
 
   Status CreateTable(const std::string& table) override;
   Status Put(const std::string& table, Slice key, Slice value) override;
+  /// One coordinator operation: each entry goes to its replicas as a Put
+  /// sends it (one fault tick per entry, in entry order, with the same
+  /// attempt chains and hinted handoff), and the batch is charged by the
+  /// MultiGet rule: one coordinator overhead plus the slowest node's
+  /// NodeServiceMicros(its entries, their value bytes). Under faults a
+  /// node's share starts once its last entry's serving attempt is issued,
+  /// each slow attempt adds what its slowdown costs its own entry, and the
+  /// request deadline applies to each entry as to a lone Put. A one-entry
+  /// batch costs exactly a Put. When an entry's replicas are all down the
+  /// batch stops there with IOError; the entries before it stay applied and
+  /// are charged.
+  Status WriteBatch(const std::string& table,
+                    const std::vector<std::pair<std::string, std::string>>&
+                        entries) override;
   Result<std::string> Get(const std::string& table, Slice key) override;
   /// Sync MultiGet and MultiGetPartial run MultiGetAsync on a private
   /// Executor and drain it: one retry/failover/hedge engine serves both
@@ -241,10 +259,21 @@ class Cluster : public KVStore {
   /// FlightRecorder, at most once per sampling interval of virtual time.
   static void MaybeSampleLoad(Timeline* timeline, uint64_t now_us);
 
-  /// Put (`is_delete` false) or Delete on every replica in parallel,
-  /// staging hints for the ones that are down or fail.
-  Status WriteReplicas(const std::string& table, Slice key, Slice value,
-                       bool is_delete);
+  /// Defined in cluster.cc: what each node serves of one write operation,
+  /// and the events that can bound its completion.
+  struct WriteOp;
+
+  /// The one replica-write path: Put, Delete (`is_delete`, values ignored)
+  /// and WriteBatch are each one coordinator operation over their entries,
+  /// charged when the entries have been sent.
+  Status Write(const std::string& table,
+               const std::vector<std::pair<Slice, Slice>>& entries,
+               bool is_delete);
+  /// Sends one entry to every replica as a lone Put or Delete would: its
+  /// own fault tick and attempt chains, hints staged for the replicas that
+  /// are down or fail. Adds the entry to `op` once it has landed somewhere.
+  Status WriteEntry(const std::string& table, Slice key, Slice value,
+                    bool is_delete, WriteOp* op);
 
   /// The one epilogue of every charge (each Get, Put, Delete, batch and
   /// hint replay): adds it to stats() and to the rstore_kvs_* registry

@@ -10,10 +10,10 @@ namespace rstore {
 
 /// Half-open interval of coordinator operation ticks during which a node is
 /// crashed (rejects every request, exactly like SetNodeAlive(node, false)).
-/// Ticks — one per coordinator-level operation — are the injector's time
-/// axis: they advance deterministically with the workload, so a schedule
-/// expressed in ticks replays identically run after run, which a wall-clock
-/// schedule never could.
+/// Ticks — one per coordinator-level operation, and one per entry of a write
+/// batch — are the injector's time axis: they advance deterministically with
+/// the workload, so a schedule expressed in ticks replays identically run
+/// after run, which a wall-clock schedule never could.
 struct CrashWindow {
   uint64_t start_tick = 0;
   uint64_t end_tick = 0;  // exclusive
@@ -90,7 +90,8 @@ struct FaultDecision {
 
 /// Deterministic, seeded fault source for the simulated cluster.
 ///
-/// The coordinator draws one tick per operation (NextTick) and evaluates
+/// The coordinator draws one tick per operation (NextTick; a write batch
+/// draws one per entry, as the equivalent Puts would) and evaluates
 /// every per-node attempt against that tick: crash windows come from the
 /// schedule, transient/slow outcomes from a counter-free hash of
 /// (seed, node, tick, attempt, salt). Determinism contract: given the same

@@ -162,21 +162,17 @@ class KVStore {
   /// Stores `value` under `key`, overwriting any previous value.
   virtual Status Put(const std::string& table, Slice key, Slice value) = 0;
 
-  /// Group commit: stores every (key, value) pair of `entries`, equivalent
-  /// to issuing the Puts in order. The default implementation is exactly
-  /// that loop, so stats and simulated charges match the serial path
-  /// byte-for-byte; single-node stores override it to apply the whole group
-  /// under one lock acquisition (FileStore also flushes its log once). Not
-  /// atomic: a mid-batch error leaves the earlier entries applied, like the
-  /// equivalent Put sequence.
+  /// Group commit: stores every (key, value) pair of `entries`; the stored
+  /// result is that of issuing the Puts in order, and stats count one put
+  /// per entry. A store may serve the entries in parallel: Cluster charges
+  /// the batch as one coordinator operation by the MultiGet rule (one
+  /// coordinator overhead plus the busiest node's share). Single-node
+  /// stores apply the whole group under one lock acquisition (FileStore
+  /// also flushes its log once). Not atomic: a failed batch may leave any
+  /// subset of its entries applied.
   virtual Status WriteBatch(
       const std::string& table,
-      const std::vector<std::pair<std::string, std::string>>& entries) {
-    for (const auto& [key, value] : entries) {
-      RSTORE_RETURN_IF_ERROR(Put(table, key, value));
-    }
-    return Status::OK();
-  }
+      const std::vector<std::pair<std::string, std::string>>& entries) = 0;
 
   /// Point lookup. kNotFound if the key is absent.
   virtual Result<std::string> Get(const std::string& table, Slice key) = 0;

@@ -1,7 +1,10 @@
 #ifndef RSTORE_TESTS_CORE_CORE_TEST_UTIL_H_
 #define RSTORE_TESTS_CORE_CORE_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/executor.h"
@@ -90,6 +93,29 @@ inline ExampleData MakeChain(uint32_t versions, uint32_t keys,
     }
   }
   return out;
+}
+
+/// Commits versions [first, end) of `dataset` into `store`, each as the
+/// delta from its primary parent.
+inline void CommitVersions(RStore* store, const VersionedDataset& dataset,
+                           const RecordPayloadMap& payloads, VersionId first,
+                           VersionId end) {
+  for (VersionId v = first; v < end; ++v) {
+    CommitDelta delta;
+    std::unordered_set<std::string> upserted;
+    for (const CompositeKey& ck : dataset.deltas[v].added) {
+      upserted.insert(ck.key);
+      delta.upserts.push_back(Record{ck, payloads.at(ck)});
+    }
+    for (const CompositeKey& ck : dataset.deltas[v].removed) {
+      if (!upserted.count(ck.key)) delta.deletes.push_back(ck.key);
+    }
+    const VersionId parent =
+        v == 0 ? kInvalidVersion : dataset.graph.PrimaryParent(v);
+    auto committed = store->Commit(parent, std::move(delta));
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    ASSERT_EQ(*committed, v);
+  }
 }
 
 /// Canonical byte serialization of a query result. Query results are

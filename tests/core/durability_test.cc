@@ -9,7 +9,6 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_set>
 
 #include "core/branch_manager.h"
 #include "core/rstore.h"
@@ -20,6 +19,7 @@
 namespace rstore {
 namespace {
 
+using testing::CommitVersions;
 using testing::ExampleData;
 using testing::MakeChain;
 using testing::SerializeRecords;
@@ -36,29 +36,6 @@ std::map<std::string, std::string> ToMap(const std::vector<Record>& records) {
   std::map<std::string, std::string> out;
   for (const Record& r : records) out[r.key.key] = r.payload;
   return out;
-}
-
-/// Commits versions [first, end) of `dataset` into `store`, each as the
-/// delta from its primary parent.
-void CommitVersions(RStore* store, const VersionedDataset& dataset,
-                    const RecordPayloadMap& payloads, VersionId first,
-                    VersionId end) {
-  for (VersionId v = first; v < end; ++v) {
-    CommitDelta delta;
-    std::unordered_set<std::string> upserted;
-    for (const CompositeKey& ck : dataset.deltas[v].added) {
-      upserted.insert(ck.key);
-      delta.upserts.push_back(Record{ck, payloads.at(ck)});
-    }
-    for (const CompositeKey& ck : dataset.deltas[v].removed) {
-      if (!upserted.count(ck.key)) delta.deletes.push_back(ck.key);
-    }
-    const VersionId parent =
-        v == 0 ? kInvalidVersion : dataset.graph.PrimaryParent(v);
-    auto committed = store->Commit(parent, std::move(delta));
-    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-    ASSERT_EQ(*committed, v);
-  }
 }
 
 TEST(ReopenTest, RecoversFullStateAfterRestart) {
