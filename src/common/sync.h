@@ -98,7 +98,7 @@ enum LockRank : int {
   kLockRankMemoryStore = 200,
   /// ChunkCache shard locks. Below the storage ranks: cache operations never
   /// call into a backend, but a thread may insert into the cache right after
-  /// a fetch, and decode workers touch shards under ParallelFor.
+  /// a fetch, and query threads sharing a cache touch its shards at once.
   kLockRankChunkCache = 150,
   /// ParallelFor first-error capture; taken by a worker after its user fn
   /// has thrown (and therefore released whatever it held).

@@ -38,9 +38,9 @@ struct TraceSpan {
 ///
 /// NOT thread-safe: a context belongs to the thread running the traced
 /// operation, and spans must close LIFO (scoped usage via ScopedSpan
-/// guarantees this). Code that fans work out (ParallelFor decode, simulated
-/// per-node service) records child work either from the coordinating thread
-/// or via AddSimulatedSpan with explicit timestamps.
+/// guarantees this). Code that fans work out (ParallelFor sub-chunk
+/// carving, simulated per-node service) records child work either from the
+/// coordinating thread or via AddSimulatedSpan with explicit timestamps.
 ///
 /// The simulated clock starts at 0 and only moves when instrumented code
 /// charges modeled time (Cluster does this for every request), so a span's

@@ -1,7 +1,6 @@
 #ifndef RSTORE_CORE_CHUNK_CACHE_H_
 #define RSTORE_CORE_CHUNK_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -18,25 +17,24 @@ namespace rstore {
 /// but chunk *maps* are rewritten when the online partitioner folds a batch
 /// into pre-existing chunks (paper §4), so a cached entry — body plus its
 /// installed map — is only valid for one map generation. The key therefore
-/// carries the generation the owning store's catalog assigned when the entry
-/// was decoded: a map rewrite bumps the generation, old entries become
+/// carries the generation the store's catalog assigned when the entry was
+/// decoded: a map rewrite bumps the generation, old entries become
 /// unreachable and age out of the LRU, and no explicit invalidation is ever
-/// needed. `owner` namespaces entries so independent stores can share one
-/// cache without colliding on chunk ids.
+/// needed. Each store owns its cache, so chunk ids never collide in it.
 struct ChunkCacheKey {
-  uint64_t owner = 0;
   ChunkId chunk = 0;
   uint64_t generation = 0;
 
   bool operator==(const ChunkCacheKey& other) const {
-    return owner == other.owner && chunk == other.chunk &&
-           generation == other.generation;
+    return chunk == other.chunk && generation == other.generation;
   }
 };
 
 struct ChunkCacheKeyHash {
   size_t operator()(const ChunkCacheKey& k) const {
-    uint64_t h = Mix64(k.owner ^ Mix64(k.chunk ^ Mix64(k.generation)));
+    // The outer mix with 1 fixes which shard each key lands in; the gated
+    // cache-ablation baselines (evictions, hit rates) depend on it.
+    uint64_t h = Mix64(1 ^ Mix64(k.chunk ^ Mix64(k.generation)));
     return static_cast<size_t>(h);
   }
 };
@@ -83,9 +81,6 @@ class ChunkCache {
 
   ChunkCache(const ChunkCache&) = delete;
   ChunkCache& operator=(const ChunkCache&) = delete;
-
-  /// Distinct owner token for key namespacing (see ChunkCacheKey::owner).
-  uint64_t NewOwnerId() { return next_owner_.fetch_add(1) + 1; }
 
   /// Returns the cached chunk and promotes it to most-recently-used, or
   /// nullptr. Counts a hit or a miss.
@@ -159,9 +154,6 @@ class ChunkCache {
   uint64_t shard_mask_;
   uint64_t shard_capacity_;
   std::unique_ptr<Shard[]> shards_;
-  // Monotone owner-id dispenser: relaxed fetch_add, value never read
-  // back for control flow. analyze:atomic
-  std::atomic<uint64_t> next_owner_{0};
 };
 
 }  // namespace rstore

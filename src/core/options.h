@@ -2,14 +2,11 @@
 #define RSTORE_CORE_OPTIONS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "compress/compressor.h"
 
 namespace rstore {
-
-class ChunkCache;
 
 /// The partitioning algorithms of paper §3, plus the §2.2 baselines.
 enum class PartitionAlgorithm {
@@ -88,29 +85,12 @@ struct Options {
   /// whole chain.
   bool delta_baseline_record_compression = true;
 
-  /// Parallelize client-side chunk decode + record extraction across worker
-  /// threads. The paper's prototype "processes the retrieved chunks
-  /// sequentially while constructing the query result" and lists
-  /// parallelization as ongoing work (§5.5); off by default to match the
-  /// evaluated system.
-  bool parallel_extraction = false;
-
   /// Byte budget of the decoded-chunk cache on the read path. 0 (the
   /// default) disables caching entirely: every query fetches its chunks from
   /// the backend, matching the paper's evaluated prototype. When positive,
-  /// the store builds a ChunkCache of this capacity at Open and all query
-  /// classes consult it before issuing MultiGets.
+  /// the store builds its own 8-shard ChunkCache of this capacity at Open
+  /// and all query classes consult it before issuing MultiGets.
   uint64_t cache_capacity_bytes = 0;
-
-  /// Shard count for the chunk cache's lock striping (rounded up to a power
-  /// of two). Only consulted when the store builds its own cache.
-  uint32_t cache_shards = 8;
-
-  /// Externally owned cache shared across stores (e.g. every RStore on one
-  /// application server). Takes precedence over cache_capacity_bytes; each
-  /// store namespaces its entries with a distinct owner id, so sharing is
-  /// safe even across stores reusing chunk ids.
-  std::shared_ptr<ChunkCache> chunk_cache;
 
   /// Thread count for sub-chunk carving and compression, the one CPU-heavy
   /// step of the write path (BuildSubChunks). 1 (the default) keeps the
@@ -122,9 +102,6 @@ struct Options {
   /// Degradation policy for queries over a partially available backend
   /// (see ReadMode). Strict by default.
   ReadMode read_mode = ReadMode::kStrict;
-
-  /// Seed for all randomized components (shingle hash family).
-  uint64_t seed = 0x5253746f7265ull;  // "RStore"
 
   /// KVS table names: chunks and indexes live "in two distinct tables"
   /// (§2.4).

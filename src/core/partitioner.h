@@ -17,8 +17,7 @@ struct PartitionInput {
 };
 
 /// Interface for the record-to-chunk partitioning algorithms (paper §3).
-/// Implementations are stateless across calls and deterministic given
-/// Options::seed.
+/// Implementations are stateless across calls and deterministic.
 class Partitioner {
  public:
   virtual ~Partitioner() = default;

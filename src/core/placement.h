@@ -73,10 +73,11 @@ class ChunkPacker {
   void StartNewChunk();
 
   /// Returns the accumulated partitioning. If `merge_partials` is set,
-  /// under-filled chunks are greedily combined (first-fit decreasing) while
-  /// staying within capacity — "the partial chunks that may get created at
-  /// the end of every chunking step are merged at the end to reduce
-  /// fragmentation" (§3.2).
+  /// adjacent chunks are merged in emission order: each chunk joins the one
+  /// before it when that one is under capacity and the two fit together, so
+  /// full chunks pass through as barriers — "the partial chunks that may get
+  /// created at the end of every chunking step are merged at the end to
+  /// reduce fragmentation" (§3.2).
   Partitioning Finish(bool merge_partials);
 
  private:

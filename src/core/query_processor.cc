@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/trace.h"
 
 namespace rstore {
@@ -41,26 +40,9 @@ struct QueryMetrics {
   }
 };
 
-std::string MapKey(ChunkId id) {
-  std::string key = "m";
-  PutVarint64(&key, id);
-  return key;
-}
-
 bool KeyInRange(const std::string& key, const std::string& lo,
                 const std::string& hi) {
   return key >= lo && key <= hi;
-}
-
-/// A point query's answer: its one record, or kNotFound.
-Result<Record> PointAnswer(Result<std::vector<Record>> records,
-                           const std::string& key, VersionId version) {
-  if (!records.ok()) return records.status();
-  if (records->empty()) {
-    return Status::NotFound("no record " + key + " in version " +
-                            std::to_string(version));
-  }
-  return std::move(records->front());
 }
 
 /// A fetched body for Chunk::DecodeFrom, which takes it over: moved out of
@@ -72,15 +54,12 @@ std::string TakeBody(const std::string& body) { return body; }
 
 QueryProcessor::QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
                                const VersionedDataset* dataset,
-                               LayoutKind layout, const Options& options,
-                               ChunkCache* cache, uint64_t cache_owner)
+                               const Options* options, ChunkCache* cache)
     : kvs_(kvs),
       catalog_(catalog),
       dataset_(dataset),
-      layout_(layout),
       options_(options),
-      cache_(cache),
-      cache_owner_(cache_owner) {}
+      cache_(cache) {}
 
 QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
     const std::vector<ChunkId>& ids, TraceContext* trace) {
@@ -92,8 +71,8 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
     ScopedSpan lookup_span(trace, "cache.lookup");
     plan.cache_keys.resize(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      plan.cache_keys[i] = ChunkCacheKey{cache_owner_, ids[i],
-                                         catalog_->ChunkMapGeneration(ids[i])};
+      plan.cache_keys[i] =
+          ChunkCacheKey{ids[i], catalog_->ChunkMapGeneration(ids[i])};
       plan.chunks[i] = cache_->Lookup(plan.cache_keys[i]);
       if (plan.chunks[i] == nullptr) plan.miss.push_back(i);
     }
@@ -108,7 +87,7 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
   plan.map_keys.reserve(plan.miss.size());
   for (size_t i : plan.miss) {
     plan.chunk_keys.push_back(ChunkKey(ids[i]));
-    plan.map_keys.push_back(MapKey(ids[i]));
+    plan.map_keys.push_back(ChunkMapKey(ids[i]));
   }
   return plan;
 }
@@ -134,70 +113,45 @@ Status QueryProcessor::DecodeAndInsert(
 
   ScopedSpan decode_span(trace, "query.decode");
   decode_span.Annotate("chunks", std::to_string(miss.size()));
-  std::vector<Status> statuses(miss.size());
-  // Per-miss degradation marks; distinct indices, safe under ParallelFor.
-  std::vector<uint8_t> unfetchable(miss.size(), 0);
-  std::vector<std::string> unfetchable_reason(miss.size());
-  auto degrade_or_corrupt = [&](size_t m, const std::string& key,
-                                const std::string& what) {
-    auto fit = unavailable.find(key);
-    if (fit != unavailable.end()) {
-      unfetchable[m] = 1;
-      unfetchable_reason[m] = fit->second->ToString();
-      return;  // status stays OK; the chunk ref stays null
-    }
-    statuses[m] = Status::Corruption(what + " " +
-                                     std::to_string(ids[miss[m]]) +
-                                     " missing from backend");
-  };
-  auto decode_one = [&](size_t m) {
-    size_t i = miss[m];
+  // Casualties join the caller's report only once every chunk decoded, so a
+  // failing decode leaves the report, like the cache, untouched.
+  QueryDegradation casualties;
+  // The paper's evaluated prototype processes chunks sequentially (§5.5).
+  for (size_t m = 0; m < miss.size(); ++m) {
+    const ChunkId id = ids[miss[m]];
     auto cit = chunk_values.find(plan->chunk_keys[m]);
-    if (cit == chunk_values.end()) {
-      degrade_or_corrupt(m, plan->chunk_keys[m], "chunk");
-      return;
-    }
     auto mit = map_values.find(plan->map_keys[m]);
-    if (mit == map_values.end()) {
-      degrade_or_corrupt(m, plan->map_keys[m], "chunk map");
-      return;
+    if (cit == chunk_values.end() || mit == map_values.end()) {
+      const bool body = cit == chunk_values.end();
+      auto fit = unavailable.find(body ? plan->chunk_keys[m]
+                                       : plan->map_keys[m]);
+      if (fit == unavailable.end()) {
+        return Status::Corruption((body ? "chunk " : "chunk map ") +
+                                  std::to_string(id) +
+                                  " missing from backend");
+      }
+      // The chunk ref stays null.
+      casualties.missing_chunks.push_back(id);
+      casualties.messages.push_back(fit->second->ToString());
+      continue;
     }
     auto decoded = std::make_shared<Chunk>();
     // Each body is taken once: the ids of one fetch are distinct.
-    Status s = Chunk::DecodeFrom(TakeBody(cit->second), decoded.get());
-    if (!s.ok()) {
-      statuses[m] = s;
-      return;
-    }
+    RSTORE_RETURN_IF_ERROR(
+        Chunk::DecodeFrom(TakeBody(cit->second), decoded.get()));
     Slice map_input(mit->second);
     ChunkMap map;
-    s = ChunkMap::DecodeFrom(&map_input, &map);
-    if (!s.ok()) {
-      statuses[m] = s;
-      return;
-    }
-    statuses[m] = decoded->SetChunkMap(std::move(map));
-    if (statuses[m].ok()) plan->chunks[i] = std::move(decoded);
-  };
-  if (options_.parallel_extraction) {
-    ParallelFor(miss.size(), decode_one);
-  } else {
-    // The paper's evaluated prototype processes chunks sequentially (§5.5).
-    for (size_t m = 0; m < miss.size(); ++m) decode_one(m);
-  }
-  for (const Status& s : statuses) {
-    RSTORE_RETURN_IF_ERROR(s);
+    RSTORE_RETURN_IF_ERROR(ChunkMap::DecodeFrom(&map_input, &map));
+    RSTORE_RETURN_IF_ERROR(decoded->SetChunkMap(std::move(map)));
+    plan->chunks[miss[m]] = std::move(decoded);
   }
   if (degradation != nullptr) {
-    for (size_t m = 0; m < miss.size(); ++m) {
-      if (unfetchable[m] == 0) continue;
-      degradation->missing_chunks.push_back(ids[miss[m]]);
-      degradation->messages.push_back(std::move(unfetchable_reason[m]));
+    for (size_t c = 0; c < casualties.missing_chunks.size(); ++c) {
+      degradation->missing_chunks.push_back(casualties.missing_chunks[c]);
+      degradation->messages.push_back(std::move(casualties.messages[c]));
     }
   }
   if (cache_ != nullptr) {
-    // Serial insert after the (possibly parallel) decode: the shards do
-    // their own locking, this just keeps insertion order deterministic.
     for (size_t i : miss) {
       if (plan->chunks[i] == nullptr) continue;  // best-effort casualty
       cache_->Insert(plan->cache_keys[i], plan->chunks[i],
@@ -256,15 +210,15 @@ Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
       // Best-effort: keys on unavailable replicas land in the failure lists
       // instead of failing the batch.
       RSTORE_RETURN_IF_ERROR(
-          kvs_->MultiGetPartial(options_.chunk_table, plan.chunk_keys,
+          kvs_->MultiGetPartial(options_->chunk_table, plan.chunk_keys,
                                 &chunk_values, &chunk_failures, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGetPartial(options_.index_table,
+      RSTORE_RETURN_IF_ERROR(kvs_->MultiGetPartial(options_->index_table,
                                                    plan.map_keys, &map_values,
                                                    &map_failures, trace));
     } else {
       RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(
-          options_.chunk_table, plan.chunk_keys, &chunk_values, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(options_.index_table,
+          options_->chunk_table, plan.chunk_keys, &chunk_values, trace));
+      RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(options_->index_table,
                                             plan.map_keys, &map_values,
                                             trace));
     }
@@ -304,7 +258,7 @@ Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
   // Body batch first, map batch chained at its simulated completion
   // instant — the sync path's sequencing, reproduced on the virtual clock
   // (and required to keep this trace's spans LIFO).
-  kvs_->MultiGetAsync(executor, options_.chunk_table, state->plan.chunk_keys,
+  kvs_->MultiGetAsync(executor, options_->chunk_table, state->plan.chunk_keys,
                       best_effort, trace)
       .OnComplete([this, state](const Future<AsyncMultiGetResult>& bodies) {
         if (!bodies.value().status.ok()) {
@@ -312,7 +266,7 @@ Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
           return;
         }
         state->chunk_batch = bodies;
-        kvs_->MultiGetAsync(state->executor, options_.index_table,
+        kvs_->MultiGetAsync(state->executor, options_->index_table,
                             state->plan.map_keys, state->best_effort,
                             state->trace)
             .OnReady([this, state](const AsyncMultiGetResult& map_result) {
@@ -389,12 +343,13 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
   }
   QueryMetrics::Get().queries_total->Increment();
 
-  const bool delta = layout_ == LayoutKind::kDeltaChain;
+  const LayoutKind layout = catalog_->layout();
+  const bool delta = layout == LayoutKind::kDeltaChain;
   switch (query.kind) {
     case Kind::kVersion:
       if (delta) {
         plan.ids = DeltaChainIds(query.version);
-      } else if (layout_ == LayoutKind::kChunked) {
+      } else if (layout == LayoutKind::kChunked) {
         plan.ids = catalog_->ChunksOfVersion(query.version);
       } else {
         // No version->chunk index: every chunk must be retrieved (§2.2).
@@ -416,7 +371,7 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
     case Kind::kRecord:
       if (delta) {
         plan.ids = DeltaChainIds(query.version);
-      } else if (layout_ == LayoutKind::kSubChunkPerKey) {
+      } else if (layout == LayoutKind::kSubChunkPerKey) {
         plan.ids = catalog_->ChunksOfKey(query.key_lo);
       } else {
         // Index-ANDing of the two projections (paper §2.4).
@@ -432,7 +387,7 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
   // A delta chain with a hole cannot be replayed, so DELTA is always strict
   // (DESIGN.md "Fault tolerance"); so are history and point queries.
   plan.best_effort =
-      options_.read_mode == ReadMode::kBestEffort && !delta &&
+      options_->read_mode == ReadMode::kBestEffort && !delta &&
       (query.kind == Kind::kVersion || query.kind == Kind::kRange);
   return plan;
 }
@@ -443,7 +398,7 @@ Result<std::vector<Record>> QueryProcessor::FinishQuery(
   if (query.kind == Kind::kHistory) {
     return HistoryFromChunks(chunks, query.key_lo);
   }
-  if (layout_ == LayoutKind::kDeltaChain) {
+  if (catalog_->layout() == LayoutKind::kDeltaChain) {
     return ReplayDeltaChain(chunks, query.version,
                             query.kind != Kind::kVersion, query.key_lo,
                             query.key_hi);
@@ -505,115 +460,25 @@ Future<AsyncQueryResult> QueryProcessor::RunAsync(Executor* executor,
   return promise.future();
 }
 
-Result<std::vector<Record>> QueryProcessor::GetVersion(
-    VersionId version, QueryStats* stats, TraceContext* trace,
-    QueryDegradation* degradation) {
-  return Run(Query{Query::Kind::kVersion, version}, stats, trace,
-             degradation);
-}
-
-Result<std::vector<Record>> QueryProcessor::GetRange(
-    VersionId version, const std::string& key_lo, const std::string& key_hi,
-    QueryStats* stats, TraceContext* trace, QueryDegradation* degradation) {
-  return Run(Query{Query::Kind::kRange, version, key_lo, key_hi}, stats,
-             trace, degradation);
-}
-
-Result<std::vector<Record>> QueryProcessor::GetHistory(const std::string& key,
-                                                       QueryStats* stats,
-                                                       TraceContext* trace) {
-  return Run(Query{Query::Kind::kHistory, kInvalidVersion, key}, stats, trace,
-             nullptr);
-}
-
-Result<Record> QueryProcessor::GetRecord(const std::string& key,
-                                         VersionId version,
-                                         QueryStats* stats,
-                                         TraceContext* trace) {
-  return PointAnswer(
-      Run(Query{Query::Kind::kRecord, version, key, key}, stats, trace,
-          nullptr),
-      key, version);
-}
-
-Future<AsyncQueryResult> QueryProcessor::GetVersionAsync(Executor* executor,
-                                                         VersionId version,
-                                                         TraceContext* trace) {
-  return RunAsync(executor, Query{Query::Kind::kVersion, version}, trace);
-}
-
-Future<AsyncQueryResult> QueryProcessor::GetRangeAsync(
-    Executor* executor, VersionId version, const std::string& key_lo,
-    const std::string& key_hi, TraceContext* trace) {
-  return RunAsync(executor,
-                  Query{Query::Kind::kRange, version, key_lo, key_hi}, trace);
-}
-
-Future<AsyncQueryResult> QueryProcessor::GetHistoryAsync(Executor* executor,
-                                                         const std::string& key,
-                                                         TraceContext* trace) {
-  return RunAsync(executor, Query{Query::Kind::kHistory, kInvalidVersion, key},
-                  trace);
-}
-
-Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
-    Executor* executor, const std::string& key, VersionId version,
-    TraceContext* trace) {
-  return RunAsync(executor, Query{Query::Kind::kRecord, version, key, key},
-                  trace)
-      .Then([key, version](const AsyncQueryResult& found) {
-        AsyncRecordResult result;
-        result.stats = found.stats;
-        Result<Record> record =
-            found.status.ok() ? PointAnswer(found.records, key, version)
-                              : Result<Record>(found.status);
-        if (record.ok()) {
-          result.record = std::move(record.value());
-        } else {
-          result.status = record.status();
-        }
-        return result;
-      });
-}
-
 Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(
     const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
     const std::string& key_lo, const std::string& key_hi) const {
-  std::vector<std::vector<Record>> per_chunk(chunks.size());
-  std::vector<Status> statuses(chunks.size());
-  auto extract_one = [&](size_t c) {
-    if (chunks[c] == nullptr) return;  // best-effort fetch casualty
-    const Chunk& chunk = *chunks[c];
+  std::vector<Record> out;
+  for (const ChunkRef& chunk_ref : chunks) {
+    if (chunk_ref == nullptr) continue;  // best-effort fetch casualty
+    const Chunk& chunk = *chunk_ref;
     std::vector<uint32_t> indices = chunk.chunk_map().RecordsOf(version);
     if (use_range) {
-      std::vector<uint32_t> filtered;
-      for (uint32_t idx : indices) {
-        if (KeyInRange(chunk.records()[idx].key, key_lo, key_hi)) {
-          filtered.push_back(idx);
-        }
-      }
-      indices = std::move(filtered);
+      std::erase_if(indices, [&](uint32_t idx) {
+        return !KeyInRange(chunk.records()[idx].key, key_lo, key_hi);
+      });
     }
-    if (indices.empty()) return;  // lossy-projection artifact
+    if (indices.empty()) continue;  // lossy-projection artifact
     auto extracted = chunk.ExtractRecords(indices);
-    if (!extracted.ok()) {
-      statuses[c] = extracted.status();
-      return;
-    }
-    per_chunk[c].reserve(extracted->size());
+    if (!extracted.ok()) return extracted.status();
     for (auto& [ck, payload] : extracted.value()) {
-      per_chunk[c].push_back(Record{ck, std::move(payload)});
+      out.push_back(Record{ck, std::move(payload)});
     }
-  };
-  if (options_.parallel_extraction) {
-    ParallelFor(chunks.size(), extract_one);
-  } else {
-    for (size_t c = 0; c < chunks.size(); ++c) extract_one(c);
-  }
-  std::vector<Record> out;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    RSTORE_RETURN_IF_ERROR(statuses[c]);
-    for (Record& r : per_chunk[c]) out.push_back(std::move(r));
   }
   std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
     return a.key < b.key;
@@ -638,7 +503,7 @@ std::vector<ChunkId> QueryProcessor::RangeChunkIds(
     VersionId version, const std::string& key_lo,
     const std::string& key_hi) const {
   std::vector<ChunkId> ids;
-  if (layout_ == LayoutKind::kChunked) {
+  if (catalog_->layout() == LayoutKind::kChunked) {
     // Index-ANDing: chunks of the version INTERSECT chunks holding any key
     // in the range. The key->chunks projection is keyed by exact key, so
     // candidates come from scanning each version chunk's record list once.
@@ -692,7 +557,7 @@ Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
 Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
     const std::vector<ChunkRef>& chunks, const std::string& key) const {
   std::vector<Record> out;
-  if (layout_ == LayoutKind::kDeltaChain) {
+  if (catalog_->layout() == LayoutKind::kDeltaChain) {
     // Everything was fetched; replay it all (record-level deltas may chain
     // across versions) and filter by key.
     auto replayed = ReplayChunks(chunks);

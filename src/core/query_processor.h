@@ -99,11 +99,12 @@ struct QueryDegradation {
   bool degraded() const { return !missing_chunks.empty(); }
 };
 
-/// Completion payload of an asynchronous record-set query (GetVersionAsync /
-/// GetRangeAsync / GetHistoryAsync). The per-query cost accounting rides in
-/// the result — differencing a shared QueryStats is meaningless while many
-/// queries are in flight — and `records` is byte-identical to what the
-/// synchronous twin would have returned.
+/// Completion payload of an asynchronous query (QueryProcessor::RunAsync,
+/// and so RStore's GetVersionAsync / GetRangeAsync / GetHistoryAsync). The
+/// per-query cost accounting rides in the result — differencing a shared
+/// QueryStats is meaningless while many queries are in flight — and
+/// `records` is byte-identical to what the synchronous twin would have
+/// returned.
 struct AsyncQueryResult {
   Status status = Status::OK();
   std::vector<Record> records;
@@ -130,92 +131,81 @@ struct AsyncRecordResult {
 ///   record of interest.
 ///
 /// The DELTA and SUBCHUNK baseline layouts use their own retrieval rules
-/// (chain replay / full scan) selected by the layout kind.
+/// (chain replay / full scan) selected by the catalog's layout kind. The
+/// fetched chunks are decoded and extracted one after another, as in the
+/// paper's prototype (§5.5).
 ///
 /// When a ChunkCache is attached, every chunk fetch consults it first (keyed
 /// by the chunk's current map generation from the catalog, so entries with
 /// rewritten maps are never served) and decoded chunks are inserted after a
-/// backend fetch. Multiple QueryProcessors — including ones on different
-/// threads — may share one cache; `cache_owner` namespaces their entries
-/// per owning store.
+/// backend fetch. Processors on different threads may share one cache.
 class QueryProcessor {
  public:
-  /// All pointers are borrowed and must outlive the processor. `dataset` is
-  /// the tree-transformed dataset whose composite keys match the stored
-  /// chunks. `cache` may be null (uncached reads, the default).
+  /// All pointers are borrowed and must outlive the processor; the
+  /// processor reads them at each query, so it follows the catalog, dataset
+  /// and options as their owner changes them. `dataset` is the
+  /// tree-transformed dataset whose composite keys match the stored chunks.
+  /// `cache` may be null (uncached reads, the default).
   QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
-                 const VersionedDataset* dataset, LayoutKind layout,
-                 const Options& options, ChunkCache* cache = nullptr,
-                 uint64_t cache_owner = 0);
+                 const VersionedDataset* dataset, const Options* options,
+                 ChunkCache* cache = nullptr);
+  // In-flight async queries hold the processor's address.
+  QueryProcessor(const QueryProcessor&) = delete;
+  QueryProcessor& operator=(const QueryProcessor&) = delete;
 
-  /// Q1 — full version retrieval: every record of `version`.
+  /// One query of any of the four classes.
+  struct Query {
+    enum class Kind {
+      kVersion,  // Q1, full version retrieval: every record of `version`
+      kRange,    // Q2, records of `version` with key in [key_lo, key_hi]
+      kHistory,  // Q3, record evolution: every record with key `key_lo`
+      kRecord,   // point query: the record with key `key_lo` in `version`
+    };
+    Kind kind = Kind::kVersion;
+    VersionId version = kInvalidVersion;  // unused by kHistory
+    /// kRange's bounds (inclusive); the key of kHistory (key_lo) and
+    /// kRecord (both: a point query is the range [key, key]).
+    std::string key_lo{};
+    std::string key_hi{};
+  };
+
+  /// Runs `query` synchronously: plans it from the projections, fetches its
+  /// chunks (bodies, then maps, each one KVStore::MultiGet) and extracts the
+  /// records. History comes back sorted by origin version, the other
+  /// classes by key; a point query yields at most one record (none when
+  /// the version has no such key).
   ///
-  /// All four query methods accept an optional TraceContext: when non-null,
-  /// the query records a span tree ("query.*" around the whole query,
-  /// "query.fetch_chunks" / "cache.lookup" / "query.decode" around the read
-  /// path, plus the backend's own "kvs.multiget" spans) stamped with both
-  /// wall-clock and simulated time.
-  /// GetVersion and GetRange also honor Options::read_mode: under
-  /// ReadMode::kBestEffort, chunks the backend cannot serve are skipped and
-  /// reported via `degradation` (when non-null) and the missing_chunks stat
-  /// instead of failing the query. In strict mode `degradation` is ignored.
-  Result<std::vector<Record>> GetVersion(VersionId version,
-                                         QueryStats* stats = nullptr,
-                                         TraceContext* trace = nullptr,
-                                         QueryDegradation* degradation =
-                                             nullptr);
+  /// With a non-null `trace`, the query records a span tree ("query.*"
+  /// around the whole query, "query.fetch_chunks" / "cache.lookup" /
+  /// "query.decode" around the read path, plus the backend's own
+  /// "kvs.multiget" spans) stamped with both wall-clock and simulated time.
+  /// Full and range retrievals outside the DELTA layout honor
+  /// Options::read_mode: under ReadMode::kBestEffort, chunks the backend
+  /// cannot serve are skipped (through MultiGetPartial) and reported via
+  /// `degradation` (when non-null) and the missing_chunks stat instead of
+  /// failing the query. Every other query is strict and leaves
+  /// `degradation` alone.
+  Result<std::vector<Record>> Run(const Query& query,
+                                  QueryStats* stats = nullptr,
+                                  TraceContext* trace = nullptr,
+                                  QueryDegradation* degradation = nullptr);
 
-  /// Q2 — range retrieval: records of `version` with key in
-  /// [key_lo, key_hi] (inclusive).
-  Result<std::vector<Record>> GetRange(VersionId version,
-                                       const std::string& key_lo,
-                                       const std::string& key_hi,
-                                       QueryStats* stats = nullptr,
-                                       TraceContext* trace = nullptr,
-                                       QueryDegradation* degradation =
-                                           nullptr);
-
-  /// Q3 — record evolution: every record (across all versions) with the
-  /// given primary key, sorted by origin version.
-  Result<std::vector<Record>> GetHistory(const std::string& key,
-                                         QueryStats* stats = nullptr,
-                                         TraceContext* trace = nullptr);
-
-  /// Point query: the record with `key` as visible in `version`.
-  /// kNotFound if the version has no such key.
-  Result<Record> GetRecord(const std::string& key, VersionId version,
-                           QueryStats* stats = nullptr,
-                           TraceContext* trace = nullptr);
-
-  // -- Asynchronous twins: continuation-style execution on a deterministic
-  //    virtual-time Executor, so many queries pipeline through one
-  //    coordinator (the backend's per-node queues are the shared resource).
-  //    Each method runs its sync twin's plan inline, submits its chunk
-  //    fetches, and runs the same epilogue when they complete, completing
-  //    the returned future at the query's simulated completion instant with
-  //    results byte-identical to the synchronous twin. A
-  //    sequentially-drained executor (RunUntilIdle after each submission)
-  //    replays the synchronous timeline exactly — same backend ticks, same
-  //    charges, same counters.
-  //
-  //    `trace`, when non-null, must be a context used by this query chain
-  //    only (one TraceContext per in-flight query) and stays open until the
-  //    future completes. Best-effort degradation rides in the result; the
-  //    processor itself must outlive the future (RStore's wrappers pin it).
-  Future<AsyncQueryResult> GetVersionAsync(Executor* executor,
-                                           VersionId version,
-                                           TraceContext* trace = nullptr);
-  Future<AsyncQueryResult> GetRangeAsync(Executor* executor, VersionId version,
-                                         const std::string& key_lo,
-                                         const std::string& key_hi,
-                                         TraceContext* trace = nullptr);
-  Future<AsyncQueryResult> GetHistoryAsync(Executor* executor,
-                                           const std::string& key,
-                                           TraceContext* trace = nullptr);
-  Future<AsyncRecordResult> GetRecordAsync(Executor* executor,
-                                           const std::string& key,
-                                           VersionId version,
-                                           TraceContext* trace = nullptr);
+  /// The asynchronous twin of Run, continuation-style on a deterministic
+  /// virtual-time Executor, so many queries pipeline through one
+  /// coordinator (the backend's per-node queues are the shared resource).
+  /// It plans inline, submits the chunk fetches through
+  /// KVStore::MultiGetAsync, and runs Run's epilogue when they complete,
+  /// completing the returned future at the query's simulated completion
+  /// instant with records byte-identical to Run's. A sequentially-drained
+  /// executor (RunUntilIdle after each submission) replays the synchronous
+  /// timeline exactly — same backend ticks, same charges, same counters.
+  ///
+  /// The query's accounting and best-effort report ride in the result.
+  /// `trace`, when non-null, must be a context used by this query chain
+  /// only (one TraceContext per in-flight query) and stays open until the
+  /// future completes. The processor must outlive the future.
+  Future<AsyncQueryResult> RunAsync(Executor* executor, Query query,
+                                    TraceContext* trace = nullptr);
 
  private:
   /// A decoded chunk on the read path: cached entries are shared with the
@@ -240,13 +230,14 @@ class QueryProcessor {
   /// can never be served) and builds the body/map keys for the misses.
   FetchPlan PrepareFetch(const std::vector<ChunkId>& ids, TraceContext* trace);
 
-  /// Decodes fetched bodies + maps into plan->chunks and inserts them into
-  /// the cache. With `degradation` non-null, keys in the failure lists
-  /// leave null refs and a report entry (best-effort); otherwise any
-  /// unserved chunk is an error. A chunk takes its body over: from a
-  /// mutable `chunk_values` (a batch the caller owns) each body is moved
-  /// into its chunk, from a const one (an async result other continuations
-  /// may read) it is copied once.
+  /// Decodes fetched bodies + maps into plan->chunks, in order, and inserts
+  /// them into the cache. With `degradation` non-null, keys in the failure
+  /// lists leave null refs and a report entry (best-effort); otherwise any
+  /// unserved chunk is an error. A failing decode returns before the report
+  /// or the cache is touched. A chunk takes its body over: from a mutable
+  /// `chunk_values` (a batch the caller owns) each body is moved into its
+  /// chunk, from a const one (an async result other continuations may read)
+  /// it is copied once.
   template <typename BodyMap>
   Status DecodeAndInsert(const std::vector<ChunkId>& ids, FetchPlan* plan,
                          BodyMap& chunk_values,
@@ -270,8 +261,7 @@ class QueryProcessor {
   Result<std::vector<ChunkRef>> FetchChunks(const std::vector<ChunkId>& ids,
                                             QueryStats* stats,
                                             TraceContext* trace,
-                                            QueryDegradation* degradation =
-                                                nullptr);
+                                            QueryDegradation* degradation);
 
   /// Completion payload of FetchChunksAsync: the chunks plus this fetch's
   /// own accounting and (best-effort mode) degradation report.
@@ -317,17 +307,6 @@ class QueryProcessor {
   /// Completes an async fetch with `error`, closing its span (no charge).
   void AbortFetchAsync(const FetchStatePtr& state, const Status& error);
 
-  /// One query of any of the four classes, as both paths run it.
-  struct Query {
-    enum class Kind { kVersion, kRange, kHistory, kRecord };
-    Kind kind;
-    VersionId version = kInvalidVersion;  // unused by kHistory
-    /// kRange's bounds; the key of kHistory (key_lo) and kRecord (both: a
-    /// point query is the range [key, key]).
-    std::string key_lo{};
-    std::string key_hi{};
-  };
-
   /// What both paths do before the fetch. A non-OK status is a
   /// validation error and nothing else ran; otherwise the query's span is
   /// open (when traced) and `ids` are the chunks to fetch.
@@ -346,13 +325,6 @@ class QueryProcessor {
   /// query yields at most one record.
   Result<std::vector<Record>> FinishQuery(
       const Query& query, const std::vector<ChunkRef>& chunks) const;
-  /// The sync path: plan, FetchChunks, finish.
-  Result<std::vector<Record>> Run(const Query& query, QueryStats* stats,
-                                  TraceContext* trace,
-                                  QueryDegradation* degradation);
-  /// The async path: plan, FetchChunksAsync, finish in its continuation.
-  Future<AsyncQueryResult> RunAsync(Executor* executor, Query query,
-                                    TraceContext* trace);
 
   /// Extracts the records of `version` from fetched chunks via chunk maps,
   /// optionally restricted to [key_lo, key_hi]. Null chunk refs (best-effort
@@ -386,10 +358,8 @@ class QueryProcessor {
   KVStore* kvs_;
   const StoreCatalog* catalog_;
   const VersionedDataset* dataset_;
-  LayoutKind layout_;
-  Options options_;
+  const Options* options_;
   ChunkCache* cache_;
-  uint64_t cache_owner_;
 };
 
 }  // namespace rstore

@@ -129,18 +129,29 @@ void RecordIngestFlight(const TraceContext& trace, size_t first_span,
   FlightRecorder::Default().Record(std::move(record));
 }
 
-/// The async results that carry a best-effort report.
-const QueryDegradation* DegradationOf(const AsyncQueryResult& result) {
-  return &result.degradation;
-}
-const QueryDegradation* DegradationOf(const AsyncRecordResult&) {
-  return nullptr;
+/// A point query's answer: its one record, or kNotFound. GetRecord and
+/// GetRecordAsync both convert through here.
+Result<Record> PointAnswer(Result<std::vector<Record>> found,
+                           const std::string& key, VersionId version) {
+  if (!found.ok()) return found.status();
+  if (found->empty()) {
+    return Status::NotFound("no record " + key + " in version " +
+                            std::to_string(version));
+  }
+  return std::move(found->front());
 }
 
 }  // namespace
 
+using Query = QueryProcessor::Query;
+
 RStore::RStore(KVStore* backend, const Options& options)
-    : backend_(backend), options_(options) {}
+    : backend_(backend),
+      options_(options),
+      cache_(options.cache_capacity_bytes > 0
+                 ? std::make_unique<ChunkCache>(options.cache_capacity_bytes)
+                 : nullptr),
+      processor_(backend, &catalog_, &tree_, &options_, cache_.get()) {}
 
 Result<std::unique_ptr<RStore>> RStore::Open(KVStore* backend,
                                              const Options& options) {
@@ -152,17 +163,7 @@ Result<std::unique_ptr<RStore>> RStore::Open(KVStore* backend,
   }
   RSTORE_RETURN_IF_ERROR(backend->CreateTable(options.chunk_table));
   RSTORE_RETURN_IF_ERROR(backend->CreateTable(options.index_table));
-  std::unique_ptr<RStore> store(new RStore(backend, options));
-  if (options.chunk_cache != nullptr) {
-    store->cache_ = options.chunk_cache;
-  } else if (options.cache_capacity_bytes > 0) {
-    store->cache_ = std::make_shared<ChunkCache>(options.cache_capacity_bytes,
-                                                 options.cache_shards);
-  }
-  if (store->cache_ != nullptr) {
-    store->cache_owner_ = store->cache_->NewOwnerId();
-  }
-  return store;
+  return std::unique_ptr<RStore>(new RStore(backend, options));
 }
 
 Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
@@ -189,7 +190,7 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
   input.options = options_;
   auto partitioned = partitioner->Partition(input);
   if (!partitioned.ok()) return partitioned.status();
-  layout_ = partitioned->layout;
+  catalog_.set_layout(partitioned->layout);
   partition_span.Annotate("chunks",
                           std::to_string(partitioned->chunks.size()));
   partition_span.End();
@@ -525,13 +526,13 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
   // 4. Retrieval rules follow the configured algorithm.
   switch (options.algorithm) {
     case PartitionAlgorithm::kDeltaBaseline:
-      store->layout_ = LayoutKind::kDeltaChain;
+      store->catalog_.set_layout(LayoutKind::kDeltaChain);
       break;
     case PartitionAlgorithm::kSubChunkBaseline:
-      store->layout_ = LayoutKind::kSubChunkPerKey;
+      store->catalog_.set_layout(LayoutKind::kSubChunkPerKey);
       break;
     default:
-      store->layout_ = LayoutKind::kChunked;
+      store->catalog_.set_layout(LayoutKind::kChunked);
   }
   return store;
 }
@@ -577,9 +578,8 @@ Status RStore::Repartition(TraceContext* trace) {
   // layout under fresh chunk ids into a fresh catalog while the old chunks
   // stay intact. If a write fails the old catalog comes back (the ids drawn
   // are never reused); the old entries are deleted only once both batches
-  // have landed.
+  // have landed. The catalog carries the layout kind, so it swaps too.
   StoreCatalog old_catalog = std::move(catalog_);
-  const LayoutKind old_layout = layout_;
   const uint64_t old_chunk_bytes = stored_chunk_bytes_;
   const uint64_t old_record_bytes = stored_record_bytes_;
   catalog_ = StoreCatalog();
@@ -589,7 +589,6 @@ Status RStore::Repartition(TraceContext* trace) {
   Status written = PartitionAndWrite(tree_, *payloads, {}, trace);
   if (!written.ok()) {
     catalog_ = std::move(old_catalog);
-    layout_ = old_layout;
     stored_chunk_bytes_ = old_chunk_bytes;
     stored_record_bytes_ = old_record_bytes;
     return written;
@@ -642,7 +641,7 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
       }
       // The lossy projection must cover every (version, chunk) pair.
       std::vector<ChunkId> projected = catalog_.ChunksOfVersion(v);
-      if (layout_ == LayoutKind::kChunked &&
+      if (catalog_.layout() == LayoutKind::kChunked &&
           !std::binary_search(projected.begin(), projected.end(), id)) {
         return Status::Corruption(
             "version->chunk projection misses chunk " + std::to_string(id) +
@@ -697,46 +696,42 @@ Status RStore::Flush(TraceContext* trace) {
   return backend_->Put(options_.index_table, "g", graph_blob);
 }
 
-template <typename T, typename Fn>
-Result<T> RStore::RunQuery(const char* name, QueryStats* stats,
-                           TraceContext* trace,
-                           const QueryDegradation* degradation, Fn query) {
+Result<std::vector<Record>> RStore::RunQuery(const char* name,
+                                             const Query& query,
+                                             QueryStats* stats,
+                                             TraceContext* trace,
+                                             QueryDegradation* degradation) {
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
   const KVStats before = backend_->stats();
   QueryStats local;
-  Result<T> result = query(qp, &local);
+  Result<std::vector<Record>> records =
+      processor_.Run(query, &local, trace, degradation);
   RecordQueryFlight(name, local, KVStats::Delta(backend_->stats(), before),
                     degradation, trace);
   if (stats != nullptr) *stats += local;
-  return result;
+  return records;
 }
 
-template <typename R, typename Submit>
-Future<R> RStore::RunQueryAsync(const char* name, TraceContext* trace,
-                                Submit submit) {
+Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
+                                               Executor* executor, Query query,
+                                               TraceContext* trace) {
   // The flush prologue runs synchronously, like the sync queries: writes
   // and async reads never overlap (documented contract).
   Status flushed = ProcessBatch(trace);
   if (!flushed.ok()) {
-    R result;
+    AsyncQueryResult result;
     result.status = std::move(flushed);
     return MakeReadyFuture(std::move(result));
   }
-  // Heap-held: continuations run long after this frame returns, and the
-  // one below keeps the processor alive until the query completes.
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
   const KVStats before = backend_->stats();
-  Future<R> future = submit(*qp);
+  Future<AsyncQueryResult> future =
+      processor_.RunAsync(executor, std::move(query), trace);
   // `trace` outlives the future (documented contract); `this` outlives
   // every query it serves.
-  future.OnReady([this, qp, name, before, trace](const R& result) {
+  future.OnReady([this, name, before, trace](const AsyncQueryResult& result) {
     RecordQueryFlight(name, result.stats,
                       KVStats::Delta(backend_->stats(), before),
-                      DegradationOf(result), trace);
+                      &result.degradation, trace);
   });
   return future;
 }
@@ -745,11 +740,8 @@ Result<std::vector<Record>> RStore::GetVersion(VersionId version,
                                                QueryStats* stats,
                                                TraceContext* trace,
                                                QueryDegradation* degradation) {
-  return RunQuery<std::vector<Record>>(
-      "get_version", stats, trace, degradation,
-      [&](QueryProcessor& qp, QueryStats* qs) {
-        return qp.GetVersion(version, qs, trace, degradation);
-      });
+  return RunQuery("get_version", Query{Query::Kind::kVersion, version}, stats,
+                  trace, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetRange(VersionId version,
@@ -758,38 +750,32 @@ Result<std::vector<Record>> RStore::GetRange(VersionId version,
                                              QueryStats* stats,
                                              TraceContext* trace,
                                              QueryDegradation* degradation) {
-  return RunQuery<std::vector<Record>>(
-      "get_range", stats, trace, degradation,
-      [&](QueryProcessor& qp, QueryStats* qs) {
-        return qp.GetRange(version, key_lo, key_hi, qs, trace, degradation);
-      });
+  return RunQuery("get_range",
+                  Query{Query::Kind::kRange, version, key_lo, key_hi}, stats,
+                  trace, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetHistory(const std::string& key,
                                                QueryStats* stats,
                                                TraceContext* trace) {
-  return RunQuery<std::vector<Record>>(
-      "get_history", stats, trace, nullptr,
-      [&](QueryProcessor& qp, QueryStats* qs) {
-        return qp.GetHistory(key, qs, trace);
-      });
+  return RunQuery("get_history",
+                  Query{Query::Kind::kHistory, kInvalidVersion, key}, stats,
+                  trace, nullptr);
 }
 
 Result<Record> RStore::GetRecord(const std::string& key, VersionId version,
                                  QueryStats* stats, TraceContext* trace) {
-  return RunQuery<Record>("get_record", stats, trace, nullptr,
-                          [&](QueryProcessor& qp, QueryStats* qs) {
-                            return qp.GetRecord(key, version, qs, trace);
-                          });
+  return PointAnswer(
+      RunQuery("get_record", Query{Query::Kind::kRecord, version, key, key},
+               stats, trace, nullptr),
+      key, version);
 }
 
 Future<AsyncQueryResult> RStore::GetVersionAsync(Executor* executor,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  return RunQueryAsync<AsyncQueryResult>(
-      "get_version_async", trace, [&](QueryProcessor& qp) {
-        return qp.GetVersionAsync(executor, version, trace);
-      });
+  return RunQueryAsync("get_version_async", executor,
+                       Query{Query::Kind::kVersion, version}, trace);
 }
 
 Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
@@ -797,28 +783,38 @@ Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
                                                const std::string& key_lo,
                                                const std::string& key_hi,
                                                TraceContext* trace) {
-  return RunQueryAsync<AsyncQueryResult>(
-      "get_range_async", trace, [&](QueryProcessor& qp) {
-        return qp.GetRangeAsync(executor, version, key_lo, key_hi, trace);
-      });
+  return RunQueryAsync("get_range_async", executor,
+                       Query{Query::Kind::kRange, version, key_lo, key_hi},
+                       trace);
 }
 
 Future<AsyncQueryResult> RStore::GetHistoryAsync(Executor* executor,
                                                  const std::string& key,
                                                  TraceContext* trace) {
-  return RunQueryAsync<AsyncQueryResult>(
-      "get_history_async", trace, [&](QueryProcessor& qp) {
-        return qp.GetHistoryAsync(executor, key, trace);
-      });
+  return RunQueryAsync("get_history_async", executor,
+                       Query{Query::Kind::kHistory, kInvalidVersion, key},
+                       trace);
 }
 
 Future<AsyncRecordResult> RStore::GetRecordAsync(Executor* executor,
                                                  const std::string& key,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  return RunQueryAsync<AsyncRecordResult>(
-      "get_record_async", trace, [&](QueryProcessor& qp) {
-        return qp.GetRecordAsync(executor, key, version, trace);
+  return RunQueryAsync("get_record_async", executor,
+                       Query{Query::Kind::kRecord, version, key, key}, trace)
+      .Then([key, version](const AsyncQueryResult& found) {
+        AsyncRecordResult result;
+        result.stats = found.stats;
+        Result<Record> record = PointAnswer(
+            found.status.ok() ? Result<std::vector<Record>>(found.records)
+                              : Result<std::vector<Record>>(found.status),
+            key, version);
+        if (record.ok()) {
+          result.record = std::move(record).value();
+        } else {
+          result.status = record.status();
+        }
+        return result;
       });
 }
 
@@ -880,7 +876,7 @@ Result<VersionId> RStore::MergeBase(VersionId a, VersionId b) const {
 }
 
 uint64_t RStore::TotalVersionSpan() const {
-  switch (layout_) {
+  switch (catalog_.layout()) {
     case LayoutKind::kChunked:
       return catalog_.TotalVersionSpan();
     case LayoutKind::kDeltaChain: {

@@ -49,6 +49,11 @@ namespace rstore {
 /// chunk bodies, then the chunk maps.
 class RStore {
  public:
+  // The processor, the membership cursor and in-flight async queries hold
+  // addresses of the store and its members.
+  RStore(const RStore&) = delete;
+  RStore& operator=(const RStore&) = delete;
+
   /// Creates the layer on `backend` (borrowed; must outlive the store) and
   /// creates the chunk/index tables.
   static Result<std::unique_ptr<RStore>> Open(KVStore* backend,
@@ -117,12 +122,13 @@ class RStore {
   /// kCorruption naming the first inconsistency.
   Status VerifyIntegrity(TraceContext* trace = nullptr);
 
-  // -- Queries (see QueryProcessor). Staged-but-unflushed versions are
-  //    flushed on demand before being queried. Pass a TraceContext to
+  // -- Queries (see QueryProcessor::Run). Staged-but-unflushed versions
+  //    are flushed on demand before being queried. Pass a TraceContext to
   //    capture the query's span tree (exportable as Chrome trace JSON).
   //    Under Options::read_mode == ReadMode::kBestEffort, GetVersion and
   //    GetRange skip chunks the backend cannot serve and report them via
   //    `degradation` (and QueryStats::missing_chunks) instead of failing.
+  //    GetRecord returns kNotFound when the version has no such key.
   Result<std::vector<Record>> GetVersion(VersionId version,
                                          QueryStats* stats = nullptr,
                                          TraceContext* trace = nullptr,
@@ -142,14 +148,14 @@ class RStore {
                            QueryStats* stats = nullptr,
                            TraceContext* trace = nullptr);
 
-  // -- Asynchronous query twins (see QueryProcessor). Each flushes any
-  //    staged batch synchronously, then submits the query onto `executor`'s
-  //    virtual timeline; the future completes at the query's simulated
-  //    completion instant with results byte-identical to the sync method
-  //    and the query's own cost accounting in the payload. Queries on one
-  //    Executor share its virtual timeline's node queues (see Cluster), and
-  //    writes must not run while queries are in flight (drain the executor
-  //    first).
+  // -- Asynchronous query twins (see QueryProcessor::RunAsync). Each
+  //    flushes any staged batch synchronously, then submits the query onto
+  //    `executor`'s virtual timeline; the future completes at the query's
+  //    simulated completion instant with results byte-identical to the sync
+  //    method and the query's own cost accounting in the payload. Queries
+  //    on one Executor share its virtual timeline's node queues (see
+  //    Cluster), and writes must not run while queries are in flight (drain
+  //    the executor first). The store must outlive the futures.
   Future<AsyncQueryResult> GetVersionAsync(Executor* executor,
                                            VersionId version,
                                            TraceContext* trace = nullptr);
@@ -182,11 +188,11 @@ class RStore {
   uint32_t num_versions() const { return tree_.graph.size(); }
 
   const StoreCatalog& catalog() const { return catalog_; }
-  LayoutKind layout() const { return layout_; }
+  LayoutKind layout() const { return catalog_.layout(); }
   const Options& options() const { return options_; }
 
-  /// The decoded-chunk cache serving this store's reads (own or shared via
-  /// Options::chunk_cache), or nullptr when caching is disabled.
+  /// The store's decoded-chunk cache (Options::cache_capacity_bytes), or
+  /// nullptr when caching is disabled.
   ChunkCache* chunk_cache() const { return cache_.get(); }
 
   /// Σ_v |chunks(v)| under the live projections — the paper's total version
@@ -223,22 +229,20 @@ class RStore {
   /// stats bracketing, sim-clock reconciliation and flight-recorder entry.
   Status ProcessBatchImpl(TraceContext* trace);
 
-  /// Every sync query: the flush prologue, a QueryProcessor over the
-  /// current catalog running `query(processor, &stats)`, and the
-  /// flight-recorder epilogue. Templated so the query runs inline.
-  template <typename T, typename Fn>
-  Result<T> RunQuery(const char* name, QueryStats* stats, TraceContext* trace,
-                     const QueryDegradation* degradation, Fn query);
-  /// Every async query: the flush prologue, then `submit(processor)` on a
-  /// processor kept alive until the query completes, whose completion
-  /// feeds the flight recorder.
-  template <typename R, typename Submit>
-  Future<R> RunQueryAsync(const char* name, TraceContext* trace,
-                          Submit submit);
+  /// Every sync query: the flush prologue, the store's processor running
+  /// `query`, and the flight-recorder epilogue.
+  Result<std::vector<Record>> RunQuery(const char* name,
+                                       const QueryProcessor::Query& query,
+                                       QueryStats* stats, TraceContext* trace,
+                                       QueryDegradation* degradation);
+  /// Every async query: the flush prologue, then the query submitted on the
+  /// store's processor, whose completion feeds the flight recorder.
+  Future<AsyncQueryResult> RunQueryAsync(const char* name, Executor* executor,
+                                         QueryProcessor::Query query,
+                                         TraceContext* trace);
 
   KVStore* backend_;
   Options options_;
-  LayoutKind layout_ = LayoutKind::kChunked;
   bool loaded_ = false;
 
   VersionGraph original_graph_;  // with merge edges
@@ -250,10 +254,9 @@ class RStore {
 
   StoreCatalog catalog_;
   DeltaStore delta_store_;
-  /// Shared ownership: Options::chunk_cache may outlive (and span) stores.
-  std::shared_ptr<ChunkCache> cache_;
-  /// This store's namespace within cache_ (see ChunkCacheKey::owner).
-  uint64_t cache_owner_ = 0;
+  std::unique_ptr<ChunkCache> cache_;  // null when caching is disabled
+  /// Serves every query, reading the catalog, dataset and options above.
+  QueryProcessor processor_;
   ChunkId next_chunk_id_ = 0;
   uint64_t stored_chunk_bytes_ = 0;
   uint64_t stored_record_bytes_ = 0;

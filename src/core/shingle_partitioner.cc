@@ -7,11 +7,18 @@
 
 namespace rstore {
 
+namespace {
+
+/// Seed of the min-hash family: fixed, so SHINGLE layouts are reproducible.
+constexpr uint64_t kShingleSeed = 0x5253746f7265ull;  // "RStore"
+
+}  // namespace
+
 Result<Partitioning> ShinglePartitioner::Partition(
     const PartitionInput& input) {
   const std::vector<PlacementItem>& items = *input.items;
   const uint32_t l = std::max<uint32_t>(1, input.options.shingle_count);
-  HashFamily family(l, input.options.seed);
+  HashFamily family(l, kShingleSeed);
 
   // Algorithm 1: shingles[i] = (min_v h_1(v), ..., min_v h_l(v)).
   std::vector<std::vector<uint64_t>> shingles(items.size());

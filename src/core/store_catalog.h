@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "core/chunk.h"
 #include "core/chunk_map.h"
+#include "core/placement.h"
 #include "version/dataset.h"
 
 namespace rstore {
@@ -17,7 +18,8 @@ namespace rstore {
 /// The application server's in-memory state (paper §2.4): the two lossy
 /// projections of the key/version/chunk matrix — version->chunks and
 /// key->chunks — plus the bookkeeping the online partitioner needs to
-/// rebuild chunk maps from memory (chunk->records and record->versions).
+/// rebuild chunk maps from memory (chunk->records and record->versions),
+/// and the layout kind whose retrieval rules queries over the chunks follow.
 ///
 /// "We use in-memory hashmaps to store these mappings." The catalog itself
 /// is never persisted: each chunk's entries are derived from its record
@@ -50,6 +52,11 @@ class StoreCatalog {
   const RecordVersionMap& record_versions() const { return record_versions_; }
 
   size_t num_chunks() const { return chunk_records_.size(); }
+
+  /// How the registered chunks answer queries (set by whoever partitions
+  /// them; kChunked for an empty catalog).
+  LayoutKind layout() const { return layout_; }
+  void set_layout(LayoutKind layout) { layout_ = layout; }
 
   /// Lossy projection 1: chunks holding records of `version` (sorted).
   std::vector<ChunkId> ChunksOfVersion(VersionId version) const;
@@ -102,6 +109,7 @@ class StoreCatalog {
   std::unordered_map<VersionId, std::vector<ChunkId>> origin_chunks_;
   /// Sparse: only chunks whose map has been rewritten at least once.
   std::unordered_map<ChunkId, uint64_t> map_generation_;
+  LayoutKind layout_ = LayoutKind::kChunked;
 };
 
 }  // namespace rstore

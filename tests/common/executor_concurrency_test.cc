@@ -1,22 +1,23 @@
 // TSan-targeted stress over the executor and futures: Post/PostAt/Cancel
 // storms from many threads against one drainer, promise completion racing
 // continuation registration, cross-thread Future::Get, and concurrent async
-// queries from separate stores contending on one shared ChunkCache. These
+// queries on separate executors contending on one shared ChunkCache. These
 // tests assert only counts and invariants — the interesting output is what
 // the race detector says about the interleavings.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/executor.h"
 #include "core/chunk_cache.h"
+#include "core/query_processor.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
-#include "kvstore/memory_store.h"
+#include "kvstore/cluster.h"
 
 namespace rstore {
 namespace {
@@ -135,46 +136,58 @@ TEST(ExecutorConcurrencyTest, OnReadyRacesWithSet) {
 }
 
 TEST(ExecutorConcurrencyTest, AsyncQueriesContendOnOneSharedChunkCache) {
-  // Each thread owns its backend, store, and executor (both are
-  // single-drainer components); the ChunkCache is the one deliberately
-  // shared piece, hammered from every thread at once.
-  auto cache = std::make_shared<ChunkCache>(32 << 10, 4);
+  // One store over a simulated cluster; each thread runs async queries
+  // through its own QueryProcessor on its own executor (a single-drainer
+  // component). The ChunkCache the processors share is hammered from every
+  // thread at once.
+  ClusterOptions cluster_options;
+  cluster_options.latency = ZeroLatencyModel();
+  Cluster cluster(cluster_options);
   testing::ExampleData data = testing::MakeChain(12, 10, 3);
+  Options options;
+  options.chunk_capacity_bytes = 600;
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+  // Ground truth, computed single-threaded and uncached.
+  std::vector<std::string> expected;
+  for (VersionId v = 0; v < 12; ++v) {
+    auto got = (*store)->GetVersion(v);
+    ASSERT_TRUE(got.ok());
+    expected.push_back(testing::SerializeRecords(*got));
+  }
 
+  ChunkCache cache(32 << 10, 4);
   std::vector<std::thread> workers;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &data, &failures] {
-      MemoryStore backend;
-      Options options;
-      options.chunk_capacity_bytes = 600;
-      options.chunk_cache = cache;
-      auto store = RStore::Open(&backend, options);
-      if (!store.ok() ||
-          !(*store)->BulkLoad(data.dataset, data.payloads).ok()) {
-        failures.fetch_add(1);
-        return;
-      }
+    workers.emplace_back([&] {
+      QueryProcessor processor(&cluster, &(*store)->catalog(),
+                               &(*store)->dataset(), &(*store)->options(),
+                               &cache);
       Executor executor;
-      std::atomic<int> bad{0};
       for (int pass = 0; pass < 3; ++pass) {
         for (VersionId v = 0; v < 12; ++v) {
-          (*store)
-              ->GetVersionAsync(&executor, v)
-              .OnReady([&bad](const AsyncQueryResult& r) {
-                if (!r.status.ok() || r.records.empty()) bad.fetch_add(1);
+          processor
+              .RunAsync(&executor, {QueryProcessor::Query::Kind::kVersion, v})
+              .OnReady([&failures, &expected, v](const AsyncQueryResult& r) {
+                if (!r.status.ok() ||
+                    testing::SerializeRecords(r.records) != expected[v]) {
+                  failures.fetch_add(1);
+                }
               });
         }
+        // Each pass's queries are in flight together; draining between
+        // passes lets later passes hit what earlier ones inserted.
+        executor.RunUntilIdle();
       }
-      executor.RunUntilIdle();
-      failures.fetch_add(bad.load());
     });
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
-  Status valid = cache->Validate();
+  Status valid = cache.Validate();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
-  EXPECT_GT(cache->stats().hits, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,9 +57,7 @@ TEST(ChunkCacheConcurrencyTest, MixedQueriesThroughOneTinyCache) {
 
   // One tiny shared cache: far below the working set, so threads evict each
   // other's entries continuously.
-  auto cache = std::make_shared<ChunkCache>(/*capacity_bytes=*/32 << 10,
-                                            /*num_shards=*/4);
-  const uint64_t owner = cache->NewOwnerId();
+  ChunkCache cache(/*capacity_bytes=*/32 << 10, /*num_shards=*/4);
   std::atomic<int> errors{0};
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
@@ -69,20 +66,23 @@ TEST(ChunkCacheConcurrencyTest, MixedQueriesThroughOneTinyCache) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       QueryProcessor qp(&cluster, &(*store)->catalog(), &(*store)->dataset(),
-                        (*store)->layout(), (*store)->options(), cache.get(),
-                        owner);
+                        &(*store)->options(), &cache);
       for (int round = 0; round < kRounds; ++round) {
         // Each thread walks the versions at a different stride so the
         // threads chase different parts of the working set concurrently.
         for (VersionId i = 0; i < 40; ++i) {
           VersionId v = (i * (t + 1) + round) % 40;
-          auto got = qp.GetVersion(v, &per_thread[t]);
+          auto got = qp.Run({QueryProcessor::Query::Kind::kVersion, v},
+                            &per_thread[t]);
           if (!got.ok() || SerializeRecords(*got) != expected_versions[v]) {
             errors.fetch_add(1);
           }
         }
         for (const auto& [key, expected] : expected_histories) {
-          auto got = qp.GetHistory(key, &per_thread[t]);
+          auto got =
+              qp.Run({QueryProcessor::Query::Kind::kHistory, kInvalidVersion,
+                      key},
+                     &per_thread[t]);
           if (!got.ok() || SerializeRecords(*got) != expected) {
             errors.fetch_add(1);
           }
@@ -95,7 +95,7 @@ TEST(ChunkCacheConcurrencyTest, MixedQueriesThroughOneTinyCache) {
   std::atomic<bool> stop{false};
   std::thread validator([&] {
     while (!stop.load()) {
-      if (!cache->Validate().ok()) errors.fetch_add(1);
+      if (!cache.Validate().ok()) errors.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -110,62 +110,12 @@ TEST(ChunkCacheConcurrencyTest, MixedQueriesThroughOneTinyCache) {
               per_thread[t].chunks_fetched)
         << "thread " << t;
   }
-  Status valid = cache->Validate();
+  Status valid = cache.Validate();
   EXPECT_TRUE(valid.ok()) << valid.ToString();
-  ChunkCacheStats stats = cache->stats();
+  ChunkCacheStats stats = cache.stats();
   EXPECT_LE(stats.charged_bytes, stats.capacity_bytes);
   EXPECT_GT(stats.evictions, 0u);  // the cache really was under pressure
   EXPECT_GT(stats.hits, 0u);
-}
-
-TEST(ChunkCacheConcurrencyTest, SharedCacheAcrossStoresKeepsOwnersApart) {
-  // Two stores over distinct backends share one cache; identical chunk ids
-  // on both sides must never alias. Each thread hammers one store.
-  auto cache = std::make_shared<ChunkCache>(/*capacity_bytes=*/256 << 10,
-                                            /*num_shards=*/2);
-  Options options;
-  options.chunk_capacity_bytes = 2048;
-  options.chunk_cache = cache;
-
-  testing::ExampleData data_a = MakeChain(20, 40, 4);
-  testing::ExampleData data_b = MakeChain(20, 40, 9);  // different payloads
-  ClusterOptions cluster_options;
-  cluster_options.latency = ZeroLatencyModel();
-  Cluster cluster_a(cluster_options), cluster_b(cluster_options);
-  auto store_a = RStore::Open(&cluster_a, options);
-  auto store_b = RStore::Open(&cluster_b, options);
-  ASSERT_TRUE(store_a.ok() && store_b.ok());
-  ASSERT_TRUE((*store_a)->BulkLoad(data_a.dataset, data_a.payloads).ok());
-  ASSERT_TRUE((*store_b)->BulkLoad(data_b.dataset, data_b.payloads).ok());
-
-  auto expect_version = [](const testing::ExampleData& data, VersionId v) {
-    std::map<std::string, std::string> expected;
-    for (const CompositeKey& ck : data.dataset.MaterializeVersion(v)) {
-      expected[ck.key] = data.payloads.at(ck);
-    }
-    return expected;
-  };
-  std::atomic<int> errors{0};
-  auto worker = [&](RStore* store, const testing::ExampleData& data) {
-    for (int round = 0; round < 3; ++round) {
-      for (VersionId v = 0; v < 20; ++v) {
-        auto got = store->GetVersion(v);
-        if (!got.ok()) {
-          errors.fetch_add(1);
-          continue;
-        }
-        std::map<std::string, std::string> actual;
-        for (const Record& r : *got) actual[r.key.key] = r.payload;
-        if (actual != expect_version(data, v)) errors.fetch_add(1);
-      }
-    }
-  };
-  std::thread ta(worker, store_a->get(), std::cref(data_a));
-  std::thread tb(worker, store_b->get(), std::cref(data_b));
-  ta.join();
-  tb.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_TRUE(cache->Validate().ok());
 }
 
 }  // namespace

@@ -59,9 +59,8 @@ class ChunkCacheTestPeer {
 
 namespace {
 
-ChunkCacheKey Key(ChunkId chunk, uint64_t generation = 0,
-                  uint64_t owner = 1) {
-  return ChunkCacheKey{owner, chunk, generation};
+ChunkCacheKey Key(ChunkId chunk, uint64_t generation = 0) {
+  return ChunkCacheKey{chunk, generation};
 }
 
 std::shared_ptr<const Chunk> FakeChunk(ChunkId id) {
@@ -77,8 +76,6 @@ TEST(ChunkCacheTest, LookupReturnsInsertedChunk) {
   EXPECT_EQ(hit->id(), 1u);
   // A different generation of the same chunk is a different entry.
   EXPECT_EQ(cache.Lookup(Key(1, /*generation=*/1)), nullptr);
-  // As is the same chunk under a different owner.
-  EXPECT_EQ(cache.Lookup(Key(1, 0, /*owner=*/2)), nullptr);
 }
 
 TEST(ChunkCacheTest, EvictsLeastRecentlyUsedFirst) {
@@ -198,13 +195,6 @@ TEST(ChunkCacheTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(cache.shard_capacity_bytes(), 250u);
   ChunkCache one(/*capacity_bytes=*/10, /*num_shards=*/0);
   EXPECT_EQ(one.num_shards(), 1u);
-}
-
-TEST(ChunkCacheTest, OwnerIdsAreDistinct) {
-  ChunkCache cache(/*capacity_bytes=*/100);
-  uint64_t a = cache.NewOwnerId();
-  uint64_t b = cache.NewOwnerId();
-  EXPECT_NE(a, b);
 }
 
 TEST(ChunkCacheTest, ValidateHoldsUnderRandomizedOperations) {

@@ -1,8 +1,11 @@
-// Tests for version diffing, merge-base, and parallel query extraction.
+// Tests for version diffing, merge-base, snapshot commits, and queries over
+// corrupt chunks.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/rstore.h"
 #include "core_test_util.h"
@@ -102,55 +105,65 @@ TEST(DiffTest, AgreesWithMaterializedMembership) {
   }
 }
 
-TEST(ParallelExtractionTest, ResultsIdenticalToSequential) {
-  ExampleData data = MakeChain(25, 15, 4);
-  MemoryStore backend_seq, backend_par;
-  Options sequential = SmallOptions();
-  Options parallel = SmallOptions();
-  parallel.parallel_extraction = true;
-
-  auto seq = RStore::Open(&backend_seq, sequential);
-  auto par = RStore::Open(&backend_par, parallel);
-  ASSERT_TRUE(seq.ok());
-  ASSERT_TRUE(par.ok());
-  ASSERT_TRUE((*seq)->BulkLoad(data.dataset, data.payloads).ok());
-  ASSERT_TRUE((*par)->BulkLoad(data.dataset, data.payloads).ok());
-
-  for (VersionId v = 0; v < 25; v += 4) {
-    auto a = (*seq)->GetVersion(v);
-    auto b = (*par)->GetVersion(v);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size()) << v;
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].key, (*b)[i].key);
-      EXPECT_EQ((*a)[i].payload, (*b)[i].payload);
-    }
+/// Overwrites every value of `table` with bytes no decoder accepts.
+void OverwriteTable(MemoryStore* backend, const std::string& table) {
+  std::vector<std::string> keys;
+  ASSERT_TRUE(backend
+                  ->Scan(table,
+                         [&](Slice key, Slice) {
+                           keys.push_back(key.ToString());
+                         })
+                  .ok());
+  ASSERT_FALSE(keys.empty());
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(backend->Put(table, key, "bad").ok());
   }
-  auto ra = (*seq)->GetRange(20, "key1003", "key1010");
-  auto rb = (*par)->GetRange(20, "key1003", "key1010");
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(ra->size(), rb->size());
 }
 
-TEST(ParallelExtractionTest, CorruptionStillDetected) {
+/// Every query class, sync and async, on a store at default options whose
+/// `table` (chunk bodies or chunk maps) holds garbage must fail with
+/// kCorruption: the one decode path rejects what it cannot parse.
+void ExpectEveryQueryFailsWithCorruption(bool corrupt_maps) {
   ExampleData data = MakeChain(20, 10, 3);
   MemoryStore backend;
-  Options options = SmallOptions();
-  options.parallel_extraction = true;
+  Options options;
   auto store = RStore::Open(&backend, options);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
-  std::vector<std::string> keys;
-  (void)backend.Scan(options.chunk_table,
-                     [&](Slice key, Slice) { keys.push_back(key.ToString()); });
-  for (const std::string& key : keys) {
-    ASSERT_TRUE(backend.Put(options.chunk_table, key, "bad").ok());
+  RStore& db = **store;
+  ASSERT_TRUE(db.BulkLoad(data.dataset, data.payloads).ok());
+  ASSERT_TRUE(db.GetVersion(19).ok());
+  // With no Flush yet, the index table holds the chunk maps and nothing else.
+  OverwriteTable(&backend,
+                 corrupt_maps ? options.index_table : options.chunk_table);
+
+  EXPECT_TRUE(db.GetVersion(19).status().IsCorruption());
+  EXPECT_TRUE(db.GetRange(19, "key1002", "key1006").status().IsCorruption());
+  EXPECT_TRUE(db.GetHistory("key1003").status().IsCorruption());
+  EXPECT_TRUE(db.GetRecord("key1003", 19).status().IsCorruption());
+
+  Executor executor;
+  std::vector<Status> async_statuses;
+  auto collect = [&](const auto& result) {
+    async_statuses.push_back(result.status);
+  };
+  db.GetVersionAsync(&executor, 19).OnReady(collect);
+  db.GetRangeAsync(&executor, 19, "key1002", "key1006").OnReady(collect);
+  db.GetHistoryAsync(&executor, "key1003").OnReady(collect);
+  db.GetRecordAsync(&executor, "key1003", 19).OnReady(collect);
+  executor.RunUntilIdle();
+  ASSERT_EQ(async_statuses.size(), 4u);
+  for (const Status& status : async_statuses) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   }
-  EXPECT_FALSE((*store)->GetVersion(19).ok());
 }
 
+TEST(QueryCorruptionTest, GarbageChunkBodiesFailEveryQuery) {
+  ExpectEveryQueryFailsWithCorruption(/*corrupt_maps=*/false);
+}
+
+TEST(QueryCorruptionTest, GarbageChunkMapsFailEveryQuery) {
+  ExpectEveryQueryFailsWithCorruption(/*corrupt_maps=*/true);
+}
 
 TEST(CommitSnapshotTest, ServerSideDiffDetectsChanges) {
   MemoryStore backend;

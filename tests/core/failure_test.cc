@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/cluster.h"
@@ -136,6 +140,59 @@ TEST(FailureTest, BestEffortReadsReturnPartialResultsWithReport) {
     EXPECT_FALSE(report.degraded());
     EXPECT_EQ(r->size(), data.dataset.MaterializeVersion(v).size());
   }
+}
+
+// A chunk that arrives but does not decode fails even a best-effort query,
+// and the failed query leaves no trace: chunks on the dead node were marked
+// missing and others decoded before the corrupt one was reached, yet the
+// caller's report stays empty and nothing enters the cache, sync or async.
+TEST(FailureTest, CorruptChunkFailsBestEffortQueryWithoutReportOrCaching) {
+  ExampleData data = MakeChain(20, 60, 3);
+  ClusterOptions cluster_options;
+  cluster_options.num_nodes = 4;
+  cluster_options.replication_factor = 1;
+  Cluster cluster(cluster_options);
+  Options options = SmallOptions();
+  options.read_mode = ReadMode::kBestEffort;
+  options.cache_capacity_bytes = 1 << 20;
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  RStore& db = **store;
+  ASSERT_TRUE(db.BulkLoad(data.dataset, data.payloads).ok());
+
+  // Chunks are fetched and decoded in id order. Take a node down such that
+  // the last of version 19's chunks a live node serves has, below it, one
+  // chunk on the dead node and one that decodes; then garble that last one.
+  const std::vector<ChunkId> ids = db.catalog().ChunksOfVersion(19);
+  auto readable = [&](ChunkId id) {
+    return cluster.Get(options.chunk_table, ChunkKey(id)).ok();
+  };
+  auto corrupt = ids.rend();
+  for (uint32_t node = 0; node < cluster_options.num_nodes; ++node) {
+    cluster.SetNodeAlive(node, false);
+    corrupt = std::find_if(ids.rbegin(), ids.rend(), readable);
+    if (corrupt != ids.rend() &&
+        std::any_of(std::next(corrupt), ids.rend(), readable) &&
+        !std::all_of(std::next(corrupt), ids.rend(), readable)) {
+      break;
+    }
+    corrupt = ids.rend();
+    cluster.SetNodeAlive(node, true);
+  }
+  ASSERT_NE(corrupt, ids.rend());
+  ASSERT_TRUE(cluster.Put(options.chunk_table, ChunkKey(*corrupt), "bad").ok());
+
+  QueryDegradation report;
+  auto sync = db.GetVersion(19, nullptr, nullptr, &report);
+  EXPECT_TRUE(sync.status().IsCorruption()) << sync.status().ToString();
+  EXPECT_FALSE(report.degraded());
+
+  Executor executor;
+  Future<AsyncQueryResult> async = db.GetVersionAsync(&executor, 19);
+  executor.RunUntilIdle();
+  EXPECT_TRUE(async.value().status.IsCorruption());
+  EXPECT_FALSE(async.value().degradation.degraded());
+  EXPECT_EQ(db.chunk_cache()->stats().insertions, 0u);
 }
 
 // Point and history queries have no partial form: best-effort mode leaves

@@ -202,6 +202,7 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
       PartitionAlgorithm::kDeltaBaseline,
       PartitionAlgorithm::kSubChunkBaseline,
       PartitionAlgorithm::kSingleAddressSpace};
+  uint64_t total_hits = 0;  // across algorithms: the cache really serves
   for (PartitionAlgorithm algorithm : algorithms) {
     SCOPED_TRACE(std::string("algorithm=") +
                  PartitionAlgorithmName(algorithm));
@@ -221,10 +222,10 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
     EXPECT_EQ(base->stats.cache_misses, 0u);
 
     // A cache far smaller than the working set forces eviction churn on
-    // every query; correctness must be unaffected.
+    // every query; correctness must be unaffected. Each of its 8 shards
+    // holds 8 KB, room for a ~4 KB chunk or two.
     Options cached_options = options;
-    cached_options.cache_capacity_bytes = 16 << 10;
-    cached_options.cache_shards = 2;
+    cached_options.cache_capacity_bytes = 64 << 10;
     MemoryStore cached_backend;
     auto cached = RStore::Open(&cached_backend, cached_options);
     ASSERT_TRUE(cached.ok());
@@ -239,10 +240,12 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
     EXPECT_EQ(replay->stats.chunks_fetched, base->stats.chunks_fetched);
     EXPECT_EQ(replay->stats.cache_hits + replay->stats.cache_misses,
               replay->stats.chunks_fetched);
+    total_hits += replay->stats.cache_hits;
     ASSERT_NE((*cached)->chunk_cache(), nullptr);
     Status valid = (*cached)->chunk_cache()->Validate();
     EXPECT_TRUE(valid.ok()) << valid.ToString();
   }
+  EXPECT_GT(total_hits, 0u);
 }
 
 // The async-vs-sync equivalence harness: for every partitioning algorithm
@@ -259,6 +262,7 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
       PartitionAlgorithm::kDeltaBaseline,
       PartitionAlgorithm::kSubChunkBaseline,
       PartitionAlgorithm::kSingleAddressSpace};
+  uint64_t total_hits = 0;  // across algorithms: the cache really serves
   for (PartitionAlgorithm algorithm : algorithms) {
     SCOPED_TRACE(std::string("algorithm=") +
                  PartitionAlgorithmName(algorithm));
@@ -289,8 +293,7 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
     // Cached, on two fresh stores (one per engine) so each replay sees the
     // same cold cache: the hit/miss sequence must agree stroke for stroke.
     Options cached_options = options;
-    cached_options.cache_capacity_bytes = 16 << 10;
-    cached_options.cache_shards = 2;
+    cached_options.cache_capacity_bytes = 64 << 10;
     MemoryStore sync_backend;
     auto sync_store = RStore::Open(&sync_backend, cached_options);
     ASSERT_TRUE(sync_store.ok());
@@ -317,10 +320,12 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
     EXPECT_EQ(cached_async->stats.cache_hits +
                   cached_async->stats.cache_misses,
               cached_async->stats.chunks_fetched);
+    total_hits += cached_async->stats.cache_hits;
     ASSERT_NE((*async_store)->chunk_cache(), nullptr);
     Status valid = (*async_store)->chunk_cache()->Validate();
     EXPECT_TRUE(valid.ok()) << valid.ToString();
   }
+  EXPECT_GT(total_hits, 0u);
 }
 
 // Over the simulated cluster, the async engine drained after every
