@@ -123,7 +123,7 @@ StoredChunkFixture MakeChunkFixture() {
   PartitionInput input;
   input.dataset = &gen.dataset;
   input.items = &built->items;
-  input.options = options;
+  input.options = &options;
   auto partitioned = CreatePartitioner(options.algorithm)->Partition(input);
   std::vector<StoredChunkFixture> chunks;
   for (const std::vector<uint32_t>& items : partitioned->chunks) {
@@ -229,7 +229,7 @@ void BM_Partitioner(benchmark::State& state) {
   PartitionInput input;
   input.dataset = &gen.dataset;
   input.items = &built->items;
-  input.options = options;
+  input.options = &options;
   for (auto _ : state) {
     auto p = partitioner->Partition(input);
     benchmark::DoNotOptimize(p.ok());

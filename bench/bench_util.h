@@ -101,7 +101,7 @@ inline SpanResult RunPartitioning(const workload::GeneratedDataset& gen,
   PartitionInput input;
   input.dataset = &gen.dataset;
   input.items = &built->items;
-  input.options = options;
+  input.options = &options;
   Stopwatch timer;
   auto partitioning = partitioner->Partition(input);
   SpanResult result;

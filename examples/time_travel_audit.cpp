@@ -60,13 +60,13 @@ int main() {
   // changes.
   std::string hottest;
   size_t hottest_changes = 0;
-  for (const auto& [ck, versions] :
-       db.catalog().record_versions()) {
-    (void)versions;
-    auto history_size = db.catalog().ChunksOfKey(ck.key).size();
-    if (history_size > hottest_changes) {
-      hottest_changes = history_size;
-      hottest = ck.key;
+  for (const VersionDelta& delta : db.dataset().deltas) {
+    for (const CompositeKey& ck : delta.added) {
+      auto history_size = db.catalog().ChunksOfKey(ck.key).size();
+      if (history_size > hottest_changes) {
+        hottest_changes = history_size;
+        hottest = ck.key;
+      }
     }
   }
   auto history = *db.GetHistory(hottest);

@@ -45,13 +45,14 @@ std::string JsonEscape(const std::string& s) {
 
 void AppendRecordJson(const FlightRecord& r, std::string* out) {
   *out += StringPrintf(
-      "{\"id\":%llu,\"name\":\"%s\",\"total_us\":%llu,"
-      "\"queue_wait_us\":%llu,\"service_us\":%llu,"
+      "{\"id\":%llu,\"name\":\"%s\",\"status\":\"%s\","
+      "\"total_us\":%llu,\"queue_wait_us\":%llu,\"service_us\":%llu,"
       "\"retry_penalty_us\":%llu,\"hedge_delta_us\":%llu,"
       "\"retries\":%llu,\"hedges\":%llu,\"hedge_wins\":%llu,"
       "\"timeouts\":%llu,\"missing_chunks\":%llu",
       (unsigned long long)r.id, JsonEscape(r.name).c_str(),
-      (unsigned long long)r.total_us, (unsigned long long)r.queue_wait_us,
+      JsonEscape(r.status).c_str(), (unsigned long long)r.total_us,
+      (unsigned long long)r.queue_wait_us,
       (unsigned long long)r.service_us, (unsigned long long)r.retry_penalty_us,
       (unsigned long long)r.hedge_delta_us, (unsigned long long)r.retries,
       (unsigned long long)r.hedges, (unsigned long long)r.hedge_wins,

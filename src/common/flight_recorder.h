@@ -20,13 +20,15 @@ struct FlightSpan {
   uint64_t sim_end_us = 0;
 };
 
-/// Everything the recorder keeps about one finished query: identity, total
-/// simulated latency and its attribution (queue_wait + service +
-/// retry_penalty - hedge_delta == total_us), fault-path counters, the
-/// degradation report, and the serialized span tree.
+/// Everything the recorder keeps about one finished query or write: identity,
+/// outcome, total simulated latency and its attribution (queue_wait +
+/// service + retry_penalty - hedge_delta == total_us), fault-path counters,
+/// the degradation report, and the serialized span tree.
 struct FlightRecord {
   uint64_t id = 0;
   std::string name;
+  /// The failure the operation returned (empty when it succeeded).
+  std::string status;
   uint64_t total_us = 0;
   uint64_t queue_wait_us = 0;
   uint64_t service_us = 0;

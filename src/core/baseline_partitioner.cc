@@ -22,8 +22,8 @@ Result<Partitioning> DeltaBaselinePartitioner::Partition(
     }
     by_version[items[i].origin_version].push_back(i);
   }
-  ChunkPacker packer(input.options.chunk_capacity_bytes,
-                     input.options.chunk_overflow_fraction);
+  ChunkPacker packer(input.options->chunk_capacity_bytes,
+                     input.options->chunk_overflow_fraction);
   for (VersionId v = 0; v < graph.size(); ++v) {
     if (by_version[v].empty()) continue;
     packer.StartNewChunk();

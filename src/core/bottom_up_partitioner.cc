@@ -52,8 +52,8 @@ Result<Partitioning> BottomUpPartitioner::Partition(
   ItemIndex index = ItemIndex::Build(graph, items);
 
   std::vector<bool> placed(items.size(), false);
-  ChunkPacker packer(input.options.chunk_capacity_bytes,
-                     input.options.chunk_overflow_fraction);
+  ChunkPacker packer(input.options->chunk_capacity_bytes,
+                     input.options->chunk_overflow_fraction);
 
   // Chunk a ψ group: exclusives keyed by chain length, longest first. A
   // fresh chunk opens per version (§3.2); the placed[] guard absorbs the
@@ -151,7 +151,7 @@ Result<Partitioning> BottomUpPartitioner::Partition(
       if (children.size() > 1) SortUnique(&s1);
       pi.push_front(std::move(s1));
     }
-    EnforceSubtreeLimit(&pi, input.options.subtree_limit);
+    EnforceSubtreeLimit(&pi, input.options->subtree_limit);
 
     if (v == 0) {
       // Root: chunk everything that remains, longest chains first.

@@ -8,12 +8,13 @@
 
 namespace rstore {
 
-/// Everything a partitioning algorithm sees: the (merge-free) version tree
-/// and the placement items (sub-chunks). All pointers must outlive the call.
+/// Everything a partitioning algorithm sees: the (merge-free) version tree,
+/// the placement items (sub-chunks) and the store's options. All pointers
+/// must outlive the call.
 struct PartitionInput {
   const VersionedDataset* dataset = nullptr;  // must be a tree
   const std::vector<PlacementItem>* items = nullptr;
-  Options options;
+  const Options* options = nullptr;
 };
 
 /// Interface for the record-to-chunk partitioning algorithms (paper §3).

@@ -51,14 +51,14 @@ struct WriteMetrics {
 
 /// Flight-recorder + exemplar epilogue shared by every query wrapper: claims
 /// a query id, observes the per-query latency histogram with an attribution
-/// exemplar, and logs the full flight record. `backend` is the backend
-/// stats delta bracketing the query; the fault counters read from it are
-/// exact on the synchronous path (one query at a time) and best-effort
-/// under async overlap, where concurrent queries share the backend's
-/// tallies. The attribution itself rides in `qs` and is exact on both
-/// paths.
-void RecordQueryFlight(const char* name, const QueryStats& qs,
-                       const KVStats& backend,
+/// exemplar, and logs the full flight record with the query's `status`.
+/// `backend` is the backend stats delta bracketing the query; the fault
+/// counters read from it are exact on the synchronous path (one query at a
+/// time) and best-effort under async overlap, where concurrent queries
+/// share the backend's tallies. The attribution itself rides in `qs` and is
+/// exact on both paths.
+void RecordQueryFlight(const char* name, const Status& status,
+                       const QueryStats& qs, const KVStats& backend,
                        const QueryDegradation* degradation,
                        const TraceContext* trace) {
   static Histogram* latency = MetricsRegistry::Default().GetHistogram(
@@ -75,6 +75,7 @@ void RecordQueryFlight(const char* name, const QueryStats& qs,
   FlightRecord record;
   record.id = exemplar.id;
   record.name = name;
+  if (!status.ok()) record.status = status.ToString();
   record.total_us = qs.simulated_micros;
   record.queue_wait_us = qs.queue_wait_us;
   record.service_us = qs.service_us;
@@ -97,17 +98,18 @@ void RecordQueryFlight(const char* name, const QueryStats& qs,
   FlightRecorder::Default().Record(std::move(record));
 }
 
-/// Flight-recorder epilogue for a batch drain: every ProcessBatch logs a
-/// "process_batch" record whose counters are the backend stats delta
-/// bracketing the drain and whose span subtree is the drain's own spans
-/// (depths re-based so "write.process_batch" sits at depth 0). Exact: the
-/// write path is single-caller per store, so nothing else moves the
-/// backend's tallies inside the bracket.
+/// Flight-recorder epilogue for a batch drain: every ProcessBatch, failed or
+/// not, logs a "process_batch" record carrying its `status`, whose counters
+/// are the backend stats delta bracketing the drain and whose span subtree
+/// is the drain's own spans (depths re-based so "write.process_batch" sits
+/// at depth 0). Exact: the write path is single-caller per store, so
+/// nothing else moves the backend's tallies inside the bracket.
 void RecordIngestFlight(const TraceContext& trace, size_t first_span,
-                        const KVStats& backend) {
+                        const KVStats& backend, const Status& status) {
   FlightRecord record;
   record.id = FlightRecorder::Default().NextQueryId();
   record.name = "process_batch";
+  if (!status.ok()) record.status = status.ToString();
   record.total_us = backend.simulated_micros;
   record.queue_wait_us = backend.queue_wait_us;
   record.service_us = backend.service_us;
@@ -168,11 +170,12 @@ Result<std::unique_ptr<RStore>> RStore::Open(KVStore* backend,
 
 Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
                                  const RecordPayloadMap& payloads,
-                                 const std::vector<ChunkId>& rewrites,
-                                 TraceContext* trace) {
+                                 const RecordVersionMap& record_versions,
+                                 std::map<ChunkId, ChunkMap> extended_maps,
+                                 StoreCatalog* catalog, TraceContext* trace) {
   ScopedSpan build_span(trace, "write.build_subchunks");
-  auto built = BuildSubChunks(placement_view, payloads,
-                              *catalog_.record_versions(), options_);
+  auto built =
+      BuildSubChunks(placement_view, payloads, record_versions, options_);
   if (!built.ok()) return built.status();
   SubChunkBuildResult& result = built.value();
   build_span.Annotate("items", std::to_string(result.items.size()));
@@ -187,65 +190,61 @@ Status RStore::PartitionAndWrite(const VersionedDataset& placement_view,
   PartitionInput input;
   input.dataset = &placement_view;
   input.items = &result.items;
-  input.options = options_;
+  input.options = &options_;
   auto partitioned = partitioner->Partition(input);
   if (!partitioned.ok()) return partitioned.status();
-  catalog_.set_layout(partitioned->layout);
   partition_span.Annotate("chunks",
                           std::to_string(partitioned->chunks.size()));
   partition_span.End();
 
-  // Chunks are assembled and registered in partition order, and their
-  // bodies go out as one batch, which the cluster serves node-parallel.
+  // Chunks are assembled in partition order, and their bodies go out as
+  // one batch, which the cluster serves node-parallel.
   ScopedSpan write_span(trace, "write.encode_and_put");
+  StoreCatalog::Update update;
+  update.layout = partitioned->layout;
+  update.chunks.reserve(partitioned->chunks.size());
   std::vector<std::pair<std::string, std::string>> bodies;
   std::vector<std::pair<std::string, std::string>> maps;
   bodies.reserve(partitioned->chunks.size());
-  maps.reserve(partitioned->chunks.size() + rewrites.size());
-  uint64_t body_bytes = 0;
-  uint64_t record_bytes = 0;
+  maps.reserve(partitioned->chunks.size() + extended_maps.size());
   for (const std::vector<uint32_t>& item_indices : partitioned->chunks) {
     Chunk chunk(next_chunk_id_++);
     for (uint32_t item : item_indices) {
       chunk.AddSubChunk(std::move(result.sub_chunks[item]));
     }
-    RSTORE_RETURN_IF_ERROR(
-        chunk.SetChunkMap(catalog_.AddChunk(chunk.id(), chunk.records())));
+    ChunkMap map = StoreCatalog::BuildMap(chunk.records(), record_versions);
     std::string body;
     chunk.EncodeTo(&body);
-    std::string map;
-    chunk.chunk_map()->EncodeTo(&map);
-    body_bytes += body.size();
-    record_bytes += chunk.uncompressed_bytes();
+    std::string encoded_map;
+    map.EncodeTo(&encoded_map);
+    update.chunk_bytes += body.size();
+    update.record_bytes += chunk.uncompressed_bytes();
     bodies.emplace_back(ChunkKey(chunk.id()), std::move(body));
-    maps.emplace_back(ChunkMapKey(chunk.id()), std::move(map));
+    maps.emplace_back(ChunkMapKey(chunk.id()), std::move(encoded_map));
+    update.chunks.push_back({chunk.id(), chunk.records(), std::move(map)});
   }
   RSTORE_RETURN_IF_ERROR(backend_->WriteBatch(options_.chunk_table, bodies));
-  stored_chunk_bytes_ += body_bytes;
-  stored_record_bytes_ += record_bytes;
   const WriteMetrics& metrics = WriteMetrics::Get();
   metrics.chunks_written_total->Increment(bodies.size());
-  metrics.chunk_bytes_total->Increment(body_bytes);
+  metrics.chunk_bytes_total->Increment(update.chunk_bytes);
   write_span.End();
 
   // Every map goes out as the second batch: the new chunks' maps, then
-  // each rewritten map of an older chunk, rebuilt from the in-memory
-  // indexes with no chunk fetch (§4).
+  // each extended map of an older chunk, with no chunk fetch (§4). Publish
+  // bumps the extended maps' generations, which makes cached copies of
+  // those chunks unreachable.
   ScopedSpan rewrite_span(trace, "write.map_rewrite");
-  rewrite_span.Annotate("maps", std::to_string(rewrites.size()));
-  for (ChunkId id : rewrites) {
-    auto map = catalog_.BuildChunkMap(id);
-    if (!map.ok()) return map.status();
+  rewrite_span.Annotate("maps", std::to_string(extended_maps.size()));
+  for (const auto& [id, map] : extended_maps) {
     std::string encoded;
-    map->EncodeTo(&encoded);
+    map.EncodeTo(&encoded);
     maps.emplace_back(ChunkMapKey(id), std::move(encoded));
-    // A rewrite invalidates every cached copy of this chunk: bumping the
-    // generation changes the cache key, so stale entries are unreachable and
-    // simply age out of the LRU. It happens before the batch, which may
-    // land only some of the rewrites if it fails.
-    catalog_.BumpChunkMapGeneration(id);
   }
-  return backend_->WriteBatch(options_.index_table, maps);
+  RSTORE_RETURN_IF_ERROR(backend_->WriteBatch(options_.index_table, maps));
+  rewrite_span.End();
+  update.extended_maps = std::move(extended_maps);
+  catalog->Publish(std::move(update));
+  return Status::OK();
 }
 
 Status RStore::BulkLoad(const VersionedDataset& dataset,
@@ -277,8 +276,9 @@ Status RStore::BulkLoad(const VersionedDataset& dataset,
     effective = &augmented;
   }
 
-  *catalog_.record_versions() = tree_.BuildRecordVersionMap();
-  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(tree_, *effective, {}));
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(
+      tree_, *effective, tree_.BuildRecordVersionMap(), {}, &catalog_,
+      nullptr));
   loaded_ = true;
   return Status::OK();
 }
@@ -408,59 +408,55 @@ Status RStore::ProcessBatch(TraceContext* trace) {
   const KVStats charge = KVStats::Delta(backend_->stats(), before);
   trace->AdvanceSim(charge.simulated_micros);
   batch_span.End();
-  if (status.ok()) RecordIngestFlight(*trace, first_span, charge);
+  RecordIngestFlight(*trace, first_span, charge, status);
   return status;
 }
 
 Status RStore::ProcessBatchImpl(TraceContext* trace) {
   const uint64_t batch_versions = delta_store_.pending_versions();
-  RecordVersionMap& record_versions = *catalog_.record_versions();
 
-  // Phase 1 (§4): extend the membership indexes with each staged version,
-  // collecting the pre-existing chunks whose maps will need one rebuild.
-  // The cursor walks the staged versions one delta at a time.
+  // Phase 1 (§4): a read-only walk over the staged versions in id order,
+  // one delta at a time. A record some chunk holds appends a row to a copy
+  // of that chunk's map; a new record collects its versions for the maps of
+  // the batch's chunks. Both grow in ascending version order.
   ScopedSpan index_span(trace, "write.index_update");
-  std::vector<ChunkId> affected_chunks;
+  std::map<ChunkId, ChunkMap> extended_maps;
+  RecordVersionMap new_record_versions;
   for (const PendingCommit& commit : delta_store_.pending()) {
     cursor_.MoveTo(commit.version);
     cursor_.ForEach([&](const CompositeKey& ck) {
-      // Staged versions are processed in id order, so appending keeps the
-      // per-record version lists sorted.
-      record_versions[ck].push_back(commit.version);
-      ChunkId chunk = catalog_.ChunkOfRecord(ck);
-      if (chunk != StoreCatalog::kInvalidChunk) {
-        affected_chunks.push_back(chunk);
-        catalog_.AddVersionChunk(commit.version, chunk);
+      const StoreCatalog::RecordSlot* slot = catalog_.FindRecord(ck);
+      if (slot == nullptr) {
+        new_record_versions[ck].push_back(commit.version);
+        return;
       }
+      auto [it, first] = extended_maps.try_emplace(slot->chunk);
+      if (first) it->second = *catalog_.MapOfChunk(slot->chunk);
+      it->second.Add(commit.version, slot->index);
     });
   }
-  // Ascending id order: a canonical write order for the rewrites below.
-  std::sort(affected_chunks.begin(), affected_chunks.end());
-  affected_chunks.erase(
-      std::unique(affected_chunks.begin(), affected_chunks.end()),
-      affected_chunks.end());
-
-  index_span.Annotate("affected_chunks",
-                      std::to_string(affected_chunks.size()));
+  const size_t rewrites = extended_maps.size();
+  index_span.Annotate("affected_chunks", std::to_string(rewrites));
   index_span.End();
 
   // Phase 2: partition the batch's new records and write them, then
-  // rewrite each affected old chunk map exactly once, rebuilt from the
-  // in-memory indexes — no chunk fetches (§4). The placement view shares
-  // the full tree but exposes only the staged deltas, so the partitioning
-  // algorithm sees exactly the batch sub-graph.
+  // rewrite each extended map exactly once — no chunk fetches (§4). The
+  // placement view shares the full tree but exposes only the staged
+  // deltas, so the partitioning algorithm sees exactly the batch
+  // sub-graph.
   VersionedDataset view;
   view.graph = tree_.graph;
   view.deltas.resize(tree_.graph.size());
   for (const PendingCommit& commit : delta_store_.pending()) {
     view.deltas[commit.version] = commit.delta;
   }
-  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(view, delta_store_.payloads(),
-                                           affected_chunks, trace));
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(
+      view, delta_store_.payloads(), new_record_versions,
+      std::move(extended_maps), &catalog_, trace));
   delta_store_.Clear();
   const WriteMetrics& metrics = WriteMetrics::Get();
   metrics.batches_total->Increment();
-  metrics.map_rewrites_total->Increment(affected_chunks.size());
+  metrics.map_rewrites_total->Increment(rewrites);
   metrics.pending_versions->Add(-static_cast<int64_t>(batch_versions));
   metrics.batch_versions->Observe(batch_versions);
   return Status::OK();
@@ -491,14 +487,20 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
       VersionGraph::DecodeFrom(&input, &store->original_graph_));
   store->loaded_ = !store->tree_.graph.empty();
 
-  // 2. Membership indexes from the recovered deltas.
-  *store->catalog_.record_versions() = store->tree_.BuildRecordVersionMap();
-
-  // 3. The catalog, derived from the chunk table: each chunk is registered
-  // the way the write path registers it. A chunk holding a record of a
-  // version the graph does not know was written by a drain after the last
-  // Flush; it is left out, but its id is never reused.
+  // 2. The catalog, derived from the chunk table and the deltas and
+  // published as one update. A chunk holding a record of a version the
+  // graph does not know was written by a drain after the last Flush; it is
+  // left out, but its id is never reused. Retrieval rules follow the
+  // configured algorithm.
+  const RecordVersionMap record_versions =
+      store->tree_.BuildRecordVersionMap();
   const VersionId num_versions = store->tree_.graph.size();
+  StoreCatalog::Update update;
+  if (options.algorithm == PartitionAlgorithm::kDeltaBaseline) {
+    update.layout = LayoutKind::kDeltaChain;
+  } else if (options.algorithm == PartitionAlgorithm::kSubChunkBaseline) {
+    update.layout = LayoutKind::kSubChunkPerKey;
+  }
   Status decode_status = Status::OK();
   RSTORE_RETURN_IF_ERROR(backend->Scan(
       options.chunk_table, [&](Slice, Slice value) {
@@ -517,23 +519,14 @@ Result<std::unique_ptr<RStore>> RStore::Reopen(KVStore* backend,
                         })) {
           return;
         }
-        (void)store->catalog_.AddChunk(chunk.id(), chunk.records());
-        store->stored_chunk_bytes_ += value.size();
-        store->stored_record_bytes_ += chunk.uncompressed_bytes();
+        update.chunk_bytes += value.size();
+        update.record_bytes += chunk.uncompressed_bytes();
+        update.chunks.push_back(
+            {chunk.id(), chunk.records(),
+             StoreCatalog::BuildMap(chunk.records(), record_versions)});
       }));
   RSTORE_RETURN_IF_ERROR(decode_status);
-
-  // 4. Retrieval rules follow the configured algorithm.
-  switch (options.algorithm) {
-    case PartitionAlgorithm::kDeltaBaseline:
-      store->catalog_.set_layout(LayoutKind::kDeltaChain);
-      break;
-    case PartitionAlgorithm::kSubChunkBaseline:
-      store->catalog_.set_layout(LayoutKind::kSubChunkPerKey);
-      break;
-    default:
-      store->catalog_.set_layout(LayoutKind::kChunked);
-  }
+  store->catalog_.Publish(std::move(update));
   return store;
 }
 
@@ -575,24 +568,14 @@ Status RStore::Repartition(TraceContext* trace) {
   chunks.clear();
 
   // Copy, then swap: an offline pass over the full tree writes the new
-  // layout under fresh chunk ids into a fresh catalog while the old chunks
-  // stay intact. If a write fails the old catalog comes back (the ids drawn
-  // are never reused); the old entries are deleted only once both batches
-  // have landed. The catalog carries the layout kind, so it swaps too.
-  StoreCatalog old_catalog = std::move(catalog_);
-  const uint64_t old_chunk_bytes = stored_chunk_bytes_;
-  const uint64_t old_record_bytes = stored_record_bytes_;
-  catalog_ = StoreCatalog();
-  stored_chunk_bytes_ = 0;
-  stored_record_bytes_ = 0;
-  *catalog_.record_versions() = tree_.BuildRecordVersionMap();
-  Status written = PartitionAndWrite(tree_, *payloads, {}, trace);
-  if (!written.ok()) {
-    catalog_ = std::move(old_catalog);
-    stored_chunk_bytes_ = old_chunk_bytes;
-    stored_record_bytes_ = old_record_bytes;
-    return written;
-  }
+  // layout under fresh chunk ids while the old chunks stay intact, and
+  // publishes it into a fresh catalog that replaces the live one. A failed
+  // write leaves the live catalog untouched; the old entries are deleted
+  // only once both batches have landed.
+  StoreCatalog fresh;
+  RSTORE_RETURN_IF_ERROR(PartitionAndWrite(
+      tree_, *payloads, tree_.BuildRecordVersionMap(), {}, &fresh, trace));
+  catalog_ = std::move(fresh);
   // The new layout serves from here on; a failed delete leaves garbage the
   // next Repartition collects.
   for (const auto& [table, key] : old_entries) {
@@ -631,14 +614,11 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
     Slice map_input(*map_blob);
     ChunkMap map;
     RSTORE_RETURN_IF_ERROR(ChunkMap::DecodeFrom(&map_input, &map));
-    if (map.record_count() != chunk.record_count()) {
-      return Status::Corruption("chunk map size mismatch for chunk " +
-                                std::to_string(id));
+    if (map != *catalog_.MapOfChunk(id)) {
+      return Status::Corruption("stored map of chunk " + std::to_string(id) +
+                                " diverges from the catalog");
     }
     for (VersionId v : map.Versions()) {
-      if (v >= tree_.graph.size()) {
-        return Status::Corruption("chunk map references unknown version");
-      }
       // The lossy projection must cover every (version, chunk) pair.
       std::vector<ChunkId> projected = catalog_.ChunksOfVersion(v);
       if (catalog_.layout() == LayoutKind::kChunked &&
@@ -648,7 +628,12 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
             " for version " + std::to_string(v));
       }
       for (uint32_t index : map.RecordsOf(v)) {
-        from_chunks[v].insert(chunk.records()[index]);
+        const CompositeKey& ck = chunk.records()[index];
+        if (!from_chunks[v].insert(ck).second) {
+          return Status::Corruption("version " + std::to_string(v) +
+                                    " selects record " + ck.ToString() +
+                                    " twice");
+        }
       }
     }
     // Payloads decode. Records delta-encoded against external bases (DELTA
@@ -706,8 +691,9 @@ Result<std::vector<Record>> RStore::RunQuery(const char* name,
   QueryStats local;
   Result<std::vector<Record>> records =
       processor_.Run(query, &local, trace, degradation);
-  RecordQueryFlight(name, local, KVStats::Delta(backend_->stats(), before),
-                    degradation, trace);
+  RecordQueryFlight(name, records.status(), local,
+                    KVStats::Delta(backend_->stats(), before), degradation,
+                    trace);
   if (stats != nullptr) *stats += local;
   return records;
 }
@@ -729,7 +715,7 @@ Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
   // `trace` outlives the future (documented contract); `this` outlives
   // every query it serves.
   future.OnReady([this, name, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight(name, result.stats,
+    RecordQueryFlight(name, result.status, result.stats,
                       KVStats::Delta(backend_->stats(), before),
                       &result.degradation, trace);
   });
@@ -899,9 +885,9 @@ uint64_t RStore::TotalVersionSpan() const {
 }
 
 double RStore::CompressionRatio() const {
-  if (stored_chunk_bytes_ == 0) return 1.0;
-  return static_cast<double>(stored_record_bytes_) /
-         static_cast<double>(stored_chunk_bytes_);
+  if (catalog_.stored_chunk_bytes() == 0) return 1.0;
+  return static_cast<double>(catalog_.stored_record_bytes()) /
+         static_cast<double>(catalog_.stored_chunk_bytes());
 }
 
 }  // namespace rstore

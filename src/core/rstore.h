@@ -42,11 +42,12 @@ namespace rstore {
 /// through. All methods are single-threaded; wrap externally if sharing.
 /// With Options::ingest_shards > 1 the write path fans sub-chunk carving and
 /// compression out across worker threads internally, but the public
-/// interface stays single-threaded, chunks are registered in partition
+/// interface stays single-threaded, chunks are assembled in partition
 /// order, and the stored bytes are identical to serial ingest — see
 /// DESIGN.md "Parallel ingest" for the determinism contract. Every drain
 /// sends two write batches, which the backend may serve node-parallel: the
-/// chunk bodies, then the chunk maps.
+/// chunk bodies, then the chunk maps. The catalog changes only once both
+/// have landed: a failed drain leaves the batch staged for the next one.
 class RStore {
  public:
   // The processor, the membership cursor and in-flight async queries hold
@@ -61,10 +62,10 @@ class RStore {
 
   /// Recovers an application server from a backend previously populated by
   /// another RStore instance that called Flush(): reloads the version graph
-  /// and deltas from the graph key, then scans the chunk table and registers
-  /// each chunk as the write path does, deriving both projections from the
-  /// chunks' record lists and the deltas. A chunk holding a record of a
-  /// version the graph does not know (written by a drain after the last
+  /// and deltas from the graph key, then scans the chunk table and publishes
+  /// one catalog update deriving every chunk's map and both projections
+  /// from the chunks' record lists and the deltas. A chunk holding a record
+  /// of a version the graph does not know (written by a drain after the last
   /// Flush) is left out. The paper's AS "uses the KVS for persisting any of
   /// its data structures" — this is the restart path.
   static Result<std::unique_ptr<RStore>> Reopen(KVStore* backend,
@@ -116,10 +117,11 @@ class RStore {
   Status Repartition(TraceContext* trace = nullptr);
 
   /// Offline integrity check (fsck): every chunk body and chunk map in the
-  /// backend decodes, agrees with the in-memory catalog, and the per-version
-  /// record sets reconstructed from the chunk maps exactly equal the
-  /// membership derived from the deltas. O(total membership); returns
-  /// kCorruption naming the first inconsistency.
+  /// backend decodes and equals what the in-memory catalog holds, no version
+  /// selects one record twice, and the per-version record sets
+  /// reconstructed from the chunk maps exactly equal the membership derived
+  /// from the deltas. O(total membership); returns kCorruption naming the
+  /// first inconsistency.
   Status VerifyIntegrity(TraceContext* trace = nullptr);
 
   // -- Queries (see QueryProcessor::Run). Staged-but-unflushed versions
@@ -206,24 +208,28 @@ class RStore {
  private:
   RStore(KVStore* backend, const Options& options);
 
-  /// Runs sub-chunking + partitioning over `placement_view`, registers
-  /// the resulting chunks in partition order, and writes them as two
-  /// batches: every chunk body to the chunk table, then every chunk map to
-  /// the index table — the new chunks' maps, then the rebuilt maps of the
-  /// older chunks in `rewrites`, in that order. Shared by BulkLoad and
-  /// Repartition (whole graph, no rewrites) and ProcessBatch (batch
-  /// subgraph). When `trace` is non-null, the sub-chunk build, partition,
-  /// encode+write and map-write phases each get a "write.*" span.
+  /// Runs sub-chunking + partitioning over `placement_view`, assembles the
+  /// chunks in partition order with maps built from `record_versions`, and
+  /// writes two batches: every chunk body, then every map — the new chunks',
+  /// then the `extended_maps` of older chunks in ascending id. Only then
+  /// does it publish all of it into `catalog` as one update; after a failed
+  /// write `catalog` is untouched (chunk ids drawn are never reused). Shared
+  /// by BulkLoad and Repartition (whole graph, no extended maps) and
+  /// ProcessBatch (batch subgraph). When `trace` is non-null, the sub-chunk
+  /// build, partition, encode+write and map-write phases each get a
+  /// "write.*" span.
   Status PartitionAndWrite(const VersionedDataset& placement_view,
                            const RecordPayloadMap& payloads,
-                           const std::vector<ChunkId>& rewrites,
-                           TraceContext* trace = nullptr);
+                           const RecordVersionMap& record_versions,
+                           std::map<ChunkId, ChunkMap> extended_maps,
+                           StoreCatalog* catalog, TraceContext* trace);
 
-  /// Drains the delta store: updates membership indexes, partitions the
-  /// batch's new records, writes new chunks, and rewrites the chunk maps of
-  /// every affected pre-existing chunk once (§4). Traced when `trace` is
-  /// non-null (queries forward their context here because a query against a
-  /// staged version flushes the batch first).
+  /// Drains the delta store: extends copies of the maps of every older chunk
+  /// holding a staged version's records, partitions the batch's new
+  /// records, writes the new chunks and rewrites each extended map once
+  /// (§4), then publishes. Traced when `trace` is non-null (queries forward
+  /// their context here because a query against a staged version flushes
+  /// the batch first).
   Status ProcessBatch(TraceContext* trace = nullptr);
   /// ProcessBatch's body; the wrapper owns the "write.process_batch" span,
   /// stats bracketing, sim-clock reconciliation and flight-recorder entry.
@@ -258,8 +264,6 @@ class RStore {
   /// Serves every query, reading the catalog, dataset and options above.
   QueryProcessor processor_;
   ChunkId next_chunk_id_ = 0;
-  uint64_t stored_chunk_bytes_ = 0;
-  uint64_t stored_record_bytes_ = 0;
 };
 
 }  // namespace rstore

@@ -17,7 +17,7 @@ constexpr uint64_t kShingleSeed = 0x5253746f7265ull;  // "RStore"
 Result<Partitioning> ShinglePartitioner::Partition(
     const PartitionInput& input) {
   const std::vector<PlacementItem>& items = *input.items;
-  const uint32_t l = std::max<uint32_t>(1, input.options.shingle_count);
+  const uint32_t l = std::max<uint32_t>(1, input.options->shingle_count);
   HashFamily family(l, kShingleSeed);
 
   // Algorithm 1: shingles[i] = (min_v h_1(v), ..., min_v h_l(v)).
@@ -41,8 +41,8 @@ Result<Partitioning> ShinglePartitioner::Partition(
     return items[a].id < items[b].id;
   });
 
-  ChunkPacker packer(input.options.chunk_capacity_bytes,
-                     input.options.chunk_overflow_fraction);
+  ChunkPacker packer(input.options->chunk_capacity_bytes,
+                     input.options->chunk_overflow_fraction);
   for (uint32_t i : order) packer.Add(i, items[i].bytes);
   return packer.Finish(/*merge_partials=*/false);
 }

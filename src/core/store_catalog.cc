@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace rstore {
 
 namespace {
@@ -13,23 +15,51 @@ void InsertSorted(std::vector<ChunkId>* list, ChunkId id) {
 
 }  // namespace
 
-ChunkMap StoreCatalog::AddChunk(ChunkId id,
-                                std::vector<CompositeKey> records) {
-  VersionId origin = kInvalidVersion;
-  for (const CompositeKey& ck : records) {
-    chunk_of_record_[ck] = id;
-    InsertSorted(&key_chunks_[ck.key], id);
-    origin = std::min(origin, ck.version);
+void StoreCatalog::Publish(Update update) {
+  for (Update::NewChunk& chunk : update.chunks) {
+    VersionId origin = kInvalidVersion;
+    for (uint32_t i = 0; i < chunk.records.size(); ++i) {
+      const CompositeKey& ck = chunk.records[i];
+      record_slots_[ck] = RecordSlot{chunk.id, i};
+      InsertSorted(&key_chunks_[ck.key], chunk.id);
+      origin = std::min(origin, ck.version);
+    }
+    if (origin != kInvalidVersion) {
+      InsertSorted(&origin_chunks_[origin], chunk.id);
+    }
+    for (VersionId v : chunk.map.Versions()) {
+      InsertSorted(&version_chunks_[v], chunk.id);
+    }
+    chunks_[chunk.id] = ChunkEntry{std::move(chunk.records),
+                                   std::move(chunk.map), 0};
   }
-  if (origin != kInvalidVersion) InsertSorted(&origin_chunks_[origin], id);
-  ChunkMap map = MapOf(records);
-  for (VersionId v : map.Versions()) AddVersionChunk(v, id);
-  chunk_records_[id] = std::move(records);
-  return map;
+  for (auto& [id, map] : update.extended_maps) {
+    auto it = chunks_.find(id);
+    RSTORE_CHECK(it != chunks_.end());
+    // Rows are only appended, for versions newer than any the map held.
+    const std::vector<VersionId>& held = it->second.map.Versions();
+    for (VersionId v : map.Versions()) {
+      if (held.empty() || v > held.back()) {
+        InsertSorted(&version_chunks_[v], id);
+      }
+    }
+    it->second.map = std::move(map);
+    ++it->second.map_generation;
+  }
+  layout_ = update.layout;
+  stored_chunk_bytes_ += update.chunk_bytes;
+  stored_record_bytes_ += update.record_bytes;
 }
 
-void StoreCatalog::AddVersionChunk(VersionId version, ChunkId id) {
-  InsertSorted(&version_chunks_[version], id);
+ChunkMap StoreCatalog::BuildMap(const std::vector<CompositeKey>& records,
+                                const RecordVersionMap& record_versions) {
+  ChunkMap map(static_cast<uint32_t>(records.size()));
+  for (uint32_t i = 0; i < records.size(); ++i) {
+    auto it = record_versions.find(records[i]);
+    if (it == record_versions.end()) continue;
+    for (VersionId v : it->second) map.Add(v, i);
+  }
+  return map;
 }
 
 std::vector<ChunkId> StoreCatalog::ChunksOriginatedAt(
@@ -50,49 +80,32 @@ std::vector<ChunkId> StoreCatalog::ChunksOfKey(const std::string& key) const {
 
 std::vector<ChunkId> StoreCatalog::AllChunks() const {
   std::vector<ChunkId> out;
-  out.reserve(chunk_records_.size());
-  for (const auto& [id, records] : chunk_records_) out.push_back(id);
+  out.reserve(chunks_.size());
+  for (const auto& [id, entry] : chunks_) out.push_back(id);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 const std::vector<CompositeKey>* StoreCatalog::RecordsOfChunk(
     ChunkId id) const {
-  auto it = chunk_records_.find(id);
-  return it == chunk_records_.end() ? nullptr : &it->second;
+  auto it = chunks_.find(id);
+  return it == chunks_.end() ? nullptr : &it->second.records;
 }
 
-ChunkId StoreCatalog::ChunkOfRecord(const CompositeKey& ck) const {
-  auto it = chunk_of_record_.find(ck);
-  return it == chunk_of_record_.end() ? kInvalidChunk : it->second;
+const ChunkMap* StoreCatalog::MapOfChunk(ChunkId id) const {
+  auto it = chunks_.find(id);
+  return it == chunks_.end() ? nullptr : &it->second.map;
 }
 
-Result<ChunkMap> StoreCatalog::BuildChunkMap(ChunkId id) const {
-  const std::vector<CompositeKey>* records = RecordsOfChunk(id);
-  if (records == nullptr) {
-    return Status::NotFound("chunk " + std::to_string(id) +
-                            " not in catalog");
-  }
-  return MapOf(*records);
-}
-
-ChunkMap StoreCatalog::MapOf(const std::vector<CompositeKey>& records) const {
-  ChunkMap map(static_cast<uint32_t>(records.size()));
-  for (uint32_t i = 0; i < records.size(); ++i) {
-    auto it = record_versions_.find(records[i]);
-    if (it == record_versions_.end()) continue;
-    for (VersionId v : it->second) map.Add(v, i);
-  }
-  return map;
+const StoreCatalog::RecordSlot* StoreCatalog::FindRecord(
+    const CompositeKey& ck) const {
+  auto it = record_slots_.find(ck);
+  return it == record_slots_.end() ? nullptr : &it->second;
 }
 
 uint64_t StoreCatalog::ChunkMapGeneration(ChunkId id) const {
-  auto it = map_generation_.find(id);
-  return it == map_generation_.end() ? 0 : it->second;
-}
-
-void StoreCatalog::BumpChunkMapGeneration(ChunkId id) {
-  ++map_generation_[id];
+  auto it = chunks_.find(id);
+  return it == chunks_.end() ? 0 : it->second.map_generation;
 }
 
 uint64_t StoreCatalog::VersionSpan(VersionId version) const {

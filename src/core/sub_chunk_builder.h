@@ -40,7 +40,8 @@ struct SubChunkBuildResult {
 /// delta-encoded against its record parent.
 ///
 /// `dataset` must be a version tree. Every added composite key in the
-/// dataset must have a payload in `payloads`.
+/// dataset must have a payload in `payloads`, and its versions in
+/// `record_versions` (a drain passes only its batch's new records).
 Result<SubChunkBuildResult> BuildSubChunks(const VersionedDataset& dataset,
                                            const RecordPayloadMap& payloads,
                                            const RecordVersionMap& record_versions,

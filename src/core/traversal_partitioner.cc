@@ -16,8 +16,8 @@ Result<Partitioning> TraversalPartitioner::Partition(
   const std::vector<PlacementItem>& items = *input.items;
   ItemIndex index = ItemIndex::Build(graph, items);
 
-  ChunkPacker packer(input.options.chunk_capacity_bytes,
-                     input.options.chunk_overflow_fraction);
+  ChunkPacker packer(input.options->chunk_capacity_bytes,
+                     input.options->chunk_overflow_fraction);
   auto place_version = [&](VersionId v) {
     for (uint32_t item : index.added[v]) {
       packer.Add(item, items[item].bytes);

@@ -117,6 +117,7 @@ TEST(FlightRecorderTest, DumpJsonIsParseableAndComplete) {
 
   FlightRecord r = MakeRecord(7, 120);
   r.name = "get_range";
+  r.status = "IO error: all replicas down";
   r.queue_wait_us = 30;
   r.service_us = 80;
   r.retry_penalty_us = 15;
@@ -146,6 +147,7 @@ TEST(FlightRecorderTest, DumpJsonIsParseableAndComplete) {
   const json::Value& rec = slowest->as_array()[0];
   EXPECT_EQ(rec.Find("id")->as_int(), 7);
   EXPECT_EQ(rec.Find("name")->as_string(), "get_range");
+  EXPECT_EQ(rec.Find("status")->as_string(), "IO error: all replicas down");
   EXPECT_EQ(rec.Find("total_us")->as_int(), 120);
   EXPECT_EQ(rec.Find("queue_wait_us")->as_int(), 30);
   EXPECT_EQ(rec.Find("service_us")->as_int(), 80);

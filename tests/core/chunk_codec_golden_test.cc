@@ -86,7 +86,7 @@ std::vector<Chunk> BuildChunks(const workload::GeneratedDataset& gen,
   PartitionInput input;
   input.dataset = &gen.dataset;
   input.items = &built->items;
-  input.options = options;
+  input.options = &options;
   auto partitioned = CreatePartitioner(options.algorithm)->Partition(input);
   EXPECT_TRUE(partitioned.ok()) << partitioned.status().ToString();
   if (!partitioned.ok()) return chunks;

@@ -10,6 +10,7 @@
 #include <set>
 #include <tuple>
 
+#include "common/coding.h"
 #include "core/branch_manager.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
@@ -353,6 +354,50 @@ TEST(VerifyIntegrityTest, DetectsDeletedChunkMap) {
   ASSERT_TRUE(
       backend.Delete((*store)->options().index_table, victim_key).ok());
   EXPECT_FALSE((*store)->VerifyIntegrity().ok());
+}
+
+// A chunk stored twice — its body re-encoded under a fresh id, beside a
+// copy of its map — is adopted by Reopen like any other chunk, so every
+// version holding its records selects each of them twice.
+TEST(VerifyIntegrityTest, DetectsRecordHeldByTwoChunks) {
+  workload::DatasetConfig config;
+  config.num_versions = 12;
+  config.records_per_version = 24;
+  config.update_fraction = 0.2;
+  config.branch_probability = 0.3;
+  config.record_size_bytes = 80;
+  config.seed = 1;
+  const workload::GeneratedDataset gen = workload::GenerateDataset(config);
+  Options options;
+  options.algorithm = PartitionAlgorithm::kBottomUp;
+  options.chunk_capacity_bytes = 1024;
+  options.max_sub_chunk_records = 3;
+  MemoryStore backend;
+  auto store = RStore::Open(&backend, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(gen.dataset, gen.payloads).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+
+  const ChunkId victim = (*store)->catalog().AllChunks().front();
+  const ChunkId copy = (*store)->NumChunks();
+  ASSERT_EQ((*store)->catalog().RecordsOfChunk(copy), nullptr);
+  auto body = backend.Get(options.chunk_table, ChunkKey(victim));
+  ASSERT_TRUE(body.ok());
+  Slice rest(*body);
+  uint64_t id = 0;
+  ASSERT_TRUE(GetVarint64(&rest, &id).ok());
+  std::string copied_body;
+  PutVarint64(&copied_body, copy);
+  copied_body.append(rest.data(), rest.size());
+  auto map = backend.Get(options.index_table, ChunkMapKey(victim));
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(
+      backend.Put(options.chunk_table, ChunkKey(copy), copied_body).ok());
+  ASSERT_TRUE(backend.Put(options.index_table, ChunkMapKey(copy), *map).ok());
+
+  auto reopened = RStore::Reopen(&backend, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE((*reopened)->VerifyIntegrity().IsCorruption());
 }
 
 TEST(VerifyIntegrityTest, QueryAlsoDetectsTamperedChunk) {

@@ -527,6 +527,45 @@ TEST(ObservabilityTest, UntracedBatchDrainStillRecordsFlight) {
   EXPECT_EQ(drains, 3u);
 }
 
+// A failed drain is as visible as a slow query: with one replica per key
+// and a node down, the drain's write batch fails, and its "process_batch"
+// record carries the error it returned.
+TEST(ObservabilityTest, FailedDrainRecordsItsStatus) {
+  ClusterOptions cluster_options;
+  cluster_options.replication_factor = 1;
+  Cluster cluster(cluster_options);
+  const ExampleData data = MakeChain(6, 6, 2);
+  Options options;
+  options.chunk_capacity_bytes = 600;
+  options.online_batch_size = 100;
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  for (VersionId v = 0; v < 6; ++v) {
+    CommitDelta delta;
+    for (const CompositeKey& ck : data.dataset.deltas[v].added) {
+      delta.upserts.push_back(Record{ck, data.payloads.at(ck)});
+    }
+    VersionId parent =
+        v == 0 ? kInvalidVersion : data.dataset.graph.PrimaryParent(v);
+    ASSERT_TRUE((*store)->Commit(parent, std::move(delta)).ok());
+  }
+  cluster.SetNodeAlive(0, false);
+  const uint64_t marker = FlightRecorder::Default().NextQueryId();
+  Status flushed = (*store)->Flush();
+  ASSERT_TRUE(flushed.IsIOError()) << flushed.ToString();
+
+  const std::vector<FlightRecord> recent = FlightRecorder::Default().Recent();
+  const FlightRecord* record = nullptr;
+  for (const FlightRecord& r : recent) {
+    if (r.id <= marker) break;  // Recent() is newest-first
+    if (r.name == "process_batch") record = &r;
+  }
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->status, flushed.ToString());
+  ASSERT_FALSE(record->spans.empty());
+  EXPECT_EQ(record->spans[0].name, "write.process_batch");
+}
+
 TEST(ObservabilityTest, RegistryCountersFoldIntoStoreReport) {
   MetricsRegistry::Default().ResetForTest();
   auto q = RunTracedGetVersion();

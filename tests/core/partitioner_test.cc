@@ -39,8 +39,9 @@ Partitioning RunAlgorithm(PreparedInput& prepared, PartitionAlgorithm algorithm)
   PartitionInput input;
   input.dataset = &prepared.data.dataset;
   input.items = &prepared.built.items;
-  input.options = prepared.options;
-  input.options.algorithm = algorithm;
+  Options options = prepared.options;
+  options.algorithm = algorithm;
+  input.options = &options;
   auto result = partitioner->Partition(input);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return *std::move(result);

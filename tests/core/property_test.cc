@@ -175,7 +175,7 @@ TEST_P(RandomizedDatasetTest, ChunkCapacityInvariantHolds) {
     PartitionInput input;
     input.dataset = &gen.dataset;
     input.items = &built->items;
-    input.options = options;
+    input.options = &options;
     auto p = partitioner->Partition(input);
     ASSERT_TRUE(p.ok());
     uint64_t hard_limit = options.chunk_capacity_bytes +
@@ -191,9 +191,9 @@ TEST_P(RandomizedDatasetTest, ChunkCapacityInvariantHolds) {
 
 // The cached-vs-uncached equivalence harness: for every layout and
 // partitioner, the same seeded workload replayed against an uncached store
-// and against one with a deliberately tiny cache (constant eviction churn)
-// must produce byte-identical results, with the cache counters partitioning
-// the span exactly.
+// and against one with a cache smaller than most working sets (eviction
+// churn) must produce byte-identical results, with the cache counters
+// partitioning the span exactly and the cache serving hits.
 TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
   GeneratedDataset gen = GenerateDataset(RandomConfig(GetParam()));
   const PartitionAlgorithm algorithms[] = {
@@ -202,7 +202,6 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
       PartitionAlgorithm::kDeltaBaseline,
       PartitionAlgorithm::kSubChunkBaseline,
       PartitionAlgorithm::kSingleAddressSpace};
-  uint64_t total_hits = 0;  // across algorithms: the cache really serves
   for (PartitionAlgorithm algorithm : algorithms) {
     SCOPED_TRACE(std::string("algorithm=") +
                  PartitionAlgorithmName(algorithm));
@@ -221,11 +220,11 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
     EXPECT_EQ(base->stats.cache_hits, 0u);
     EXPECT_EQ(base->stats.cache_misses, 0u);
 
-    // A cache far smaller than the working set forces eviction churn on
-    // every query; correctness must be unaffected. Each of its 8 shards
-    // holds 8 KB, room for a ~4 KB chunk or two.
+    // Each of the cache's 8 shards holds 32 KB: a decoded 4 KB chunk's
+    // charge (its records and map, not its stored bytes) fits one, yet
+    // most workloads still evict. Correctness must be unaffected.
     Options cached_options = options;
-    cached_options.cache_capacity_bytes = 64 << 10;
+    cached_options.cache_capacity_bytes = 256 << 10;
     MemoryStore cached_backend;
     auto cached = RStore::Open(&cached_backend, cached_options);
     ASSERT_TRUE(cached.ok());
@@ -240,12 +239,11 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
     EXPECT_EQ(replay->stats.chunks_fetched, base->stats.chunks_fetched);
     EXPECT_EQ(replay->stats.cache_hits + replay->stats.cache_misses,
               replay->stats.chunks_fetched);
-    total_hits += replay->stats.cache_hits;
+    EXPECT_GT(replay->stats.cache_hits, 0u);
     ASSERT_NE((*cached)->chunk_cache(), nullptr);
     Status valid = (*cached)->chunk_cache()->Validate();
     EXPECT_TRUE(valid.ok()) << valid.ToString();
   }
-  EXPECT_GT(total_hits, 0u);
 }
 
 // The async-vs-sync equivalence harness: for every partitioning algorithm
@@ -262,7 +260,6 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
       PartitionAlgorithm::kDeltaBaseline,
       PartitionAlgorithm::kSubChunkBaseline,
       PartitionAlgorithm::kSingleAddressSpace};
-  uint64_t total_hits = 0;  // across algorithms: the cache really serves
   for (PartitionAlgorithm algorithm : algorithms) {
     SCOPED_TRACE(std::string("algorithm=") +
                  PartitionAlgorithmName(algorithm));
@@ -292,8 +289,9 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
 
     // Cached, on two fresh stores (one per engine) so each replay sees the
     // same cold cache: the hit/miss sequence must agree stroke for stroke.
+    // The budget admits chunks, as in the cached-vs-uncached harness.
     Options cached_options = options;
-    cached_options.cache_capacity_bytes = 64 << 10;
+    cached_options.cache_capacity_bytes = 256 << 10;
     MemoryStore sync_backend;
     auto sync_store = RStore::Open(&sync_backend, cached_options);
     ASSERT_TRUE(sync_store.ok());
@@ -320,12 +318,11 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
     EXPECT_EQ(cached_async->stats.cache_hits +
                   cached_async->stats.cache_misses,
               cached_async->stats.chunks_fetched);
-    total_hits += cached_async->stats.cache_hits;
+    EXPECT_GT(cached_async->stats.cache_hits, 0u);
     ASSERT_NE((*async_store)->chunk_cache(), nullptr);
     Status valid = (*async_store)->chunk_cache()->Validate();
     EXPECT_TRUE(valid.ok()) << valid.ToString();
   }
-  EXPECT_GT(total_hits, 0u);
 }
 
 // Over the simulated cluster, the async engine drained after every

@@ -1,9 +1,12 @@
-// Repartition under write failures. A store wrapper fails one chosen write
-// of one Repartition, and the sweep fails every write in turn: whichever
-// write fails, the live store must keep every answer it gave before,
-// VerifyIntegrity must pass, and a retried Repartition must succeed with the
-// same answers. Repartition writes the new layout under fresh chunk ids
-// before it deletes the old one, which is what makes this hold.
+// Repartition and drains under write failures. A store wrapper fails one
+// chosen write of one operation, and each sweep fails every write in turn.
+// Whichever write of a Repartition fails, the live store must keep every
+// answer it gave before, VerifyIntegrity must pass, and a retried
+// Repartition must succeed with the same answers. Whichever write of a
+// drain fails, the catalog must stay at its pre-drain state, and the retry
+// that the next query runs must leave the store answering like one whose
+// drain never failed. Both write their chunks before they publish the
+// catalog change, which is what makes this hold.
 //
 // The dataset seed comes from RSTORE_CHAOS_SEED (default 1), so the chaos
 // job's `RSTORE_CHAOS_SEED=<n> ctest -L Chaos` sweep covers it per seed.
@@ -204,6 +207,72 @@ TEST_P(RepartitionFailureTest, EveryFailedWriteLeavesTheLiveStoreServing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, RepartitionFailureTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         AlgorithmTestName);
+
+/// Commits and flushes versions [0, 6), then stages versions [6, 10): the
+/// batch holds up to 5 versions, so the next Flush runs one drain of 4.
+std::unique_ptr<RStore> StageStore(FailAtWriteStore* backend,
+                                   const workload::GeneratedDataset& gen,
+                                   PartitionAlgorithm algorithm) {
+  Options options;
+  options.algorithm = algorithm;
+  options.chunk_capacity_bytes = 1024;
+  options.max_sub_chunk_records = 3;
+  options.online_batch_size = 5;
+  auto opened = RStore::Open(backend, options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) return nullptr;
+  std::unique_ptr<RStore> store = std::move(opened).value();
+  CommitVersions(store.get(), gen.dataset, gen.payloads, 0, 6);
+  EXPECT_TRUE(store->Flush().ok());
+  CommitVersions(store.get(), gen.dataset, gen.payloads, 6,
+                 gen.dataset.graph.size());
+  return store;
+}
+
+class DrainFailureTest : public ::testing::TestWithParam<PartitionAlgorithm> {
+};
+
+TEST_P(DrainFailureTest, EveryFailedWriteLeavesTheBatchStaged) {
+  SCOPED_TRACE("dataset seed " + std::to_string(DatasetSeed()));
+  const workload::GeneratedDataset gen = SweepDataset();
+  ASSERT_EQ(gen.dataset.graph.size(), 10u);
+
+  // A clean run: the answers and layout every retried drain must reach, and
+  // the number of drain writes to sweep (Flush's last write is the graph
+  // key, after the drain).
+  FailAtWriteStore clean_backend;
+  std::unique_ptr<RStore> clean = StageStore(&clean_backend, gen, GetParam());
+  ASSERT_NE(clean, nullptr);
+  const uint64_t first_write = clean_backend.writes();
+  ASSERT_TRUE(clean->Flush().ok());
+  const uint64_t writes = clean_backend.writes() - first_write - 1;
+  ASSERT_GT(writes, 0u);
+  const std::vector<std::string> answers = Answers(clean.get());
+
+  for (uint64_t n = 0; n < writes; ++n) {
+    SCOPED_TRACE("write " + std::to_string(n) + " of " +
+                 std::to_string(writes));
+    FailAtWriteStore backend;
+    std::unique_ptr<RStore> store = StageStore(&backend, gen, GetParam());
+    ASSERT_NE(store, nullptr);
+    const uint64_t chunks = store->NumChunks();
+    const uint64_t span = store->TotalVersionSpan();
+    backend.FailWrite(n);
+    EXPECT_TRUE(store->Flush().IsIOError());
+    EXPECT_EQ(store->NumChunks(), chunks);
+    EXPECT_EQ(store->TotalVersionSpan(), span);
+
+    ASSERT_EQ(Answers(store.get()), answers);
+    Status integrity = store->VerifyIntegrity();
+    ASSERT_TRUE(integrity.ok()) << integrity.ToString();
+    EXPECT_EQ(store->NumChunks(), clean->NumChunks());
+    EXPECT_EQ(store->TotalVersionSpan(), clean->TotalVersionSpan());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, DrainFailureTest,
                          ::testing::ValuesIn(kAllAlgorithms),
                          AlgorithmTestName);
 
