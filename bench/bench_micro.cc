@@ -14,6 +14,7 @@
 #include "compress/delta_codec.h"
 #include "compress/lz_codec.h"
 #include "core/chunk.h"
+#include "core/store_catalog.h"
 #include "kvstore/cluster.h"
 #include "workload/dataset_catalog.h"
 #include "workload/record_generator.h"
@@ -131,15 +132,9 @@ StoredChunkFixture MakeChunkFixture() {
     for (uint32_t item : items) {
       chunk.AddSubChunk(std::move(built->sub_chunks[item]));
     }
-    chunk.InitChunkMap();
-    for (uint32_t i = 0; i < chunk.record_count(); ++i) {
-      for (VersionId v : versions.at(chunk.records()[i])) {
-        chunk.chunk_map()->Add(v, i);
-      }
-    }
     StoredChunkFixture& encoded = chunks.emplace_back();
     chunk.EncodeTo(&encoded.body);
-    chunk.chunk_map()->EncodeTo(&encoded.map);
+    StoreCatalog::BuildMap(chunk.records(), versions).EncodeTo(&encoded.map);
     encoded.sub_chunks = items.size();
   }
   std::sort(chunks.begin(), chunks.end(), [](const auto& a, const auto& b) {

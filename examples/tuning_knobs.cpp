@@ -17,11 +17,11 @@ using namespace rstore;
 using namespace rstore::workload;
 
 int main() {
-  // A moderately branched collection: 120 versions of ~800 records.
+  // A moderately branched collection: 120 versions of ~400 records.
   DatasetConfig config;
   config.name = "tuning-demo";
   config.num_versions = 120;
-  config.records_per_version = 800;
+  config.records_per_version = 400;
   config.update_fraction = 0.08;
   config.branch_probability = 0.15;
   config.record_size_bytes = 400;

@@ -25,43 +25,13 @@ uint64_t NextExecutorId() {
 
 Executor::Executor(uint64_t seed) : seed_(seed), id_(NextExecutorId()) {}
 
-Executor::TaskId Executor::Enqueue(uint64_t when_us, Task task) {
+void Executor::Post(Task task) { PostAt(0, std::move(task)); }
+
+void Executor::PostAt(uint64_t when_us, Task task) {
   MutexLock lock(mu_);
-  const uint64_t due = std::max(when_us, now_us_);
   const uint64_t seq = next_seq_++;
-  const TaskId id = next_id_++;
   const uint64_t tie = seed_ == 0 ? 0 : Mix64(seed_ ^ seq);
-  const Key key{due, tie, seq};
-  queue_.emplace(key, std::make_pair(id, std::move(task)));
-  index_.emplace(id, key);
-  return id;
-}
-
-Executor::TaskId Executor::Post(Task task) { return Enqueue(0, std::move(task)); }
-
-Executor::TaskId Executor::PostAt(uint64_t when_us, Task task) {
-  return Enqueue(when_us, std::move(task));
-}
-
-Executor::TaskId Executor::PostAfter(uint64_t delay_us, Task task) {
-  MutexLock lock(mu_);
-  const uint64_t due = now_us_ + delay_us;
-  const uint64_t seq = next_seq_++;
-  const TaskId id = next_id_++;
-  const uint64_t tie = seed_ == 0 ? 0 : Mix64(seed_ ^ seq);
-  const Key key{due, tie, seq};
-  queue_.emplace(key, std::make_pair(id, std::move(task)));
-  index_.emplace(id, key);
-  return id;
-}
-
-bool Executor::Cancel(TaskId id) {
-  MutexLock lock(mu_);
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  queue_.erase(it->second);
-  index_.erase(it);
-  return true;
+  queue_.emplace(Key{std::max(when_us, now_us_), tie, seq}, std::move(task));
 }
 
 size_t Executor::RunUntilIdle() {
@@ -80,12 +50,11 @@ size_t Executor::RunUntilIdle() {
       }
       auto it = queue_.begin();
       now_us_ = std::max(now_us_, it->first.when_us);
-      task = std::move(it->second.second);
-      index_.erase(it->second.first);
+      task = std::move(it->second);
       queue_.erase(it);
     }
-    // Invoked with mu_ released: tasks may post, cancel, and complete
-    // futures (which runs continuations inline) without lock nesting.
+    // Invoked with mu_ released: tasks may post and complete futures
+    // (which runs continuations inline) without lock nesting.
     task();
     ++executed;
   }

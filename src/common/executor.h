@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,15 +30,14 @@ namespace rstore {
 /// explore different-but-reproducible interleavings of logically
 /// concurrent events.
 ///
-/// Thread safety: Post/PostAt/PostAfter/Cancel may be called from any
-/// thread (the TSan stress suite hammers this); RunUntilIdle must only run
-/// on one thread at a time and must not be re-entered from a task. Tasks
-/// are always invoked with the queue lock released, so they may freely
-/// post, cancel, and complete futures.
+/// Thread safety: Post and PostAt may be called from any thread (the TSan
+/// stress suite hammers this); RunUntilIdle must only run on one thread at a
+/// time and must not be re-entered from a task. Tasks are always invoked
+/// with the queue lock released, so they may freely post and complete
+/// futures.
 class Executor {
  public:
   using Task = std::function<void()>;
-  using TaskId = uint64_t;
 
   explicit Executor(uint64_t seed = 0);
 
@@ -47,23 +45,16 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   /// Schedules `task` at the current virtual time (after already-queued
-  /// tasks due now). Returns an id usable with Cancel.
-  TaskId Post(Task task);
+  /// tasks due now).
+  void Post(Task task);
 
   /// Schedules `task` at absolute virtual time `when_us`, clamped to the
   /// current virtual time (the past is not schedulable).
-  TaskId PostAt(uint64_t when_us, Task task);
-
-  /// Schedules `task` `delay_us` after the current virtual time.
-  TaskId PostAfter(uint64_t delay_us, Task task);
-
-  /// Removes a not-yet-run task. Returns false if it already ran, was
-  /// already cancelled, or never existed.
-  bool Cancel(TaskId id);
+  void PostAt(uint64_t when_us, Task task);
 
   /// Runs queued tasks in deterministic order until the queue drains,
   /// advancing the virtual clock to each task's due time. Returns the
-  /// number of tasks executed (cancelled tasks do not count).
+  /// number of tasks executed.
   size_t RunUntilIdle();
 
   /// Current virtual time in microseconds.
@@ -93,16 +84,12 @@ class Executor {
     }
   };
 
-  TaskId Enqueue(uint64_t when_us, Task task);
-
   const uint64_t seed_;
   const uint64_t id_;
   mutable Mutex mu_{kLockRankExecutor, "executor"};
-  std::map<Key, std::pair<TaskId, Task>> queue_ RSTORE_GUARDED_BY(mu_);
-  std::unordered_map<TaskId, Key> index_ RSTORE_GUARDED_BY(mu_);
+  std::map<Key, Task> queue_ RSTORE_GUARDED_BY(mu_);
   uint64_t now_us_ RSTORE_GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ RSTORE_GUARDED_BY(mu_) = 0;
-  TaskId next_id_ RSTORE_GUARDED_BY(mu_) = 1;
   bool running_ RSTORE_GUARDED_BY(mu_) = false;
 };
 

@@ -114,7 +114,7 @@ enum LockRank : int {
   /// copies POD records) while holding it.
   kLockRankFlightRecorder = 45,
   /// Executor run queue (src/common/executor.h). Below every subsystem rank
-  /// so any code path may Post/Cancel work while holding its own locks; the
+  /// so any code path may post work while holding its own locks; the
   /// executor acquires nothing and invokes no user code while holding it —
   /// tasks always run with the queue lock released.
   kLockRankExecutor = 40,

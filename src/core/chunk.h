@@ -47,9 +47,7 @@ class Chunk {
   /// flattened record list.
   uint32_t AddSubChunk(SubChunk sub_chunk);
 
-  /// Call after all sub-chunks are added, then populate via chunk_map().
-  void InitChunkMap() { map_ = ChunkMap(record_count()); }
-  ChunkMap* chunk_map() { return &map_; }
+  /// The map installed by SetChunkMap (empty until then).
   const ChunkMap& chunk_map() const { return map_; }
 
   size_t num_sub_chunks() const { return sub_chunks_.size(); }

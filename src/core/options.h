@@ -22,7 +22,10 @@ enum class PartitionAlgorithm {
   /// kept as the paper's ablation).
   kBreadthFirst,
   /// §2.2 baseline: per-version delta objects, git-style. Version retrieval
-  /// replays the whole root-to-version chain.
+  /// replays the whole root-to-version chain. Each updated record is stored
+  /// as a delta against the record it supersedes, in an earlier delta
+  /// object (the record-level compression, the c*d factor, of the paper's
+  /// Table 1), which is why retrieval must decompress the whole chain.
   kDeltaBaseline,
   /// §2.2 baseline: one group per primary key ("sub-chunk approach").
   /// Version retrieval must touch every group.
@@ -76,14 +79,6 @@ struct Options {
   /// Commits accumulate in the delta store and are partitioned in batches of
   /// this many versions (§4, "batch size").
   uint32_t online_batch_size = 64;
-
-  /// DELTA baseline only: delta-encode each updated record against the
-  /// record it supersedes (which lives in an earlier delta object) — the
-  /// record-level compression the paper's Table 1 attributes to DELTA
-  /// storage (the c*d factor). Reconstruction resolves the bases during the
-  /// chain replay, which is exactly why DELTA retrieval must decompress the
-  /// whole chain.
-  bool delta_baseline_record_compression = true;
 
   /// Byte budget of the decoded-chunk cache on the read path. 0 (the
   /// default) disables caching entirely: every query fetches its chunks from

@@ -808,37 +808,26 @@ Result<VersionDelta> RStore::Diff(VersionId from, VersionId to) const {
   if (from >= tree_.graph.size() || to >= tree_.graph.size()) {
     return Status::InvalidArgument("unknown version in diff");
   }
-  // Walk both paths from the merge base only — membership above it is
-  // shared and cancels out.
-  auto base = MergeBase(from, to);
-  if (!base.ok()) return base.status();
-  auto apply_path = [&](VersionId tip, VersionMembership* members) {
-    std::vector<VersionId> path;
-    for (VersionId v = tip; v != *base;
-         v = tree_.graph.PrimaryParent(v)) {
-      path.push_back(v);
-    }
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      const VersionDelta& delta = tree_.deltas[*it];
-      for (const CompositeKey& ck : delta.removed) members->erase(ck);
-      for (const CompositeKey& ck : delta.added) members->insert(ck);
-    }
+  // `to`'s cursor starts as a copy of `from`'s, so MoveTo walks only the
+  // path between the two versions (or replays, when that is cheaper).
+  MembershipCursor from_members(&tree_);
+  from_members.MoveTo(from);
+  MembershipCursor to_members = from_members;
+  to_members.MoveTo(to);
+  // A version holds one record per primary key, so a record is in the
+  // other version exactly when the other's record for its key is it.
+  auto missing_from = [](const MembershipCursor& members,
+                         const MembershipCursor& other,
+                         std::vector<CompositeKey>* out) {
+    members.ForEach([&](const CompositeKey& ck) {
+      const CompositeKey* same_key = other.Find(ck.key);
+      if (same_key == nullptr || *same_key != ck) out->push_back(ck);
+    });
+    std::sort(out->begin(), out->end());
   };
-  VersionMembership base_members = tree_.MaterializeVersion(*base);
-  VersionMembership from_members = base_members;
-  VersionMembership to_members = std::move(base_members);
-  apply_path(from, &from_members);
-  apply_path(to, &to_members);
-
   VersionDelta out;
-  for (const CompositeKey& ck : to_members) {
-    if (!from_members.count(ck)) out.added.push_back(ck);
-  }
-  for (const CompositeKey& ck : from_members) {
-    if (!to_members.count(ck)) out.removed.push_back(ck);
-  }
-  std::sort(out.added.begin(), out.added.end());
-  std::sort(out.removed.begin(), out.removed.end());
+  missing_from(to_members, from_members, &out.added);
+  missing_from(from_members, to_members, &out.removed);
   return out;
 }
 

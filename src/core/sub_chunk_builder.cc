@@ -150,8 +150,7 @@ Result<SubChunkBuildResult> BuildSubChunks(
   SubChunkBuildResult out;
   out.sub_chunks.reserve(record_versions.size() / k + 1);
 
-  if (options.algorithm == PartitionAlgorithm::kDeltaBaseline &&
-      options.delta_baseline_record_compression) {
+  if (options.algorithm == PartitionAlgorithm::kDeltaBaseline) {
     // Record-level compression for the DELTA layout (paper Table 1): each
     // record is its own unit, delta-encoded against the record it
     // supersedes, which lives in an ancestor version's delta object. The

@@ -166,6 +166,8 @@ struct Cluster::Batch {
   std::map<std::string, std::string>* values = nullptr;
   std::vector<KeyReadFailure>* failures = nullptr;
   TraceContext* trace = nullptr;
+  /// A Get: charged as one point read rather than as a batch.
+  bool point = false;
 
   uint64_t tick = 0;
   uint64_t submit_us = 0;        // absolute virtual submission instant
@@ -445,56 +447,12 @@ Status Cluster::WriteEntry(const std::string& table, Slice key, Slice value,
 }
 
 Result<std::string> Cluster::Get(const std::string& table, Slice key) {
-  const uint64_t tick = injector_.NextTick();
-  ReplayReadyHints(tick);
-  const auto replicas = ring_.Replicas(key, options_.replication_factor);
-  int pos = FirstUp(replicas, tick);
-  if (pos < 0) return Status::IOError("all replicas down");
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  uint64_t start_us = 0;
-  uint32_t round = 0;
-  KVStats charge;
-  while (true) {
-    const uint32_t node = replicas[static_cast<size_t>(pos)];
-    Result<std::string> r = nodes_[node]->Get(table, key);
-    const uint64_t bytes = r.ok() ? r.value().size() : 0;
-    const AttemptChain chain =
-        SimulateAttempts(node, tick, round, kSaltRead, start_us);
-    charge.retries += chain.retries;
-    bool failed = !chain.served;
-    uint64_t fail_time = chain.failure_us;
-    uint64_t completion = 0;
-    if (chain.served) {
-      completion = chain.start_us +
-                   ScaleMicros(options_.latency.NodeServiceMicros(1, bytes),
-                               chain.slow_multiplier);
-      if (timeout_us > 0 && completion > start_us + timeout_us) {
-        failed = true;
-        fail_time = start_us + timeout_us;
-        ++charge.timeouts;
-      }
-    }
-    if (!failed) {
-      charge.gets = 1;
-      charge.keys_requested = 1;
-      charge.bytes_read = bytes;
-      charge.simulated_micros =
-          options_.latency.coordinator_overhead_us + completion;
-      // Everything before the serving attempt's issue — failover waits and
-      // backoffs across all rounds — is retry penalty; the attempt itself
-      // plus the coordinator overhead is service.
-      charge.retry_penalty_us = chain.start_us;
-      charge.service_us = (completion - chain.start_us) +
-                          options_.latency.coordinator_overhead_us;
-      Charge(charge);
-      return r;
-    }
-    // Fail over to the next serving replica, resuming at the failure time.
-    pos = NextUp(replicas, static_cast<size_t>(pos), tick);
-    if (pos < 0) return Status::IOError("replicas exhausted");
-    start_us = fail_time;
-    ++round;
-  }
+  std::map<std::string, std::string> out;
+  RSTORE_RETURN_IF_ERROR(DrainMultiGet(table, {key.ToString()}, &out,
+                                       /*failures=*/nullptr, /*trace=*/nullptr,
+                                       /*point=*/true));
+  if (out.empty()) return Status::NotFound("key: " + key.ToString());
+  return std::move(out.begin()->second);
 }
 
 Status Cluster::MultiGet(const std::string& table,
@@ -517,7 +475,7 @@ Status Cluster::DrainMultiGet(const std::string& table,
                               const std::vector<std::string>& keys,
                               std::map<std::string, std::string>* out,
                               std::vector<KeyReadFailure>* failures,
-                              TraceContext* trace) {
+                              TraceContext* trace, bool point) {
   // Values land straight in `out`: nothing is copied out of a result.
   Executor executor;
   Timeline timeline(nodes_.size(), /*sampled=*/false);
@@ -529,6 +487,7 @@ Status Cluster::DrainMultiGet(const std::string& table,
   batch->values = out;
   batch->failures = failures;
   batch->trace = trace;
+  batch->point = point;
   StartBatch(batch);
   executor.RunUntilIdle();
   return batch->result.status;
@@ -876,7 +835,7 @@ void Cluster::GroupResolved(const BatchPtr& batch) {
 void Cluster::FinishBatch(const BatchPtr& batch) {
   const uint64_t overhead_us = options_.latency.coordinator_overhead_us;
   KVStats& charge = batch->result.charge;
-  charge.multiget_batches = 1;
+  (batch->point ? charge.gets : charge.multiget_batches) = 1;
   charge.keys_requested = batch->keys->size();
   charge.simulated_micros =
       overhead_us + (batch->last_event_us - batch->submit_us);

@@ -56,11 +56,12 @@ struct ClusterOptions {
 /// MultiGet is the workhorse: RStore retrieves the chunks for a version "by
 /// issuing queries in parallel to the backend store" (paper §2.4), so the
 /// batch's simulated latency is the *max* over nodes of each node's serial
-/// service time, plus one coordinator overhead. WriteBatch is its write
-/// twin, charged by the same rule: a drain sends its chunk bodies and its
-/// chunk maps as two batches, and each costs what its busiest node serves.
-/// Put, Delete and WriteBatch share one replica-write path, so a one-entry
-/// batch is a Put.
+/// service time, plus one coordinator overhead. Get is a one-key MultiGet,
+/// so every read runs on one batched-read engine. WriteBatch is MultiGet's
+/// write twin, charged by the same rule: a drain sends its chunk bodies and
+/// its chunk maps as two batches, and each costs what its busiest node
+/// serves. Put, Delete and WriteBatch share one replica-write path, so a
+/// one-entry batch is a Put.
 class Cluster : public KVStore {
  public:
   explicit Cluster(const ClusterOptions& options);
@@ -81,6 +82,10 @@ class Cluster : public KVStore {
   Status WriteBatch(const std::string& table,
                     const std::vector<std::pair<std::string, std::string>>&
                         entries) override;
+  /// A strict one-key batch (see MultiGet) with no trace: retried, failed
+  /// over, abandoned at the request deadline and hedged as a one-key
+  /// MultiGet is, and charged the same, except that stats() counts it in
+  /// `gets` rather than `multiget_batches`. NotFound when the key is absent.
   Result<std::string> Get(const std::string& table, Slice key) override;
   /// Sync MultiGet and MultiGetPartial run MultiGetAsync on a private
   /// Executor and drain it: one retry/failover/hedge engine serves both
@@ -220,13 +225,13 @@ class Cluster : public KVStore {
   struct EventAttribution;
   using BatchPtr = std::shared_ptr<Batch>;
 
-  /// Sync MultiGet/MultiGetPartial: one batch on a private timeline,
-  /// drained inline. `failures` null means strict.
+  /// Sync Get/MultiGet/MultiGetPartial: one batch on a private timeline,
+  /// drained inline. `failures` null means strict; `point` marks a Get.
   Status DrainMultiGet(const std::string& table,
                        const std::vector<std::string>& keys,
                        std::map<std::string, std::string>* out,
                        std::vector<KeyReadFailure>* failures,
-                       TraceContext* trace);
+                       TraceContext* trace, bool point = false);
   /// Draws the batch's tick, routes every key and schedules the first
   /// groups at the submission instant.
   void StartBatch(const BatchPtr& batch);
@@ -275,9 +280,9 @@ class Cluster : public KVStore {
   Status WriteEntry(const std::string& table, Slice key, Slice value,
                     bool is_delete, WriteOp* op);
 
-  /// The one epilogue of every charge (each Get, Put, Delete, batch and
-  /// hint replay): adds it to stats() and to the rstore_kvs_* registry
-  /// counters together, so the two always match.
+  /// The one epilogue of every charge (each read batch, Put, Delete, write
+  /// batch and hint replay): adds it to stats() and to the rstore_kvs_*
+  /// registry counters together, so the two always match.
   void Charge(const KVStats& charge);
 
   /// Replays staged hints for every node that is up at `tick`. Called at

@@ -155,13 +155,14 @@ TEST(ChunkTest, ChunkMapIntegration) {
   Chunk chunk(3);
   chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}}));
   chunk.AddSubChunk(MakeSubChunk("B", {{0, "b0"}, {1, "b1"}}));
-  chunk.InitChunkMap();
   // A@0 and B@0 belong to V0; B@1 replaces B@0 in V1 (A@0 persists).
-  chunk.chunk_map()->Add(0, 0);
-  chunk.chunk_map()->Add(0, 1);
-  chunk.chunk_map()->Add(1, 0);
-  chunk.chunk_map()->Add(1, 2);
-  auto v1 = chunk.chunk_map()->RecordsOf(1);
+  ChunkMap map(chunk.record_count());
+  map.Add(0, 0);
+  map.Add(0, 1);
+  map.Add(1, 0);
+  map.Add(1, 2);
+  ASSERT_TRUE(chunk.SetChunkMap(std::move(map)).ok());
+  auto v1 = chunk.chunk_map().RecordsOf(1);
   EXPECT_EQ(v1, (std::vector<uint32_t>{0, 2}));
   auto extracted = chunk.ExtractRecords(v1);
   ASSERT_TRUE(extracted.ok());
@@ -241,12 +242,13 @@ TEST(ChunkTest, PayloadBytesTracksSubChunkSizes) {
 TEST(ChunkTest, ValidateCatchesStaleChunkMap) {
   // A populated chunk map that no longer covers the chunk's records must be
   // rejected. The state is reachable without any out-of-contract call:
-  // InitChunkMap snapshots the record count, so appending a sub-chunk
+  // SetChunkMap checks the record count it sees, so appending a sub-chunk
   // afterwards leaves the map referencing a smaller record list.
   Chunk chunk(1);
   chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}, {1, "a1"}}));
-  chunk.InitChunkMap();
-  chunk.chunk_map()->Add(0, 1);
+  ChunkMap map(chunk.record_count());
+  map.Add(0, 1);
+  ASSERT_TRUE(chunk.SetChunkMap(std::move(map)).ok());
   EXPECT_TRUE(chunk.Validate().ok());
   chunk.AddSubChunk(MakeSubChunk("B", {{0, "b0"}}));
   EXPECT_TRUE(chunk.Validate().IsCorruption());

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kvstore/cluster.h"
@@ -183,6 +184,73 @@ TEST(ClusterFaultTest, TimedOutRequestsFailOverToTheNextReplica) {
   EXPECT_EQ(out.size(), keys.size());
   const KVStats stats = cluster.stats();
   EXPECT_GT(stats.timeouts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One read engine.
+
+/// What reading eight 4,000-byte keys costs, each key on a fresh cluster
+/// holding only it: with Get when `point`, else as a one-key MultiGet.
+KVStats EightLoneReads(const ClusterOptions& options, bool point) {
+  KVStats total;
+  for (int i = 0; i < 8; ++i) {
+    Cluster cluster(options);
+    EXPECT_TRUE(cluster.CreateTable("t").ok());
+    const std::string key = "key" + std::to_string(i);
+    const std::string value(4000, static_cast<char>('a' + i));
+    EXPECT_TRUE(cluster.Put("t", key, value).ok());
+    const KVStats before = cluster.stats();
+    std::string got;
+    if (point) {
+      auto r = cluster.Get("t", key);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) got = *r;
+    } else {
+      std::map<std::string, std::string> out;
+      EXPECT_TRUE(cluster.MultiGet("t", {key}, &out).ok());
+      got = out[key];
+    }
+    EXPECT_EQ(got, value);
+    total += KVStats::Delta(cluster.stats(), before);
+  }
+  return total;
+}
+
+TEST(ClusterFaultTest, GetChargesLikeAOneKeyMultiGet) {
+  // A point read runs on the batch engine, so its retries, deadline,
+  // failover and hedging charge exactly what a one-key batch's do.
+  ClusterOptions fault_free;
+  fault_free.num_nodes = 2;
+  fault_free.replication_factor = 2;
+  ClusterOptions flaky = fault_free;  // node 0 always errs
+  flaky.faults.per_node[0].transient_error_rate = 1.0;
+  flaky.retry.max_attempts = 3;
+  flaky.retry.base_backoff_us = 2000;
+  flaky.retry.jitter_fraction = 0.0;
+  flaky.retry.request_timeout_us = 3000;
+  ClusterOptions slow = fault_free;  // node 0 is 50x slow
+  slow.faults.per_node[0].slow_rate = 1.0;
+  slow.faults.per_node[0].slow_multiplier = 50.0;
+  slow.latency.hedge_threshold_us = 5000;
+
+  const std::pair<const char*, ClusterOptions> configs[] = {
+      {"fault-free", fault_free}, {"flaky", flaky}, {"slow", slow}};
+  for (const auto& [name, options] : configs) {
+    SCOPED_TRACE(name);
+    const KVStats gets = EightLoneReads(options, /*point=*/true);
+    const KVStats batches = EightLoneReads(options, /*point=*/false);
+    EXPECT_EQ(gets.gets, 8u);
+    EXPECT_EQ(gets.multiget_batches, 0u);
+    EXPECT_EQ(batches.gets, 0u);
+    EXPECT_EQ(batches.multiget_batches, 8u);
+    for (const KVStats::Field& field : kKVStatsFields) {
+      if (field.member == &KVStats::gets ||
+          field.member == &KVStats::multiget_batches) {
+        continue;
+      }
+      EXPECT_EQ(gets.*field.member, batches.*field.member) << field.name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
