@@ -20,6 +20,34 @@ void ChunkMap::Add(VersionId version, uint32_t record_index) {
   words_[slot * width + (record_index >> 6)] |= 1ull << (record_index & 63);
 }
 
+bool ChunkMap::AppendDerivedRow(VersionId version, VersionId from,
+                                std::span<const uint32_t> cleared) {
+  RSTORE_DCHECK(versions_.empty() || version > versions_.back());
+  auto it = std::lower_bound(versions_.begin(), versions_.end(), from);
+  RSTORE_CHECK(it != versions_.end() && *it == from);
+  const size_t width = words_per_version();
+  const size_t source = static_cast<size_t>(it - versions_.begin()) * width;
+  const size_t row = words_.size();
+  words_.resize(row + width);
+  std::copy_n(words_.begin() + static_cast<ptrdiff_t>(source), width,
+              words_.begin() + static_cast<ptrdiff_t>(row));
+  for (uint32_t index : cleared) {
+    RSTORE_DCHECK(index < record_count_);
+    uint64_t& word = words_[row + (index >> 6)];
+    const uint64_t bit = 1ull << (index & 63);
+    // `from` must hold every record it is asked to clear.
+    RSTORE_CHECK((word & bit) != 0) << "record " << index;
+    word &= ~bit;
+  }
+  if (std::all_of(words_.begin() + static_cast<ptrdiff_t>(row), words_.end(),
+                  [](uint64_t word) { return word == 0; })) {
+    words_.resize(row);
+    return false;
+  }
+  versions_.push_back(version);
+  return true;
+}
+
 bool ChunkMap::HasVersion(VersionId version) const {
   return std::binary_search(versions_.begin(), versions_.end(), version);
 }

@@ -34,6 +34,13 @@ class ChunkMap {
   /// Marks record `record_index` as belonging to `version`.
   void Add(VersionId version, uint32_t record_index);
 
+  /// Appends the row of `version`, newer than every version the map holds,
+  /// derived from the row of `from` (which the map must hold, with every
+  /// record at `cleared`): its words copied, with the records at `cleared`
+  /// removed. An empty row is not kept. Returns whether the row was added.
+  bool AppendDerivedRow(VersionId version, VersionId from,
+                        std::span<const uint32_t> cleared);
+
   /// Versions with at least one record in this chunk, ascending.
   const std::vector<VersionId>& Versions() const { return versions_; }
 

@@ -87,11 +87,14 @@ struct Options {
   /// and all query classes consult it before issuing MultiGets.
   uint64_t cache_capacity_bytes = 0;
 
-  /// Thread count for sub-chunk carving and compression, the one CPU-heavy
-  /// step of the write path (BuildSubChunks). 1 (the default) keeps the
-  /// serial paper prototype; 0 means one thread per core, and larger values
-  /// are capped at the core count. The partitioning decision and the chunk
-  /// writes stay serial, so stored bytes are identical at every value.
+  /// Maximum thread count for sub-chunk carving and compression, the one
+  /// CPU-heavy step of the write path (BuildSubChunks). 1 (the default)
+  /// keeps the serial paper prototype; 0 means one thread per core, and
+  /// larger values are capped at the core count. A write also gets at most
+  /// one thread per kCarveGrainRecords (4,096) records, so a batch under
+  /// twice that, such as a typical drain, carves on the calling thread. The
+  /// partitioning decision and the chunk writes stay serial, so stored bytes
+  /// are identical at every value.
   uint32_t ingest_shards = 1;
 
   /// Degradation policy for queries over a partially available backend

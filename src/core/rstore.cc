@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/flight_recorder.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/partitioner.h"
@@ -416,24 +417,109 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
   const uint64_t batch_versions = delta_store_.pending_versions();
 
   // Phase 1 (§4): a read-only walk over the staged versions in id order,
-  // one delta at a time. A record some chunk holds appends a row to a copy
-  // of that chunk's map; a new record collects its versions for the maps of
-  // the batch's chunks. Both grow in ascending version order.
+  // each derived from its primary parent, so it costs the parent's span
+  // plus the version's delta. The version's rows in older chunks are the
+  // parent's rows with its ∆⁻ records cleared, appended to copies of those
+  // chunks' maps; its new records are the parent's (when the parent is
+  // staged too) minus its ∆⁻, plus its ∆⁺. The parent's rows come from the
+  // published map, or from the row this walk appended for a staged parent.
   ScopedSpan index_span(trace, "write.index_update");
-  std::map<ChunkId, ChunkMap> extended_maps;
+  const std::vector<PendingCommit>& pending = delta_store_.pending();
+  const VersionId first_staged = pending.front().version;
+  // Per staged version: the older chunks it has a row in, ascending, and
+  // its new records as their version lists in new_record_versions.
+  struct StagedRows {
+    std::vector<ChunkId> chunks;
+    std::vector<std::vector<VersionId>*> records;
+  };
+  std::vector<StagedRows> staged(pending.size());
+  size_t batch_records = 0;
+  for (const PendingCommit& commit : pending) {
+    batch_records += commit.delta.added.size();
+  }
   RecordVersionMap new_record_versions;
-  for (const PendingCommit& commit : delta_store_.pending()) {
-    cursor_.MoveTo(commit.version);
-    cursor_.ForEach([&](const CompositeKey& ck) {
-      const StoreCatalog::RecordSlot* slot = catalog_.FindRecord(ck);
-      if (slot == nullptr) {
-        new_record_versions[ck].push_back(commit.version);
-        return;
+  new_record_versions.reserve(batch_records);
+  std::map<ChunkId, ChunkMap> extended_maps;
+  std::vector<std::pair<ChunkId, uint32_t>> cleared;  // (chunk, index)
+  std::vector<uint32_t> cleared_in_chunk;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const VersionId v = pending[i].version;
+    RSTORE_DCHECK(v == first_staged + i);
+    const VersionDelta& delta = pending[i].delta;
+    const VersionId parent = tree_.graph.PrimaryParent(v);
+    const bool parent_staged =
+        parent != kInvalidVersion && parent >= first_staged;
+    StagedRows& rows = staged[i];
+
+    // Every removed record is published or new in this batch: records of
+    // staged versions are never in a published chunk. A new one is marked
+    // by appending v to its version list, which no other record's list
+    // ends in yet.
+    cleared.clear();
+    size_t marked = 0;
+    for (const CompositeKey& ck : delta.removed) {
+      if (ck.version >= first_staged) {
+        auto it = new_record_versions.find(ck);
+        RSTORE_CHECK(it != new_record_versions.end());
+        it->second.push_back(v);
+        ++marked;
+      } else {
+        const StoreCatalog::RecordSlot* slot = catalog_.FindRecord(ck);
+        RSTORE_CHECK(slot != nullptr);
+        cleared.emplace_back(slot->chunk, slot->index);
       }
-      auto [it, first] = extended_maps.try_emplace(slot->chunk);
-      if (first) it->second = *catalog_.MapOfChunk(slot->chunk);
-      it->second.Add(commit.version, slot->index);
-    });
+    }
+    std::sort(cleared.begin(), cleared.end());
+
+    std::vector<ChunkId> published_chunks;
+    if (!parent_staged && parent != kInvalidVersion) {
+      published_chunks = catalog_.ChunksOfVersion(parent);
+    }
+    const std::vector<ChunkId>& parent_chunks =
+        parent_staged ? staged[parent - first_staged].chunks
+                      : published_chunks;
+    size_t next = 0;
+    for (ChunkId chunk : parent_chunks) {
+      cleared_in_chunk.clear();
+      for (; next < cleared.size() && cleared[next].first == chunk; ++next) {
+        cleared_in_chunk.push_back(cleared[next].second);
+      }
+      // A chunk's map is copied for the batch only once a row lands in it.
+      bool added;
+      auto it = extended_maps.find(chunk);
+      if (it != extended_maps.end()) {
+        added = it->second.AppendDerivedRow(v, parent, cleared_in_chunk);
+      } else {
+        ChunkMap map = *catalog_.MapOfChunk(chunk);
+        added = map.AppendDerivedRow(v, parent, cleared_in_chunk);
+        if (added) extended_maps.emplace(chunk, std::move(map));
+      }
+      if (added) rows.chunks.push_back(chunk);
+    }
+
+    // A marked record of the parent drops its mark and stays out of v;
+    // every other one gains v.
+    if (parent_staged) {
+      const std::vector<std::vector<VersionId>*>& inherited =
+          staged[parent - first_staged].records;
+      rows.records.reserve(inherited.size() + delta.added.size());
+      for (std::vector<VersionId>* versions : inherited) {
+        if (versions->back() == v) {
+          versions->pop_back();
+          --marked;
+        } else {
+          versions->push_back(v);
+          rows.records.push_back(versions);
+        }
+      }
+    }
+    // The parent held every record its child removes.
+    RSTORE_CHECK(next == cleared.size() && marked == 0);
+    for (const CompositeKey& ck : delta.added) {
+      std::vector<VersionId>& versions = new_record_versions[ck];
+      versions.push_back(v);
+      rows.records.push_back(&versions);
+    }
   }
   const size_t rewrites = extended_maps.size();
   index_span.Annotate("affected_chunks", std::to_string(rewrites));
@@ -589,14 +675,32 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
   // Per-version record sets reconstructed from chunk maps.
   std::vector<std::unordered_set<CompositeKey, CompositeKeyHash>>
       from_chunks(tree_.graph.size());
-  for (ChunkId id : catalog_.AllChunks()) {
-    auto body = backend_->Get(options_.chunk_table, ChunkKey(id));
-    if (!body.ok()) {
+  // Two batched reads: every chunk body, then every chunk map.
+  const std::vector<ChunkId> ids = catalog_.AllChunks();
+  std::vector<std::string> body_keys;
+  std::vector<std::string> map_keys;
+  body_keys.reserve(ids.size());
+  map_keys.reserve(ids.size());
+  for (ChunkId id : ids) {
+    body_keys.push_back(ChunkKey(id));
+    map_keys.push_back(ChunkMapKey(id));
+  }
+  std::map<std::string, std::string> bodies;
+  std::map<std::string, std::string> map_blobs;
+  RSTORE_RETURN_IF_ERROR(
+      backend_->MultiGet(options_.chunk_table, body_keys, &bodies));
+  RSTORE_RETURN_IF_ERROR(
+      backend_->MultiGet(options_.index_table, map_keys, &map_blobs));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const ChunkId id = ids[i];
+    auto body = bodies.find(body_keys[i]);
+    if (body == bodies.end()) {
       return Status::Corruption("chunk " + std::to_string(id) +
-                                " unreadable: " + body.status().ToString());
+                                " unreadable: missing");
     }
     Chunk chunk;
-    RSTORE_RETURN_IF_ERROR(Chunk::DecodeFrom(std::move(*body), &chunk));
+    RSTORE_RETURN_IF_ERROR(
+        Chunk::DecodeFrom(std::move(body->second), &chunk));
     if (chunk.id() != id) {
       return Status::Corruption("chunk id mismatch under key " +
                                 std::to_string(id));
@@ -606,12 +710,12 @@ Status RStore::VerifyIntegrity(TraceContext* trace) {
       return Status::Corruption("catalog record list diverges for chunk " +
                                 std::to_string(id));
     }
-    auto map_blob = backend_->Get(options_.index_table, ChunkMapKey(id));
-    if (!map_blob.ok()) {
+    auto map_blob = map_blobs.find(map_keys[i]);
+    if (map_blob == map_blobs.end()) {
       return Status::Corruption("chunk map " + std::to_string(id) +
-                                " unreadable");
+                                " unreadable: missing");
     }
-    Slice map_input(*map_blob);
+    Slice map_input(map_blob->second);
     ChunkMap map;
     RSTORE_RETURN_IF_ERROR(ChunkMap::DecodeFrom(&map_input, &map));
     if (map != *catalog_.MapOfChunk(id)) {

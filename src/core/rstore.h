@@ -40,14 +40,16 @@ namespace rstore {
 /// Commits accumulate in the delta store and are partitioned in batches
 /// (Options::online_batch_size, paper §4); Flush() forces the pending batch
 /// through. All methods are single-threaded; wrap externally if sharing.
-/// With Options::ingest_shards > 1 the write path fans sub-chunk carving and
-/// compression out across worker threads internally, but the public
-/// interface stays single-threaded, chunks are assembled in partition
-/// order, and the stored bytes are identical to serial ingest — see
-/// DESIGN.md "Parallel ingest" for the determinism contract. Every drain
-/// sends two write batches, which the backend may serve node-parallel: the
-/// chunk bodies, then the chunk maps. The catalog changes only once both
-/// have landed: a failed drain leaves the batch staged for the next one.
+/// A large write (a BulkLoad or Repartition, at least twice
+/// kCarveGrainRecords records) carves sub-chunks on up to
+/// Options::ingest_shards worker threads; a drain-sized batch carves on the
+/// calling thread. Either way the public interface stays single-threaded,
+/// chunks are assembled in partition order, and the stored bytes are
+/// identical at every thread count — see DESIGN.md "Parallel ingest". Every
+/// drain sends two write batches, which the backend may serve
+/// node-parallel: the chunk bodies, then the chunk maps. The catalog
+/// changes only once both have landed: a failed drain leaves the batch
+/// staged for the next one.
 class RStore {
  public:
   // The processor, the membership cursor and in-flight async queries hold
@@ -120,8 +122,10 @@ class RStore {
   /// backend decodes and equals what the in-memory catalog holds, no version
   /// selects one record twice, and the per-version record sets
   /// reconstructed from the chunk maps exactly equal the membership derived
-  /// from the deltas. O(total membership); returns kCorruption naming the
-  /// first inconsistency.
+  /// from the deltas. Reads the bodies in one MultiGet and the maps in
+  /// another (a failed read returns its error). O(total membership);
+  /// returns kCorruption naming the first inconsistency, such as a chunk or
+  /// map the backend does not hold.
   Status VerifyIntegrity(TraceContext* trace = nullptr);
 
   // -- Queries (see QueryProcessor::Run). Staged-but-unflushed versions
@@ -225,11 +229,12 @@ class RStore {
                            StoreCatalog* catalog, TraceContext* trace);
 
   /// Drains the delta store: extends copies of the maps of every older chunk
-  /// holding a staged version's records, partitions the batch's new
-  /// records, writes the new chunks and rewrites each extended map once
-  /// (§4), then publishes. Traced when `trace` is non-null (queries forward
-  /// their context here because a query against a staged version flushes
-  /// the batch first).
+  /// holding a staged version's records, deriving each version's rows from
+  /// its parent's and its delta, partitions the batch's new records, writes
+  /// the new chunks and rewrites each extended map once (§4), then
+  /// publishes. Traced when `trace` is non-null (queries forward their
+  /// context here because a query against a staged version flushes the
+  /// batch first).
   Status ProcessBatch(TraceContext* trace = nullptr);
   /// ProcessBatch's body; the wrapper owns the "write.process_batch" span,
   /// stats bracketing, sim-clock reconciliation and flight-recorder entry.
@@ -253,9 +258,8 @@ class RStore {
 
   VersionGraph original_graph_;  // with merge edges
   VersionedDataset tree_;        // transformed, matches storage keys
-  /// Walks tree_'s memberships for the write path: Commit reads the
-  /// parent's records from it and each drain's index update visits the
-  /// staged versions with it, one delta per step.
+  /// Walks tree_'s memberships for Commit, which reads the parent's
+  /// records from it, one delta per step.
   MembershipCursor cursor_{&tree_};
 
   StoreCatalog catalog_;

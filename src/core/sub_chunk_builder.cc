@@ -139,6 +139,13 @@ double SubChunkBuildResult::compression_ratio() const {
          static_cast<double>(compressed);
 }
 
+unsigned CarveWorkers(size_t records, uint32_t ingest_shards, unsigned cores) {
+  const unsigned limit = ingest_shards == 0 ? cores
+                                            : std::min(ingest_shards, cores);
+  return static_cast<unsigned>(std::max<size_t>(
+      1, std::min<size_t>(limit, records / kCarveGrainRecords)));
+}
+
 Result<SubChunkBuildResult> BuildSubChunks(
     const VersionedDataset& dataset, const RecordPayloadMap& payloads,
     const RecordVersionMap& record_versions, const Options& options) {
@@ -228,17 +235,15 @@ Result<SubChunkBuildResult> BuildSubChunks(
   // self-contained (Carve/EmitComponent only read shared state), so the
   // output is byte-identical at any thread count. Blocks (a handful per
   // thread, not one per key) keep the dispatch overhead negligible next to
-  // the per-key carve + compression work. ingest_shards = 0 means one thread
-  // per core, and the count is capped at the core count since the work is
-  // pure CPU.
+  // the per-key carve + compression work. A drain-sized batch carves on the
+  // calling thread (see kCarveGrainRecords).
   std::vector<const KeyForest*> forest_list;
   forest_list.reserve(forests.size());
   for (const auto& [key, forest] : forests) forest_list.push_back(&forest);
   const size_t n = forest_list.size();
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned threads = options.ingest_shards == 0
-                               ? cores
-                               : std::min(options.ingest_shards, cores);
+  const unsigned threads =
+      CarveWorkers(node_of.size(), options.ingest_shards,
+                   std::max(1u, std::thread::hardware_concurrency()));
   const size_t num_blocks =
       std::min<size_t>(n, static_cast<size_t>(threads) * 8);
   std::vector<SubChunkBuildResult> slots(num_blocks);

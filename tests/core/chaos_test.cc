@@ -285,16 +285,18 @@ TEST(ChaosTest, AsyncResultsInvariantUnderSchedulerSeed) {
 
 /// Loads the chain dataset through the ONLINE write path — per-version
 /// commits draining in batches — against a faulty cluster, then replays the
-/// query workload. `shards` > 1 fans sub-chunk carving and compression out
-/// while every backend write still happens on this thread.
+/// query workload. `shards` > 1 fans the one drain's sub-chunk carving and
+/// compression out to worker threads while every backend write still
+/// happens on this thread.
 ChaosRun RunShardedIngestWorkload(const ClusterOptions& cluster_options,
                                   uint32_t shards) {
   ChaosRun out;
   Cluster cluster(cluster_options);
-  ExampleData data = MakeChain(16, 12, 4);
+  // 8,400 records in one drain, 21 per key, so the carve runs on workers.
+  ExampleData data = MakeChain(21, 400, 400);
   Options options;
   options.chunk_capacity_bytes = 700;
-  options.online_batch_size = 4;
+  options.online_batch_size = data.dataset.graph.size();
   options.ingest_shards = shards;
   auto store = RStore::Open(&cluster, options);
   EXPECT_TRUE(store.ok());
@@ -324,11 +326,12 @@ ChaosRun RunShardedIngestWorkload(const ClusterOptions& cluster_options,
   return out;
 }
 
-// Ingest under faults: online commits drain with sharded sub-chunk builds
-// while the cluster injects transient errors, latency spikes and crash
-// windows under the writes themselves (hinted handoff on the write path).
-// Strict queries over the result must match a fault-free SERIAL ingest byte
-// for byte — the fault schedule may cost simulated time, never bytes.
+// Ingest under faults: online commits drain serially and on carve workers
+// (ingest_shards 1 and 4) while the cluster injects transient errors,
+// latency spikes and crash windows under the writes themselves (hinted
+// handoff on the write path). Strict queries over the result must match a
+// fault-free SERIAL ingest byte for byte — the fault schedule may cost
+// simulated time, never bytes.
 TEST(ChaosTest, ShardedIngestUnderFaultsMatchesSerialFaultFree) {
   ClusterOptions clean;
   clean.num_nodes = 5;
@@ -338,25 +341,23 @@ TEST(ChaosTest, ShardedIngestUnderFaultsMatchesSerialFaultFree) {
 
   for (uint64_t seed : ChaosSeeds()) {
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
-    for (uint32_t shards : {1u, 4u}) {
-      SCOPED_TRACE("shards " + std::to_string(shards));
-      const ChaosRun faulty =
-          RunShardedIngestWorkload(ChaosClusterOptions(seed), shards);
-      ASSERT_EQ(faulty.results.size(), baseline.results.size());
-      for (size_t i = 0; i < baseline.results.size(); ++i) {
-        ASSERT_EQ(faulty.results[i], baseline.results[i]) << "query " << i;
-      }
-      // The schedule reached the write path: staged hints imply writes hit
-      // crashed replicas mid-ingest.
-      EXPECT_GT(faulty.kv.handoff_hints, 0u);
-    }
-    // Same seed, any shard count: the simulated write timeline is identical
-    // because every backend write is issued from this thread in partition
-    // order, regardless of how the carve workers were scheduled.
     const ChaosRun serial =
         RunShardedIngestWorkload(ChaosClusterOptions(seed), 1);
     const ChaosRun sharded =
         RunShardedIngestWorkload(ChaosClusterOptions(seed), 4);
+    for (const ChaosRun* faulty : {&serial, &sharded}) {
+      SCOPED_TRACE(faulty == &serial ? "shards 1" : "shards 4");
+      ASSERT_EQ(faulty->results.size(), baseline.results.size());
+      for (size_t i = 0; i < baseline.results.size(); ++i) {
+        ASSERT_EQ(faulty->results[i], baseline.results[i]) << "query " << i;
+      }
+      // The schedule reached the write path: staged hints imply writes hit
+      // crashed replicas mid-ingest.
+      EXPECT_GT(faulty->kv.handoff_hints, 0u);
+    }
+    // Same seed, any shard count: the simulated write timeline is identical
+    // because every backend write is issued from this thread in partition
+    // order, regardless of how the carve workers were scheduled.
     EXPECT_EQ(serial.kv.simulated_micros, sharded.kv.simulated_micros);
     EXPECT_EQ(serial.kv.retries, sharded.kv.retries);
     EXPECT_EQ(serial.kv.handoff_hints, sharded.kv.handoff_hints);

@@ -356,6 +356,24 @@ TEST(VerifyIntegrityTest, DetectsDeletedChunkMap) {
   EXPECT_FALSE((*store)->VerifyIntegrity().ok());
 }
 
+// The fsck reads every chunk body in one batch and every map in a second,
+// not one Get per key.
+TEST(VerifyIntegrityTest, ReadsBodiesThenMapsInTwoBatches) {
+  ExampleData data = MakeChain(60, 40, 6);
+  MemoryStore backend;
+  auto store = RStore::Open(&backend, SmallOptions());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+  const uint64_t chunks = (*store)->NumChunks();
+  ASSERT_GE(chunks, 20u);
+  const KVStats before = backend.stats();
+  ASSERT_TRUE((*store)->VerifyIntegrity().ok());
+  const KVStats read = KVStats::Delta(backend.stats(), before);
+  EXPECT_EQ(read.multiget_batches, 2u);
+  EXPECT_EQ(read.gets, 0u);
+  EXPECT_EQ(read.keys_requested, 2 * chunks);
+}
+
 // A chunk stored twice — its body re-encoded under a fresh id, beside a
 // copy of its map — is adopted by Reopen like any other chunk, so every
 // version holding its records selects each of them twice.

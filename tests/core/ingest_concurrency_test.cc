@@ -1,14 +1,16 @@
-// TSan-targeted stress over sharded ingest: a full store ingest whose
-// sub-chunk carving and compression run on worker threads, repeated at
-// several thread counts, must leave the backend byte-identical to serial
-// ingest even while the sanitizer perturbs scheduling. CI's TSan job matches
-// this binary by the Concurrency suite-name filter.
+// TSan-targeted stress over sharded ingest: a BulkLoad of more than two
+// carve grains of records, whose sub-chunk carving and compression run on
+// worker threads, repeated at several thread counts, must leave the backend
+// byte-identical to serial ingest even while the sanitizer perturbs
+// scheduling. CI's TSan job matches this binary by the Concurrency
+// suite-name filter.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/rstore.h"
+#include "core/sub_chunk_builder.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
 
@@ -19,7 +21,9 @@ using testing::ExampleData;
 using testing::MakeChain;
 
 TEST(IngestConcurrencyTest, ShardedStoreIngestMatchesSerialUnderStress) {
-  const ExampleData data = MakeChain(24, 16, 5);
+  // 8,400 records, 21 per key: the carve cuts each key history on workers.
+  const ExampleData data = MakeChain(21, 400, 400);
+  ASSERT_GT(data.payloads.size(), 2 * kCarveGrainRecords);
   auto run = [&data](uint32_t shards) {
     Options options;
     options.chunk_capacity_bytes = 700;

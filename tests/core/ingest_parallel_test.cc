@@ -4,7 +4,9 @@
 // byte-identical to serial ingest at every shard count, for every
 // partitioning algorithm, on both the offline (BulkLoad) and the online
 // (Commit/Flush) write path — and strict queries must therefore match byte
-// for byte.
+// for byte. Both paths carve more than two carve grains of records at once
+// (the BulkLoad, and one online drain of every version), so the carve runs
+// on worker threads.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/rstore.h"
+#include "core/sub_chunk_builder.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
 
@@ -35,7 +38,6 @@ Options SweepOptions(PartitionAlgorithm algorithm) {
   options.algorithm = algorithm;
   options.chunk_capacity_bytes = 700;
   options.max_sub_chunk_records = 4;
-  options.online_batch_size = 5;
   return options;
 }
 
@@ -106,8 +108,13 @@ class ShardedIngestEquivalenceTest
     : public ::testing::TestWithParam<PartitionAlgorithm> {};
 
 TEST_P(ShardedIngestEquivalenceTest, BackendBytesMatchSerialAtEveryShardCount) {
-  const ExampleData data = MakeChain(20, 14, 4);
-  const Options options = SweepOptions(GetParam());
+  // 21 versions that each rewrite all 400 keys: 8,400 records, 21 per key,
+  // so every key history is cut into several sub-chunks on the workers.
+  const ExampleData data = MakeChain(21, 400, 400);
+  ASSERT_GT(data.payloads.size(), 2 * kCarveGrainRecords);
+  Options options = SweepOptions(GetParam());
+  // The online path drains every version at once, at the last Commit.
+  options.online_batch_size = data.dataset.graph.size();
   for (bool online : {false, true}) {
     SCOPED_TRACE(online ? "online" : "bulk");
     Options serial_options = options;

@@ -403,7 +403,7 @@ struct TracedIngest {
 
 std::unique_ptr<TracedIngest> RunTracedBatchDrain(uint32_t ingest_shards) {
   auto out = std::make_unique<TracedIngest>();
-  const ExampleData data = MakeChain(8, 8, 3);
+  const ExampleData data = MakeChain(21, 400, 400);
   const uint32_t versions = data.dataset.graph.size();
   Options options;
   options.chunk_capacity_bytes = 600;
@@ -437,7 +437,8 @@ std::unique_ptr<TracedIngest> RunTracedBatchDrain(uint32_t ingest_shards) {
 // drain's "write.process_batch" root span covers the drain's entire
 // simulated cost, the phase spans sit under it, and the flight recorder's
 // "process_batch" record repeats the same numbers and the same span tree.
-// Holding at shard count 1 and 4 — sharding must not change the charge.
+// Holding at ingest_shards 1 and 4 (the 8,400-record drain carves on
+// worker threads at 4): sharding must not change the charge.
 TEST(ObservabilityTest, IngestSpanReconcilesWithBackendCharge) {
   uint64_t serial_charge = 0;
   for (uint32_t shards : {1u, 4u}) {

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "common/metrics.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
@@ -196,6 +201,158 @@ TEST(OnlineTest, DeltaStoreAccounting) {
   EXPECT_TRUE(ds.empty());
   EXPECT_EQ(ds.payload_bytes(), 0u);
 }
+
+constexpr PartitionAlgorithm kAllAlgorithms[] = {
+    PartitionAlgorithm::kBottomUp,        PartitionAlgorithm::kShingle,
+    PartitionAlgorithm::kDepthFirst,      PartitionAlgorithm::kBreadthFirst,
+    PartitionAlgorithm::kDeltaBaseline,   PartitionAlgorithm::kSubChunkBaseline,
+    PartitionAlgorithm::kSingleAddressSpace,
+};
+
+std::string AlgorithmTestName(
+    const ::testing::TestParamInfo<PartitionAlgorithm>& info) {
+  std::string name = PartitionAlgorithmName(info.param);
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+/// One commit of the derived-rows history: upserted and deleted keys.
+struct HistoryStep {
+  VersionId parent;
+  std::vector<std::string> upserts;
+  std::vector<std::string> deletes;
+};
+
+std::vector<std::string> Keys(const std::string& prefix, int count) {
+  std::vector<std::string> out;
+  for (int i = 0; i < count; ++i) {
+    out.push_back(prefix + std::to_string(10 + i));
+  }
+  return out;
+}
+
+/// Drains in batches of 4, then a Flush of 2. Version 3's c-keys are held
+/// by no other version of the first batch, and version 6 deletes every
+/// record of its parent 3. In the second batch, versions 4 and 6 branch
+/// from published versions and 5 and 7 from the staged 4, whose a10 is
+/// superseded by 5 and deleted by 7. Version 10 deletes everything its
+/// staged parent 9 holds.
+std::vector<HistoryStep> DerivedRowsHistory() {
+  std::vector<std::string> all_of_3 = Keys("a", 12);
+  for (const std::string& key : Keys("c", 10)) all_of_3.push_back(key);
+  return {
+      {kInvalidVersion, Keys("a", 12), {}},      // 0
+      {0, {"a10", "a11"}, {"a12"}},              // 1
+      {1, {"a13", "b10", "b11", "b12"}, {}},     // 2
+      {0, Keys("c", 10), {}},                    // 3: drains 0-3
+      {1, {"a10"}, {"a14"}},                     // 4
+      {4, {"a10", "d10"}, {}},                   // 5
+      {3, {"e10", "e11", "e12"}, all_of_3},      // 6
+      {4, {"a15"}, {"a10"}},                     // 7: drains 4-7
+      {5, {"d10"}, {}},                          // 8
+      {6, {}, {"e10"}},                          // 9
+      {9, {"f10"}, {"e11", "e12"}},              // 10
+      {8, {"a11"}, {}},                          // 11: drains 8-11
+      {10, {"f11"}, {}},                         // 12
+      {2, {"b10"}, {"a10"}},                     // 13: Flush
+  };
+}
+
+class DerivedRowsTest : public ::testing::TestWithParam<PartitionAlgorithm> {
+};
+
+// A drain derives each staged version's rows in older chunks from its
+// parent's rows and its ∆⁻. After every drain the catalog's maps must equal
+// maps rebuilt from the whole dataset (so no row is missing, extra or
+// empty), and the drain must rewrite exactly the older chunks whose maps
+// gained a version.
+TEST_P(DerivedRowsTest, EveryDrainMatchesMapsRebuiltFromTheDataset) {
+  Options options;
+  options.algorithm = GetParam();
+  options.chunk_capacity_bytes = 600;
+  options.max_sub_chunk_records = 3;
+  options.online_batch_size = 4;
+  MemoryStore backend;
+  auto opened = RStore::Open(&backend, options);
+  ASSERT_TRUE(opened.ok());
+  RStore& store = **opened;
+  Counter* rewrites =
+      MetricsRegistry::Default().GetCounter("rstore_write_map_rewrites_total");
+
+  std::map<ChunkId, std::vector<VersionId>> before;
+  uint64_t rewrites_before = 0;
+  auto snapshot = [&] {
+    before.clear();
+    for (ChunkId id : store.catalog().AllChunks()) {
+      before[id] = store.catalog().MapOfChunk(id)->Versions();
+    }
+    rewrites_before = rewrites->value();
+  };
+  // Checks the drain that just ran; returns the older chunks it left alone.
+  auto check_drain = [&] {
+    std::vector<ChunkId> unchanged;
+    EXPECT_TRUE(store.VerifyIntegrity().ok());
+    const RecordVersionMap record_versions =
+        store.dataset().BuildRecordVersionMap();
+    uint64_t grown = 0;
+    for (ChunkId id : store.catalog().AllChunks()) {
+      const ChunkMap& map = *store.catalog().MapOfChunk(id);
+      EXPECT_EQ(map, StoreCatalog::BuildMap(*store.catalog().RecordsOfChunk(id),
+                                            record_versions))
+          << "chunk " << id;
+      auto old = before.find(id);
+      if (old == before.end()) continue;
+      if (map.Versions() != old->second) {
+        ++grown;
+      } else {
+        unchanged.push_back(id);
+      }
+    }
+    EXPECT_EQ(rewrites->value() - rewrites_before, grown);
+    return unchanged;
+  };
+
+  const std::vector<HistoryStep> history = DerivedRowsHistory();
+  for (VersionId v = 0; v < history.size(); ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    const HistoryStep& step = history[v];
+    if (v % 4 == 3) snapshot();
+    CommitDelta delta;
+    for (const std::string& key : step.upserts) {
+      // Digits that compress poorly, so a chunk holds a few records.
+      std::string payload = key + "@" + std::to_string(v);
+      for (uint64_t i = 1; i <= 16; ++i) {
+        payload += "," + std::to_string((payload.size() * 7919 + i * 104729 +
+                                         v * 15485863) % 1000003);
+      }
+      delta.upserts.push_back(Record{CompositeKey(key, 0), payload});
+    }
+    delta.deletes = step.deletes;
+    auto committed = store.Commit(step.parent, std::move(delta));
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    ASSERT_EQ(*committed, v);
+    if (v % 4 != 3) continue;
+    const std::vector<ChunkId> unchanged = check_drain();
+    if (v == 7) {
+      // Version 6 removed every record its parent 3 held, so a chunk that
+      // no other version of the batch reaches gets no row and no rewrite.
+      EXPECT_TRUE(std::any_of(unchanged.begin(), unchanged.end(),
+                              [&store](ChunkId id) {
+                                return store.catalog().MapOfChunk(id)
+                                    ->HasVersion(3);
+                              }));
+    }
+  }
+  snapshot();
+  ASSERT_TRUE(store.Flush().ok());
+  check_drain();
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, DerivedRowsTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         AlgorithmTestName);
 
 TEST(OnlineTest, BranchedCommitsAcrossBatches) {
   // Branches interleaved with batch boundaries: children of versions from

@@ -129,8 +129,11 @@ TEST(SubChunkBuilderTest, MissingPayloadIsError) {
 
   // The missing record belongs to the middle key in sorted order, so its
   // carve block is neither the first nor the last at any thread count; the
-  // block's error must still reach the caller.
-  ExampleData chain = MakeChain(20, 64, 4);
+  // block's error must still reach the caller. The chain holds more than
+  // four carve grains of records, so ingest_shards 4 starts four workers on
+  // four cores.
+  ExampleData chain = MakeChain(8, 4096, 1800);
+  ASSERT_GT(chain.payloads.size(), 4 * kCarveGrainRecords);
   std::set<std::string> keys;
   for (const auto& [ck, payload] : chain.payloads) keys.insert(ck.key);
   const CompositeKey missing(*std::next(keys.begin(), keys.size() / 2), 0);
@@ -148,6 +151,29 @@ TEST(SubChunkBuilderTest, MissingPayloadIsError) {
               std::string::npos)
         << built.status().ToString();
   }
+}
+
+// A drain-sized batch carves on the calling thread; perfbench's bulk input
+// and bench_ingest's 100,000-record version still fan out.
+TEST(SubChunkBuilderTest, CarveWorkersFollowTheGrain) {
+  // A perfbench drain at 3 shards, and its final Flush.
+  EXPECT_EQ(CarveWorkers(1535, 3, 4), 1u);
+  EXPECT_EQ(CarveWorkers(770, 3, 4), 1u);
+  EXPECT_EQ(CarveWorkers(1535, 0, 4), 1u);
+  // perfbench's 19,950-record BulkLoad at 3 shards; unbounded, the grain
+  // caps it at 4 workers even on 8 cores.
+  EXPECT_EQ(CarveWorkers(19950, 3, 4), 3u);
+  EXPECT_EQ(CarveWorkers(19950, 0, 8), 4u);
+  // bench_ingest's 100,000-record version: the shard count or the cores
+  // decide.
+  EXPECT_EQ(CarveWorkers(100000, 0, 4), 4u);
+  EXPECT_EQ(CarveWorkers(100000, 2, 4), 2u);
+  EXPECT_EQ(CarveWorkers(100000, 8, 4), 4u);
+  EXPECT_EQ(CarveWorkers(100000, 1, 4), 1u);
+  // The boundaries.
+  EXPECT_EQ(CarveWorkers(0, 0, 4), 1u);
+  EXPECT_EQ(CarveWorkers(2 * kCarveGrainRecords - 1, 0, 4), 1u);
+  EXPECT_EQ(CarveWorkers(2 * kCarveGrainRecords, 0, 4), 2u);
 }
 
 TEST(SubChunkBuilderTest, BranchedKeyHistoryStaysConnected) {
