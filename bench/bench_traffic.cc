@@ -78,9 +78,7 @@ void ReportAttribution(const std::string& series, const TrafficReport& r,
 /// bench runs: parts must sum to the whole, exactly.
 void CheckConservation(const char* series, const TrafficReport& r) {
   const QueryStats& qs = r.stats;
-  if (qs.queue_wait_us + qs.service_us + qs.retry_penalty_us -
-          qs.hedge_delta_us !=
-      qs.simulated_micros) {
+  if (!qs.Balanced()) {
     std::fprintf(stderr,
                  "%s: attribution violates conservation "
                  "(%llu + %llu + %llu - %llu != %llu)\n",

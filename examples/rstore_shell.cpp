@@ -184,11 +184,11 @@ class Shell {
       for (const FlightRecord& r : rows) {
         std::printf("  %6llu %-20s %9llu %9llu %9llu %9llu %9llu %5llu %5llu\n",
                     (unsigned long long)r.id, r.name.c_str(),
-                    (unsigned long long)r.total_us,
-                    (unsigned long long)r.queue_wait_us,
-                    (unsigned long long)r.service_us,
-                    (unsigned long long)r.retry_penalty_us,
-                    (unsigned long long)r.hedge_delta_us,
+                    (unsigned long long)r.latency.simulated_micros,
+                    (unsigned long long)r.latency.queue_wait_us,
+                    (unsigned long long)r.latency.service_us,
+                    (unsigned long long)r.latency.retry_penalty_us,
+                    (unsigned long long)r.latency.hedge_delta_us,
                     (unsigned long long)r.retries,
                     (unsigned long long)r.timeouts);
       }

@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <atomic>
 
+#include "common/hash.h"
+
 namespace rstore {
 namespace {
-
-// SplitMix64 finalizer: a full-avalanche hash used to derive the
-// deterministic tie-break among tasks due at the same virtual instant.
-// Pure function of (seed, seq) — no global RNG, no wall clock.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t NextExecutorId() {
   static std::atomic<uint64_t> next_id{1};
@@ -30,6 +22,7 @@ void Executor::Post(Task task) { PostAt(0, std::move(task)); }
 void Executor::PostAt(uint64_t when_us, Task task) {
   MutexLock lock(mu_);
   const uint64_t seq = next_seq_++;
+  // A pure function of (seed, seq): no global RNG, no wall clock.
   const uint64_t tie = seed_ == 0 ? 0 : Mix64(seed_ ^ seq);
   queue_.emplace(Key{std::max(when_us, now_us_), tie, seq}, std::move(task));
 }

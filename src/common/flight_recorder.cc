@@ -10,39 +10,6 @@ namespace rstore {
 
 namespace {
 
-/// Names come from code and trace spans, but the dump is a machine-readable
-/// contract (tools/latency_report.py parses it): escape defensively.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendRecordJson(const FlightRecord& r, std::string* out) {
   *out += StringPrintf(
       "{\"id\":%llu,\"name\":\"%s\",\"status\":\"%s\","
@@ -51,10 +18,13 @@ void AppendRecordJson(const FlightRecord& r, std::string* out) {
       "\"retries\":%llu,\"hedges\":%llu,\"hedge_wins\":%llu,"
       "\"timeouts\":%llu,\"missing_chunks\":%llu",
       (unsigned long long)r.id, JsonEscape(r.name).c_str(),
-      JsonEscape(r.status).c_str(), (unsigned long long)r.total_us,
-      (unsigned long long)r.queue_wait_us,
-      (unsigned long long)r.service_us, (unsigned long long)r.retry_penalty_us,
-      (unsigned long long)r.hedge_delta_us, (unsigned long long)r.retries,
+      JsonEscape(r.status).c_str(),
+      (unsigned long long)r.latency.simulated_micros,
+      (unsigned long long)r.latency.queue_wait_us,
+      (unsigned long long)r.latency.service_us,
+      (unsigned long long)r.latency.retry_penalty_us,
+      (unsigned long long)r.latency.hedge_delta_us,
+      (unsigned long long)r.retries,
       (unsigned long long)r.hedges, (unsigned long long)r.hedge_wins,
       (unsigned long long)r.timeouts, (unsigned long long)r.missing_chunks);
   *out += ",\"degradation\":[";
@@ -97,18 +67,15 @@ void FlightRecorder::Record(FlightRecord record) {
   MutexLock lock(mu_);
   // Slowest-N selection first (the ring steals the record afterwards).
   // Strictly-greater comparison keeps the earliest of tied records.
+  auto slower = [](const FlightRecord& a, const FlightRecord& b) {
+    return a.latency.simulated_micros > b.latency.simulated_micros;
+  };
   if (slowest_.size() < options_.slowest_size) {
     slowest_.push_back(record);
-    std::stable_sort(slowest_.begin(), slowest_.end(),
-                     [](const FlightRecord& a, const FlightRecord& b) {
-                       return a.total_us > b.total_us;
-                     });
-  } else if (record.total_us > slowest_.back().total_us) {
+    std::stable_sort(slowest_.begin(), slowest_.end(), slower);
+  } else if (slower(record, slowest_.back())) {
     slowest_.back() = record;
-    std::stable_sort(slowest_.begin(), slowest_.end(),
-                     [](const FlightRecord& a, const FlightRecord& b) {
-                       return a.total_us > b.total_us;
-                     });
+    std::stable_sort(slowest_.begin(), slowest_.end(), slower);
   }
   recent_[recent_pos_] = std::move(record);
   recent_pos_ = (recent_pos_ + 1) % recent_.size();

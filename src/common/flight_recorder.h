@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/latency_attribution.h"
 #include "common/sync.h"
 
 namespace rstore {
@@ -21,19 +22,15 @@ struct FlightSpan {
 };
 
 /// Everything the recorder keeps about one finished query or write: identity,
-/// outcome, total simulated latency and its attribution (queue_wait +
-/// service + retry_penalty - hedge_delta == total_us), fault-path counters,
-/// the degradation report, and the serialized span tree.
+/// outcome, total simulated latency and its attribution, fault-path
+/// counters, the degradation report, and the serialized span tree.
 struct FlightRecord {
   uint64_t id = 0;
   std::string name;
   /// The failure the operation returned (empty when it succeeded).
   std::string status;
-  uint64_t total_us = 0;
-  uint64_t queue_wait_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_penalty_us = 0;
-  uint64_t hedge_delta_us = 0;
+  /// simulated_micros is the record's total ("total_us" in the dump).
+  LatencyAttribution latency;
   uint64_t retries = 0;
   uint64_t hedges = 0;
   uint64_t hedge_wins = 0;
@@ -58,7 +55,8 @@ struct FlightSample {
 struct FlightRecorderOptions {
   /// Most-recent queries kept (ring buffer, oldest evicted first).
   size_t ring_size = 64;
-  /// Slowest queries kept (selection by total_us; ties keep the earlier).
+  /// Slowest queries kept (selection by total simulated latency; ties keep
+  /// the earlier).
   size_t slowest_size = 16;
   /// Saturation samples kept (ring buffer).
   size_t sample_ring_size = 256;
@@ -118,7 +116,8 @@ class FlightRecorder {
   std::vector<FlightRecord> recent_ RSTORE_GUARDED_BY(mu_);
   size_t recent_pos_ RSTORE_GUARDED_BY(mu_) = 0;
   uint64_t recent_seen_ RSTORE_GUARDED_BY(mu_) = 0;
-  /// Sorted by total_us descending, at most slowest_size entries.
+  /// Sorted by total simulated latency descending, at most slowest_size
+  /// entries.
   std::vector<FlightRecord> slowest_ RSTORE_GUARDED_BY(mu_);
   /// Circular buffer of the sample_ring_size most recent samples.
   std::vector<FlightSample> samples_ RSTORE_GUARDED_BY(mu_);

@@ -7,43 +7,6 @@
 
 namespace rstore {
 
-namespace {
-
-/// Metric names are code-controlled identifiers, but the JSON exporter is a
-/// machine-readable contract: escape defensively so output always parses.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Histogram::Histogram(std::vector<uint64_t> boundaries)
     : boundaries_(std::move(boundaries)) {
   RSTORE_CHECK(!boundaries_.empty()) << "histogram needs >= 1 boundary";
@@ -80,7 +43,7 @@ void Histogram::ObserveWithExemplar(uint64_t value,
   if (exemplars_.empty()) exemplars_.resize(boundaries_.size() + 1);
   exemplars_[bucket] = exemplar;
   exemplars_[bucket].valid = true;
-  exemplars_[bucket].value = value;
+  exemplars_[bucket].latency.simulated_micros = value;
 }
 
 std::vector<HistogramExemplar> Histogram::exemplars() const {
@@ -120,11 +83,6 @@ std::vector<uint64_t> Histogram::ExponentialBoundaries(uint64_t start,
     bound *= factor;
   }
   return out;
-}
-
-std::vector<uint64_t> ExponentialBoundaries(uint64_t start, double factor,
-                                            size_t count) {
-  return Histogram::ExponentialBoundaries(start, factor, count);
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
@@ -217,7 +175,7 @@ std::string MetricsRegistry::PrometheusText() const {
       const HistogramExemplar& e = h.exemplars[bucket];
       return StringPrintf(" # {trace_id=\"%llu\"} %llu",
                           (unsigned long long)e.id,
-                          (unsigned long long)e.value);
+                          (unsigned long long)e.latency.simulated_micros);
     };
     uint64_t cumulative = 0;
     for (size_t i = 0; i < h.boundaries.size(); ++i) {
@@ -277,10 +235,11 @@ std::string MetricsRegistry::JsonSnapshot() const {
           "\"queue_wait_us\":%llu,\"service_us\":%llu,"
           "\"retry_penalty_us\":%llu,\"hedge_delta_us\":%llu}",
           first_exemplar ? "" : ",", b, (unsigned long long)e.id,
-          (unsigned long long)e.value, (unsigned long long)e.queue_wait_us,
-          (unsigned long long)e.service_us,
-          (unsigned long long)e.retry_penalty_us,
-          (unsigned long long)e.hedge_delta_us);
+          (unsigned long long)e.latency.simulated_micros,
+          (unsigned long long)e.latency.queue_wait_us,
+          (unsigned long long)e.latency.service_us,
+          (unsigned long long)e.latency.retry_penalty_us,
+          (unsigned long long)e.latency.hedge_delta_us);
       first_exemplar = false;
     }
     out += StringPrintf("],\"sum\":%llu,\"count\":%llu}",

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/latency_attribution.h"
 #include "common/sync.h"
 
 namespace rstore {
@@ -80,13 +81,9 @@ struct HistogramExemplar {
   bool valid = false;
   /// Trace/query id of the observation (FlightRecorder::NextQueryId()).
   uint64_t id = 0;
-  uint64_t value = 0;
-  /// Attribution of `value` (see QueryStats): queue + service + retry -
-  /// hedge == value for latency histograms; zero elsewhere.
-  uint64_t queue_wait_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_penalty_us = 0;
-  uint64_t hedge_delta_us = 0;
+  /// simulated_micros is the observed value; for latency histograms the
+  /// parts attribute it (Balanced()), elsewhere they stay zero.
+  LatencyAttribution latency;
 };
 
 /// Histogram over fixed upper-bound boundaries chosen at registration.
@@ -139,11 +136,6 @@ class Histogram {
   /// Lazily sized to boundaries_.size() + 1 on the first exemplar.
   std::vector<HistogramExemplar> exemplars_ RSTORE_GUARDED_BY(exemplar_mu_);
 };
-
-/// Free-function alias of Histogram::ExponentialBoundaries, kept for
-/// existing callers; new instrumentation should use the member form.
-std::vector<uint64_t> ExponentialBoundaries(uint64_t start, double factor,
-                                            size_t count);
 
 /// A point-in-time copy of every registered metric, sorted by name.
 struct MetricsSnapshot {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rstore {
@@ -23,6 +24,13 @@ std::vector<std::string> SplitString(const std::string& s, char sep);
 /// Joins with a separator.
 std::string JoinStrings(const std::vector<std::string>& parts,
                         const std::string& sep);
+
+/// `s` escaped for the inside of a JSON string literal (the quotes are the
+/// caller's): quote and backslash get a backslash, backspace, form feed,
+/// newline, return and tab their short escapes, and other control bytes a
+/// four-digit unicode escape. The exporters escape code-controlled names
+/// too, so their machine-readable output always parses.
+std::string JsonEscape(std::string_view s);
 
 }  // namespace rstore
 

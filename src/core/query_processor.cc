@@ -12,10 +12,9 @@ namespace {
 /// Read-path registry handles, resolved once per process.
 struct QueryMetrics {
   Counter* queries_total;
-  Counter* chunks_fetched_total;
-  Counter* bytes_fetched_total;
-  Counter* simulated_micros_total;
-  Counter* missing_chunks_total;
+  /// The counter mirroring each QueryStats field that kQueryStatsFields
+  /// names one for.
+  std::vector<std::pair<uint64_t QueryStats::*, Counter*>> mirrors;
   Histogram* span_chunks;
 
   static const QueryMetrics& Get() {
@@ -23,14 +22,11 @@ struct QueryMetrics {
       MetricsRegistry& registry = MetricsRegistry::Default();
       QueryMetrics m;
       m.queries_total = registry.GetCounter("rstore_query_queries_total");
-      m.chunks_fetched_total =
-          registry.GetCounter("rstore_query_chunks_fetched_total");
-      m.bytes_fetched_total =
-          registry.GetCounter("rstore_query_bytes_fetched_total");
-      m.simulated_micros_total =
-          registry.GetCounter("rstore_query_simulated_micros_total");
-      m.missing_chunks_total =
-          registry.GetCounter("rstore_query_missing_chunks_total");
+      for (const QueryStats::Field& field : kQueryStatsFields) {
+        if (field.counter == nullptr) continue;
+        m.mirrors.emplace_back(field.member,
+                               registry.GetCounter(field.counter));
+      }
       // Chunks per query — the paper's span metric (§2.5).
       m.span_chunks = registry.GetHistogram(
           "rstore_query_span_chunks", Histogram::ExponentialBoundaries(1, 4.0, 8));
@@ -165,33 +161,26 @@ uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
                                       const FetchPlan& plan,
                                       const KVStats& charge,
                                       QueryStats* stats) {
-  uint64_t n_missing = 0;
-  for (const ChunkRef& chunk : plan.chunks) {
-    if (chunk == nullptr) ++n_missing;
-  }
   // chunks_fetched stays the query's span (paper §2.5) regardless of the
   // cache; bytes/latency only count traffic that reached the backend.
-  if (stats != nullptr) {
-    stats->chunks_fetched += ids.size();
-    stats->bytes_fetched += charge.bytes_read;
-    stats->simulated_micros += charge.simulated_micros;
-    stats->queue_wait_us += charge.queue_wait_us;
-    stats->service_us += charge.service_us;
-    stats->retry_penalty_us += charge.retry_penalty_us;
-    stats->hedge_delta_us += charge.hedge_delta_us;
-    if (cache_ != nullptr) {
-      stats->cache_hits += ids.size() - plan.miss.size();
-      stats->cache_misses += plan.miss.size();
-    }
-    stats->missing_chunks += n_missing;
+  QueryStats fetch;
+  static_cast<LatencyAttribution&>(fetch) = charge;
+  fetch.chunks_fetched = ids.size();
+  fetch.bytes_fetched = charge.bytes_read;
+  if (cache_ != nullptr) {
+    fetch.cache_hits = ids.size() - plan.miss.size();
+    fetch.cache_misses = plan.miss.size();
   }
+  for (const ChunkRef& chunk : plan.chunks) {
+    if (chunk == nullptr) ++fetch.missing_chunks;
+  }
+  if (stats != nullptr) *stats += fetch;
   const QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.chunks_fetched_total->Increment(ids.size());
-  metrics.bytes_fetched_total->Increment(charge.bytes_read);
-  metrics.simulated_micros_total->Increment(charge.simulated_micros);
-  if (n_missing > 0) metrics.missing_chunks_total->Increment(n_missing);
+  for (const auto& [member, counter] : metrics.mirrors) {
+    if (fetch.*member > 0) counter->Increment(fetch.*member);
+  }
   metrics.span_chunks->Observe(ids.size());
-  return n_missing;
+  return fetch.missing_chunks;
 }
 
 Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(

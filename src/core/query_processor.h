@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/latency_attribution.h"
 #include "common/result.h"
 #include "common/trace.h"
 #include "core/chunk_cache.h"
@@ -21,57 +22,55 @@
 namespace rstore {
 
 /// Per-query cost accounting: the number of chunks retrieved is the span
-/// (paper §2.5, "the key performance metric"); simulated_micros is the
-/// modeled backend latency the query incurred. With a chunk cache on the
-/// read path, bytes_fetched/simulated_micros only reflect traffic that
-/// actually reached the backend (misses), while chunks_fetched stays the
-/// span — so cache_hits + cache_misses == chunks_fetched whenever a cache
-/// is attached.
+/// (paper §2.5, "the key performance metric"); simulated_micros, inherited
+/// with its attribution from LatencyAttribution, is the modeled backend
+/// latency the query incurred. With a chunk cache on the read path,
+/// bytes_fetched/simulated_micros only reflect traffic that actually
+/// reached the backend (misses), while chunks_fetched stays the span — so
+/// cache_hits + cache_misses == chunks_fetched whenever a cache is attached.
 ///
 /// Counters are registered once in kQueryStatsFields below; aggregation
-/// (operator+=) and generic reporting iterate that table, so adding a new
-/// per-layer counter is a one-line change that no existing caller sees.
-struct QueryStats {
+/// (operator+=), the registry mirror and generic reporting iterate that
+/// table, so adding a new per-layer counter is a one-line change that no
+/// existing caller sees.
+struct QueryStats : LatencyAttribution {
   uint64_t chunks_fetched = 0;
   uint64_t bytes_fetched = 0;
-  uint64_t simulated_micros = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Chunks a best-effort query could not fetch (always 0 in strict mode,
   /// where an unfetchable chunk is an error instead).
   uint64_t missing_chunks = 0;
 
-  // Latency attribution: a decomposition of simulated_micros mirroring
-  // KVStats. The conservation invariant
-  //   queue_wait_us + service_us + retry_penalty_us - hedge_delta_us
-  //     == simulated_micros
-  // holds exactly for every query (all four stay zero against backends
-  // that charge nothing, where simulated_micros is zero too).
-  uint64_t queue_wait_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_penalty_us = 0;
-  uint64_t hedge_delta_us = 0;
-
   struct Field {
     const char* name;
     uint64_t QueryStats::* member;
+    /// The registry counter mirroring the field, or null for none.
+    const char* counter;
   };
 
   inline QueryStats& operator+=(const QueryStats& other);
 };
 
-/// The counter registry: every QueryStats counter, exactly once.
+/// The counter registry: every QueryStats counter, exactly once, with the
+/// rstore_query_* counter every fetch adds it to. The cache counts its own
+/// hits and misses, and the attribution parts are mirrored by the backend's
+/// rstore_kvs_* counters.
 inline constexpr QueryStats::Field kQueryStatsFields[] = {
-    {"chunks_fetched", &QueryStats::chunks_fetched},
-    {"bytes_fetched", &QueryStats::bytes_fetched},
-    {"simulated_micros", &QueryStats::simulated_micros},
-    {"cache_hits", &QueryStats::cache_hits},
-    {"cache_misses", &QueryStats::cache_misses},
-    {"missing_chunks", &QueryStats::missing_chunks},
-    {"queue_wait_us", &QueryStats::queue_wait_us},
-    {"service_us", &QueryStats::service_us},
-    {"retry_penalty_us", &QueryStats::retry_penalty_us},
-    {"hedge_delta_us", &QueryStats::hedge_delta_us},
+    {"chunks_fetched", &QueryStats::chunks_fetched,
+     "rstore_query_chunks_fetched_total"},
+    {"bytes_fetched", &QueryStats::bytes_fetched,
+     "rstore_query_bytes_fetched_total"},
+    {"simulated_micros", &QueryStats::simulated_micros,
+     "rstore_query_simulated_micros_total"},
+    {"cache_hits", &QueryStats::cache_hits, nullptr},
+    {"cache_misses", &QueryStats::cache_misses, nullptr},
+    {"missing_chunks", &QueryStats::missing_chunks,
+     "rstore_query_missing_chunks_total"},
+    {"queue_wait_us", &QueryStats::queue_wait_us, nullptr},
+    {"service_us", &QueryStats::service_us, nullptr},
+    {"retry_penalty_us", &QueryStats::retry_penalty_us, nullptr},
+    {"hedge_delta_us", &QueryStats::hedge_delta_us, nullptr},
 };
 
 /// Every QueryStats field is a uint64_t, so the struct's size is exactly one

@@ -51,8 +51,7 @@ Result<StoreReport> BuildStoreReport(const RStore& store, KVStore* backend) {
       report.compression_ratio * static_cast<double>(report.chunk_bytes));
 
   report.span_histogram.assign(7, 0);
-  for (VersionId v = 0; v < report.num_versions; ++v) {
-    uint64_t span = store.catalog().VersionSpan(v);
+  for (uint64_t span : store.VersionSpans()) {
     report.total_span += span;
     report.max_span = std::max(report.max_span, span);
     ++report.span_histogram[SpanBucket(span)];

@@ -1,6 +1,7 @@
 #include "core/rstore.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -50,86 +51,52 @@ struct WriteMetrics {
   }
 };
 
-/// Flight-recorder + exemplar epilogue shared by every query wrapper: claims
-/// a query id, observes the per-query latency histogram with an attribution
-/// exemplar, and logs the full flight record with the query's `status`.
-/// `backend` is the backend stats delta bracketing the query; the fault
-/// counters read from it are exact on the synchronous path (one query at a
-/// time) and best-effort under async overlap, where concurrent queries
-/// share the backend's tallies. The attribution itself rides in `qs` and is
-/// exact on both paths.
-void RecordQueryFlight(const char* name, const Status& status,
-                       const QueryStats& qs, const KVStats& backend,
-                       const QueryDegradation* degradation,
-                       const TraceContext* trace) {
-  static Histogram* latency = MetricsRegistry::Default().GetHistogram(
+/// rstore_query_latency_micros; each observation's exemplar is the query's
+/// flight record.
+Histogram* QueryLatency() {
+  static Histogram* const histogram = MetricsRegistry::Default().GetHistogram(
       "rstore_query_latency_micros",
       Histogram::ExponentialBoundaries(16, 4.0, 10));
-  HistogramExemplar exemplar;
-  exemplar.id = FlightRecorder::Default().NextQueryId();
-  exemplar.queue_wait_us = qs.queue_wait_us;
-  exemplar.service_us = qs.service_us;
-  exemplar.retry_penalty_us = qs.retry_penalty_us;
-  exemplar.hedge_delta_us = qs.hedge_delta_us;
-  latency->ObserveWithExemplar(qs.simulated_micros, exemplar);
-
-  FlightRecord record;
-  record.id = exemplar.id;
-  record.name = name;
-  if (!status.ok()) record.status = status.ToString();
-  record.total_us = qs.simulated_micros;
-  record.queue_wait_us = qs.queue_wait_us;
-  record.service_us = qs.service_us;
-  record.retry_penalty_us = qs.retry_penalty_us;
-  record.hedge_delta_us = qs.hedge_delta_us;
-  record.retries = backend.retries;
-  record.hedges = backend.hedges;
-  record.hedge_wins = backend.hedge_wins;
-  record.timeouts = backend.timeouts;
-  record.missing_chunks = qs.missing_chunks;
-  if (degradation != nullptr) record.degradation = degradation->messages;
-  if (trace != nullptr) {
-    record.spans.reserve(trace->spans().size());
-    for (const TraceSpan& span : trace->spans()) {
-      record.spans.push_back(
-          FlightSpan{span.name, span.depth, span.sim_start_us,
-                     span.sim_end_us});
-    }
-  }
-  FlightRecorder::Default().Record(std::move(record));
+  return histogram;
 }
 
-/// Flight-recorder epilogue for a batch drain: every ProcessBatch, failed or
-/// not, logs a "process_batch" record carrying its `status`, whose counters
-/// are the backend stats delta bracketing the drain and whose span subtree
-/// is the drain's own spans (depths re-based so "write.process_batch" sits
-/// at depth 0). Exact: the write path is single-caller per store, so
-/// nothing else moves the backend's tallies inside the bracket.
-void RecordIngestFlight(const TraceContext& trace, size_t first_span,
-                        const KVStats& backend, const Status& status) {
+/// The flight-recorder epilogue of every query and drain, failed or not:
+/// logs the record of operation `name`, which returned `status` and cost
+/// `latency`, and returns its id. The fault counters come from `backend`,
+/// the backend stats delta bracketing the operation: exact for drains and
+/// sync queries (one at a time per store) and best-effort under async
+/// overlap, where concurrent queries share the backend's tallies. The span
+/// tree is the operation's own, `trace`'s spans from `first_span` on, with
+/// depths re-based so the first sits at depth 0.
+uint64_t RecordFlight(const char* name, const Status& status,
+                      const LatencyAttribution& latency, const KVStats& backend,
+                      uint64_t missing_chunks,
+                      const QueryDegradation* degradation,
+                      const TraceContext* trace, size_t first_span) {
   FlightRecord record;
   record.id = FlightRecorder::Default().NextQueryId();
-  record.name = "process_batch";
+  record.name = name;
   if (!status.ok()) record.status = status.ToString();
-  record.total_us = backend.simulated_micros;
-  record.queue_wait_us = backend.queue_wait_us;
-  record.service_us = backend.service_us;
-  record.retry_penalty_us = backend.retry_penalty_us;
-  record.hedge_delta_us = backend.hedge_delta_us;
+  record.latency = latency;
   record.retries = backend.retries;
   record.hedges = backend.hedges;
   record.hedge_wins = backend.hedge_wins;
   record.timeouts = backend.timeouts;
-  const std::vector<TraceSpan>& spans = trace.spans();
-  const uint32_t base_depth =
-      first_span < spans.size() ? spans[first_span].depth : 0;
-  record.spans.reserve(spans.size() - first_span);
-  for (size_t i = first_span; i < spans.size(); ++i) {
-    const TraceSpan& span = spans[i];
-    record.spans.push_back(FlightSpan{span.name, span.depth - base_depth,
-                                      span.sim_start_us, span.sim_end_us});
+  record.missing_chunks = missing_chunks;
+  if (degradation != nullptr) record.degradation = degradation->messages;
+  if (trace != nullptr && first_span < trace->spans().size()) {
+    const std::vector<TraceSpan>& spans = trace->spans();
+    const uint32_t base_depth = spans[first_span].depth;
+    record.spans.reserve(spans.size() - first_span);
+    for (size_t i = first_span; i < spans.size(); ++i) {
+      const TraceSpan& span = spans[i];
+      record.spans.push_back(FlightSpan{span.name, span.depth - base_depth,
+                                        span.sim_start_us, span.sim_end_us});
+    }
   }
+  const uint64_t id = record.id;
   FlightRecorder::Default().Record(std::move(record));
+  return id;
 }
 
 /// A point query's answer: its one record, or kNotFound. GetRecord and
@@ -409,7 +376,8 @@ Status RStore::ProcessBatch(TraceContext* trace) {
   const KVStats charge = KVStats::Delta(backend_->stats(), before);
   trace->AdvanceSim(charge.simulated_micros);
   batch_span.End();
-  RecordIngestFlight(*trace, first_span, charge, status);
+  RecordFlight("process_batch", status, charge, charge, /*missing_chunks=*/0,
+               /*degradation=*/nullptr, trace, first_span);
   return status;
 }
 
@@ -791,13 +759,16 @@ Result<std::vector<Record>> RStore::RunQuery(const char* name,
                                              TraceContext* trace,
                                              QueryDegradation* degradation) {
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
+  const size_t first_span = trace == nullptr ? 0 : trace->spans().size();
   const KVStats before = backend_->stats();
   QueryStats local;
   Result<std::vector<Record>> records =
       processor_.Run(query, &local, trace, degradation);
-  RecordQueryFlight(name, records.status(), local,
-                    KVStats::Delta(backend_->stats(), before), degradation,
-                    trace);
+  const uint64_t id = RecordFlight(
+      name, records.status(), local, KVStats::Delta(backend_->stats(), before),
+      local.missing_chunks, degradation, trace, first_span);
+  QueryLatency()->ObserveWithExemplar(local.simulated_micros,
+                                      {.id = id, .latency = local});
   if (stats != nullptr) *stats += local;
   return records;
 }
@@ -813,15 +784,20 @@ Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
     result.status = std::move(flushed);
     return MakeReadyFuture(std::move(result));
   }
+  const size_t first_span = trace == nullptr ? 0 : trace->spans().size();
   const KVStats before = backend_->stats();
   Future<AsyncQueryResult> future =
       processor_.RunAsync(executor, std::move(query), trace);
   // `trace` outlives the future (documented contract); `this` outlives
   // every query it serves.
-  future.OnReady([this, name, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight(name, result.status, result.stats,
-                      KVStats::Delta(backend_->stats(), before),
-                      &result.degradation, trace);
+  future.OnReady([this, name, before, trace,
+                  first_span](const AsyncQueryResult& result) {
+    const QueryStats& qs = result.stats;
+    const uint64_t id = RecordFlight(
+        name, result.status, qs, KVStats::Delta(backend_->stats(), before),
+        qs.missing_chunks, &result.degradation, trace, first_span);
+    QueryLatency()->ObserveWithExemplar(qs.simulated_micros,
+                                        {.id = id, .latency = qs});
   });
   return future;
 }
@@ -954,27 +930,31 @@ Result<VersionId> RStore::MergeBase(VersionId a, VersionId b) const {
   return a;
 }
 
-uint64_t RStore::TotalVersionSpan() const {
-  switch (catalog_.layout()) {
-    case LayoutKind::kChunked:
-      return catalog_.TotalVersionSpan();
-    case LayoutKind::kDeltaChain: {
-      // span(v) = span(parent) + |chunks originated at v|.
-      std::vector<uint64_t> span(tree_.graph.size(), 0);
-      uint64_t total = 0;
-      for (VersionId v = 0; v < tree_.graph.size(); ++v) {
-        VersionId parent = tree_.graph.PrimaryParent(v);
-        span[v] = (parent == kInvalidVersion ? 0 : span[parent]) +
-                  catalog_.ChunksOriginatedAt(v).size();
-        total += span[v];
+std::vector<uint64_t> RStore::VersionSpans() const {
+  std::vector<uint64_t> spans(tree_.graph.size(), 0);
+  for (VersionId v = 0; v < spans.size(); ++v) {
+    switch (catalog_.layout()) {
+      case LayoutKind::kChunked:
+        spans[v] = catalog_.VersionSpan(v);
+        break;
+      case LayoutKind::kDeltaChain: {
+        // The parent's chain plus the chunks originated at v.
+        const VersionId parent = tree_.graph.PrimaryParent(v);
+        spans[v] = (parent == kInvalidVersion ? 0 : spans[parent]) +
+                   catalog_.ChunksOriginatedAt(v).size();
+        break;
       }
-      return total;
+      case LayoutKind::kSubChunkPerKey:
+        spans[v] = catalog_.num_chunks();
+        break;
     }
-    case LayoutKind::kSubChunkPerKey:
-      return static_cast<uint64_t>(tree_.graph.size()) *
-             catalog_.num_chunks();
   }
-  return 0;
+  return spans;
+}
+
+uint64_t RStore::TotalVersionSpan() const {
+  const std::vector<uint64_t> spans = VersionSpans();
+  return std::accumulate(spans.begin(), spans.end(), uint64_t{0});
 }
 
 double RStore::CompressionRatio() const {

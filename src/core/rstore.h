@@ -201,8 +201,11 @@ class RStore {
   /// nullptr when caching is disabled.
   ChunkCache* chunk_cache() const { return cache_.get(); }
 
-  /// Σ_v |chunks(v)| under the live projections — the paper's total version
-  /// span metric, adjusted for the baseline layouts' retrieval rules.
+  /// Each version's span, indexed by version id: the chunks a query of the
+  /// whole version fetches under the layout's retrieval rule (the §2.5
+  /// retrieval-cost metric).
+  std::vector<uint64_t> VersionSpans() const;
+  /// Σ_v span(v) — the paper's total version span metric.
   uint64_t TotalVersionSpan() const;
   /// Number of chunks written so far (the §2.5 storage-cost proxy).
   uint64_t NumChunks() const { return catalog_.num_chunks(); }

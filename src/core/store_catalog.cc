@@ -113,14 +113,6 @@ uint64_t StoreCatalog::VersionSpan(VersionId version) const {
   return it == version_chunks_.end() ? 0 : it->second.size();
 }
 
-uint64_t StoreCatalog::TotalVersionSpan() const {
-  uint64_t total = 0;
-  for (const auto& [version, chunks] : version_chunks_) {
-    total += chunks.size();
-  }
-  return total;
-}
-
 uint64_t StoreCatalog::ProjectionMemoryBytes() const {
   uint64_t total = 0;
   for (const auto& [version, chunks] : version_chunks_) {

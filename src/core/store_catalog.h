@@ -101,10 +101,9 @@ class StoreCatalog {
   /// invalidation story — bodies are immutable, ids are never reused.
   uint64_t ChunkMapGeneration(ChunkId id) const;
 
-  /// Per-version span: |ChunksOfVersion(v)|, the §2.5 retrieval-cost metric,
-  /// as maintained by the live projections.
+  /// |ChunksOfVersion(v)|: a version's span under the chunked layout (see
+  /// RStore::VersionSpans for the others).
   uint64_t VersionSpan(VersionId version) const;
-  uint64_t TotalVersionSpan() const;
 
   /// Bytes of every published chunk body, and of its records uncompressed.
   uint64_t stored_chunk_bytes() const { return stored_chunk_bytes_; }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace rstore {
 namespace json {
 
@@ -10,39 +12,7 @@ namespace {
 
 void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\b':
-        out->append("\\b");
-        break;
-      case '\f':
-        out->append("\\f");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  out->append(JsonEscape(s));
   out->push_back('"');
 }
 

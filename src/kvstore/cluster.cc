@@ -23,8 +23,8 @@ namespace {
 struct ClusterMetrics {
   /// One per client operation: Get, Put, Delete, MultiGet batch.
   Counter* requests_total;
-  /// The counter mirroring each KVStats field other than the per-operation
-  /// counts, which requests_total sums.
+  /// The counter mirroring each KVStats field that kKVStatsFields names one
+  /// for.
   std::vector<std::pair<uint64_t KVStats::*, Counter*>> mirrors;
   Histogram* multiget_batch_keys;
 
@@ -33,26 +33,10 @@ struct ClusterMetrics {
       MetricsRegistry& registry = MetricsRegistry::Default();
       ClusterMetrics m;
       m.requests_total = registry.GetCounter("rstore_kvs_requests_total");
-      const std::pair<uint64_t KVStats::*, const char*> mirrored[] = {
-          {&KVStats::multiget_batches, "rstore_kvs_multiget_batches_total"},
-          {&KVStats::keys_requested, "rstore_kvs_keys_requested_total"},
-          {&KVStats::bytes_read, "rstore_kvs_bytes_read_total"},
-          {&KVStats::bytes_written, "rstore_kvs_bytes_written_total"},
-          {&KVStats::simulated_micros, "rstore_kvs_simulated_micros_total"},
-          {&KVStats::retries, "rstore_kvs_retries_total"},
-          {&KVStats::hedges, "rstore_kvs_hedges_total"},
-          {&KVStats::hedge_wins, "rstore_kvs_hedge_wins_total"},
-          {&KVStats::timeouts, "rstore_kvs_timeouts_total"},
-          {&KVStats::handoff_hints, "rstore_kvs_handoff_hints_total"},
-          {&KVStats::handoff_replays, "rstore_kvs_handoff_replays_total"},
-          {&KVStats::queue_wait_us, "rstore_kvs_queue_wait_micros_total"},
-          {&KVStats::service_us, "rstore_kvs_service_micros_total"},
-          {&KVStats::retry_penalty_us,
-           "rstore_kvs_retry_penalty_micros_total"},
-          {&KVStats::hedge_delta_us, "rstore_kvs_hedge_saved_micros_total"},
-      };
-      for (const auto& [member, name] : mirrored) {
-        m.mirrors.emplace_back(member, registry.GetCounter(name));
+      for (const KVStats::Field& field : kKVStatsFields) {
+        if (field.counter == nullptr) continue;
+        m.mirrors.emplace_back(field.member,
+                               registry.GetCounter(field.counter));
       }
       m.multiget_batch_keys = registry.GetHistogram(
           "rstore_kvs_multiget_batch_keys",
@@ -81,6 +65,16 @@ uint64_t ScaleMicros(uint64_t us, double multiplier) {
       std::llround(static_cast<double>(us) * multiplier));
 }
 
+/// An operation's attribution: its critical event's, plus the coordinator
+/// overhead as service. Each event's `simulated_micros` is its instant
+/// relative to the operation start, which its parts decompose.
+LatencyAttribution WithOverhead(LatencyAttribution crit,
+                                uint64_t overhead_us) {
+  crit.simulated_micros += overhead_us;
+  crit.service_us += overhead_us;
+  return crit;
+}
+
 /// The simulated instant at which a request issued at `start_us` is
 /// abandoned (never, without a request timeout).
 uint64_t Deadline(const RetryPolicy& retry, uint64_t start_us) {
@@ -90,20 +84,6 @@ uint64_t Deadline(const RetryPolicy& retry, uint64_t start_us) {
 }
 
 }  // namespace
-
-/// Attribution of one completion/failure event: how its instant (relative
-/// to the operation start) decomposes into queue wait, service, and retry
-/// penalty, minus hedge savings. The invariant
-///   queue_us + service_us + retry_us - hedge_saved_us == event instant
-/// holds for every event an operation produces; the operation's attribution
-/// is its critical event's (the one that set the charged latency), plus the
-/// coordinator overhead as service.
-struct Cluster::EventAttribution {
-  uint64_t queue_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_us = 0;
-  uint64_t hedge_saved_us = 0;
-};
 
 /// A key of a batch routed to one of its replicas: the replica list and
 /// the current position in it, so retry exhaustion or a timeout can fail
@@ -124,10 +104,10 @@ struct Cluster::Batch {
     uint64_t start_us;  // absolute virtual time the group was issued
     uint32_t round;     // failover depth, decorrelates fault decisions
     std::vector<Member> members;
-    /// How start_us - submit_us decomposes (zero for the first groups).
-    /// Every event this group produces extends it, keeping the
+    /// start_us - submit_us and how it decomposes (zero for the first
+    /// groups). Every event this group produces extends it, keeping the
     /// conservation invariant exact through arbitrary failover chains.
-    EventAttribution attr{};
+    LatencyAttribution attr{};
     // Set when the node serves the group, for ResolveGroup.
     std::map<std::string, std::string> values{};
     uint64_t node_bytes = 0;
@@ -144,13 +124,12 @@ struct Cluster::Batch {
     std::vector<std::pair<std::string, std::string>> notes;
   };
 
-  /// Considers one event as the batch's critical event. Strictly-greater
-  /// updates resolve ties toward the first event.
-  void Consider(uint64_t event_us, const EventAttribution& event) {
-    if (event_us > last_event_us) {
-      last_event_us = event_us;
-      crit = event;
-    }
+  /// Considers one event, at submit_us + event.simulated_micros, as the
+  /// batch's critical event. Strictly-greater updates resolve ties toward
+  /// the first event.
+  void Consider(const LatencyAttribution& event) {
+    RSTORE_DCHECK(event.Balanced());
+    if (event.simulated_micros > crit.simulated_micros) crit = event;
   }
 
   Executor* executor = nullptr;
@@ -179,8 +158,7 @@ struct Cluster::Batch {
   bool failed = false;
 
   std::vector<SimSpan> sim_spans;  // traced batches only
-  uint64_t last_event_us = 0;      // absolute latest completion/failure
-  EventAttribution crit;           // the event that set last_event_us
+  LatencyAttribution crit;         // the latest completion/failure
   uint32_t nodes_contacted = 0;
 
   /// Status and charge (plus values and failures, for an async batch). An
@@ -207,11 +185,10 @@ struct Cluster::WriteOp {
     uint64_t slow_extra_us = 0;
   };
   /// A node's share (`node` >= 0, timed once every entry has joined it) or
-  /// a chain that gave up or timed out at `at_us`.
+  /// a chain that gave up or timed out at `attr.simulated_micros`.
   struct Event {
     int node = -1;
-    uint64_t at_us = 0;
-    EventAttribution attr;
+    LatencyAttribution attr;
   };
 
   explicit WriteOp(size_t num_nodes) : shares(num_nodes) {}
@@ -330,28 +307,21 @@ Status Cluster::Write(const std::string& table,
   // The nodes serve their shares in parallel: one coordinator overhead plus
   // the latest event, each share timed by the MultiGet rule. Strictly-later
   // events win, so ties resolve toward the first.
-  uint64_t slowest_us = 0;
-  EventAttribution crit;
+  LatencyAttribution crit;
   for (const WriteOp::Event& event : op.events) {
-    uint64_t at_us = event.at_us;
-    EventAttribution attr = event.attr;
+    LatencyAttribution attr = event.attr;
     if (event.node >= 0) {
       const WriteOp::Share& share = op.shares[static_cast<size_t>(event.node)];
-      at_us = share.start_us +
-              options_.latency.NodeServiceMicros(share.keys, share.bytes) +
-              share.slow_extra_us;
-      attr.retry_us = share.start_us;
-      attr.service_us = at_us - share.start_us;
+      attr.retry_penalty_us = share.start_us;
+      attr.service_us =
+          options_.latency.NodeServiceMicros(share.keys, share.bytes) +
+          share.slow_extra_us;
+      attr.simulated_micros = share.start_us + attr.service_us;
     }
-    if (at_us > slowest_us) {
-      slowest_us = at_us;
-      crit = attr;
-    }
+    if (attr.simulated_micros > crit.simulated_micros) crit = attr;
   }
-  const uint64_t overhead_us = options_.latency.coordinator_overhead_us;
-  op.charge.simulated_micros = overhead_us + slowest_us;
-  op.charge.service_us = crit.service_us + overhead_us;
-  op.charge.retry_penalty_us = crit.retry_us;
+  static_cast<LatencyAttribution&>(op.charge) =
+      WithOverhead(crit, options_.latency.coordinator_overhead_us);
   Charge(op.charge);
   return status;
 }
@@ -393,7 +363,9 @@ Status Cluster::WriteEntry(const std::string& table, Slice key, Slice value,
     if (!chain.served) {
       // A chain that gave up spent its whole interval on failed attempts.
       outcomes.push_back({node, false, 0, 0,
-                          {-1, chain.failure_us, {0, 0, chain.failure_us, 0}}});
+                          {-1,
+                           {.simulated_micros = chain.failure_us,
+                            .retry_penalty_us = chain.failure_us}}});
       stage(node);
       continue;
     }
@@ -407,9 +379,11 @@ Status Cluster::WriteEntry(const std::string& table, Slice key, Slice value,
       // The coordinator stopped waiting at the deadline: only the
       // in-deadline part of the attempt is attributed.
       const uint64_t retry_us = std::min(chain.start_us, timeout_us);
-      outcomes.push_back(
-          {node, false, 0, 0,
-           {-1, timeout_us, {0, timeout_us - retry_us, retry_us, 0}}});
+      outcomes.push_back({node, false, 0, 0,
+                          {-1,
+                           {.simulated_micros = timeout_us,
+                            .service_us = timeout_us - retry_us,
+                            .retry_penalty_us = retry_us}}});
       stage(node);
       continue;
     }
@@ -432,7 +406,7 @@ Status Cluster::WriteEntry(const std::string& table, Slice key, Slice value,
     }
     WriteOp::Share& share = op->shares[o.node];
     if (share.keys++ == 0) {
-      op->events.push_back({static_cast<int>(o.node), 0, {}});
+      op->events.push_back({static_cast<int>(o.node), {}});
     }
     share.bytes += value.size();
     share.start_us = std::max(share.start_us, o.start_us);
@@ -525,7 +499,6 @@ void Cluster::StartBatch(const BatchPtr& batch) {
   batch->tick = injector_.NextTick();
   ReplayReadyHints(batch->tick);
   batch->submit_us = batch->executor->now_us();
-  batch->last_event_us = batch->submit_us;
   if (batch->trace != nullptr) {
     batch->span_id = batch->trace->StartSpan("kvs.multiget");
     batch->sim_batch_start = batch->trace->sim_now_us();
@@ -624,12 +597,15 @@ void Cluster::ProcessGroup(const BatchPtr& batch, size_t group_index) {
         timed_out ? deadline : std::min(chain.failure_us, deadline);
     if (timed_out) ++batch->result.charge.timeouts;
     const uint64_t queue_end = std::min(g.service_start, event_us);
-    const EventAttribution event{
-        g.attr.queue_us + (queue_end - g.start_us), g.attr.service_us,
-        g.attr.retry_us + (event_us - queue_end), 0};
-    batch->Consider(event_us, event);
+    const LatencyAttribution event{
+        .simulated_micros = event_us - batch->submit_us,
+        .queue_wait_us = g.attr.queue_wait_us + (queue_end - g.start_us),
+        .service_us = g.attr.service_us,
+        .retry_penalty_us = g.attr.retry_penalty_us + (event_us - queue_end),
+        .hedge_delta_us = g.attr.hedge_delta_us};
+    batch->Consider(event);
     Status status = FailOver(
-        batch, std::move(g.members), event_us, g.round + 1, event,
+        batch, std::move(g.members), g.round + 1, event,
         timed_out ? "request timed out" : "replicas exhausted for a key");
     if (!status.ok()) {
       AbortBatch(batch, std::move(status));
@@ -745,12 +721,14 @@ void Cluster::ResolveGroup(const BatchPtr& batch, size_t group_index,
     // Queue wait ends when the node starts the chain; backoffs until the
     // serving attempt are penalty; the node's full modeled service is
     // service; a winning hedge's saving subtracts.
-    batch->Consider(
-        completion[mi],
-        EventAttribution{g.attr.queue_us + (g.service_start - g.start_us),
-                         g.attr.service_us + g.node_us,
-                         g.attr.retry_us + (g.attempt_start - g.service_start),
-                         primary_completion - completion[mi]});
+    batch->Consider(LatencyAttribution{
+        .simulated_micros = completion[mi] - batch->submit_us,
+        .queue_wait_us = g.attr.queue_wait_us + (g.service_start - g.start_us),
+        .service_us = g.attr.service_us + g.node_us,
+        .retry_penalty_us =
+            g.attr.retry_penalty_us + (g.attempt_start - g.service_start),
+        .hedge_delta_us =
+            g.attr.hedge_delta_us + (primary_completion - completion[mi])});
     auto it = g.values.find(keys[g.members[mi].key_idx]);
     if (it != g.values.end()) {
       batch->result.charge.bytes_read += it->second.size();
@@ -777,13 +755,16 @@ void Cluster::ResolveGroup(const BatchPtr& batch, size_t group_index,
     ++batch->result.charge.timeouts;
     // The coordinator waited out [issue, deadline]: queue wait, then
     // backoffs, then the in-deadline slice of the attempt as service.
-    const EventAttribution event{
-        g.attr.queue_us + (g.service_start - g.start_us),
-        g.attr.service_us + (deadline - g.attempt_start),
-        g.attr.retry_us + (g.attempt_start - g.service_start), 0};
-    batch->Consider(deadline, event);
-    Status status = FailOver(batch, std::move(timed_out), deadline,
-                             g.round + 1, event, "request timed out");
+    const LatencyAttribution event{
+        .simulated_micros = deadline - batch->submit_us,
+        .queue_wait_us = g.attr.queue_wait_us + (g.service_start - g.start_us),
+        .service_us = g.attr.service_us + (deadline - g.attempt_start),
+        .retry_penalty_us =
+            g.attr.retry_penalty_us + (g.attempt_start - g.service_start),
+        .hedge_delta_us = g.attr.hedge_delta_us};
+    batch->Consider(event);
+    Status status = FailOver(batch, std::move(timed_out), g.round + 1, event,
+                             "request timed out");
     if (!status.ok()) {
       AbortBatch(batch, std::move(status));
       return;
@@ -793,8 +774,9 @@ void Cluster::ResolveGroup(const BatchPtr& batch, size_t group_index,
 }
 
 Status Cluster::FailOver(const BatchPtr& batch, std::vector<Member> members,
-                         uint64_t fail_us, uint32_t next_round,
-                         const EventAttribution& attr, const char* reason) {
+                         uint32_t next_round, const LatencyAttribution& attr,
+                         const char* reason) {
+  const uint64_t fail_us = batch->submit_us + attr.simulated_micros;
   std::map<uint32_t, std::vector<Member>> regrouped;
   for (Member& m : members) {
     const int next = NextUp(m.replicas, m.pos, batch->tick);
@@ -827,24 +809,17 @@ void Cluster::GroupResolved(const BatchPtr& batch) {
   // The batch completes at its simulated completion instant, so a
   // continuation that issues a dependent batch (the map-key fetch of a
   // query) submits it at the causally correct virtual time.
-  batch->executor->PostAt(
-      batch->last_event_us + options_.latency.coordinator_overhead_us,
-      [this, batch] { FinishBatch(batch); });
+  batch->executor->PostAt(batch->submit_us + batch->crit.simulated_micros +
+                              options_.latency.coordinator_overhead_us,
+                          [this, batch] { FinishBatch(batch); });
 }
 
 void Cluster::FinishBatch(const BatchPtr& batch) {
-  const uint64_t overhead_us = options_.latency.coordinator_overhead_us;
   KVStats& charge = batch->result.charge;
   (batch->point ? charge.gets : charge.multiget_batches) = 1;
   charge.keys_requested = batch->keys->size();
-  charge.simulated_micros =
-      overhead_us + (batch->last_event_us - batch->submit_us);
-  // The batch's attribution is its critical event's, plus the coordinator
-  // overhead as service: queue + service + retry - hedge == charged.
-  charge.queue_wait_us = batch->crit.queue_us;
-  charge.service_us = batch->crit.service_us + overhead_us;
-  charge.retry_penalty_us = batch->crit.retry_us;
-  charge.hedge_delta_us = batch->crit.hedge_saved_us;
+  static_cast<LatencyAttribution&>(charge) =
+      WithOverhead(batch->crit, options_.latency.coordinator_overhead_us);
   if (batch->trace != nullptr) {
     TraceContext* trace = batch->trace;
     for (const Batch::SimSpan& span : batch->sim_spans) {

@@ -217,12 +217,9 @@ class Cluster : public KVStore {
   };
 
   /// Defined in cluster.cc: the continuation state of one in-flight
-  /// batch, a key routed to one of its replicas, and how an event's
-  /// instant decomposes into queue wait, service, retry penalty and hedge
-  /// savings.
+  /// batch, and a key routed to one of its replicas.
   struct Batch;
   struct Member;
-  struct EventAttribution;
   using BatchPtr = std::shared_ptr<Batch>;
 
   /// Sync Get/MultiGet/MultiGetPartial: one batch on a private timeline,
@@ -242,12 +239,13 @@ class Cluster : public KVStore {
   /// Races the hedges (when `hedged`), serves the members that made the
   /// deadline and fails the rest over.
   void ResolveGroup(const BatchPtr& batch, size_t group_index, bool hedged);
-  /// Routes members that failed at `fail_us` to their next serving
-  /// replicas as new groups, which inherit the failing event's attribution.
-  /// Strict-mode exhaustion returns the error (caller aborts the batch).
+  /// Routes members that failed at event `attr` (at submit_us +
+  /// attr.simulated_micros) to their next serving replicas as new groups,
+  /// which inherit the event's attribution. Strict-mode exhaustion returns
+  /// the error (caller aborts the batch).
   Status FailOver(const BatchPtr& batch, std::vector<Member> members,
-                  uint64_t fail_us, uint32_t next_round,
-                  const EventAttribution& attr, const char* reason);
+                  uint32_t next_round, const LatencyAttribution& attr,
+                  const char* reason);
   /// Marks one group resolved; the last one schedules FinishBatch at the
   /// batch's simulated completion instant.
   void GroupResolved(const BatchPtr& batch);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/latency_attribution.h"
 #include "common/result.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -19,8 +20,9 @@ class TraceContext;
 
 /// Aggregate counters for traffic against a KV store. RStore's evaluation
 /// metrics (number of queries issued to the backend, bytes moved, simulated
-/// latency) are read from here.
-struct KVStats {
+/// latency and its attribution, inherited from LatencyAttribution) are read
+/// from here.
+struct KVStats : LatencyAttribution {
   uint64_t gets = 0;
   uint64_t puts = 0;
   uint64_t deletes = 0;
@@ -29,9 +31,6 @@ struct KVStats {
   uint64_t keys_requested = 0;
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
-  /// Simulated wall-clock cost accumulated by the latency model (zero for
-  /// plain in-memory stores).
-  uint64_t simulated_micros = 0;
 
   // Fault-tolerance counters (nonzero only for stores that model faults).
   /// Attempts re-issued after a transient error (backoff charged to
@@ -48,29 +47,11 @@ struct KVStats {
   uint64_t handoff_hints = 0;
   uint64_t handoff_replays = 0;
 
-  // Latency attribution: a decomposition of simulated_micros. For stores
-  // that model latency the invariant
-  //   queue_wait_us + service_us + retry_penalty_us - hedge_delta_us
-  //     == simulated_micros
-  // holds exactly (all four are zero for plain in-memory stores, which
-  // charge nothing). Batched reads attribute the critical path — the event
-  // chain of the member that determined the batch's completion time.
-  /// Time spent queued behind earlier work at the serving node on the
-  /// batch's virtual timeline (see Cluster: a sync call's private timeline
-  /// only queues a batch behind its own earlier groups).
-  uint64_t queue_wait_us = 0;
-  /// Time the serving node (plus coordinator overhead) spent doing work.
-  uint64_t service_us = 0;
-  /// Backoff, failed attempts, and failover delay before the serving
-  /// attempt started.
-  uint64_t retry_penalty_us = 0;
-  /// Micros saved because a hedged read beat the slow primary (subtracts
-  /// from the sum: the primary's full service time is still attributed).
-  uint64_t hedge_delta_us = 0;
-
   struct Field {
     const char* name;
     uint64_t KVStats::* member;
+    /// The registry counter mirroring the field, or null for none.
+    const char* counter;
   };
 
   inline KVStats& operator+=(const KVStats& other);
@@ -78,26 +59,38 @@ struct KVStats {
   static inline KVStats Delta(const KVStats& after, const KVStats& before);
 };
 
-/// The counter registry: every KVStats counter, exactly once.
+/// The counter registry: every KVStats counter, exactly once, with the
+/// rstore_kvs_* counter that Cluster keeps equal to it. Gets, puts and
+/// deletes have none: rstore_kvs_requests_total sums them with the
+/// multiget batches.
 inline constexpr KVStats::Field kKVStatsFields[] = {
-    {"gets", &KVStats::gets},
-    {"puts", &KVStats::puts},
-    {"deletes", &KVStats::deletes},
-    {"multiget_batches", &KVStats::multiget_batches},
-    {"keys_requested", &KVStats::keys_requested},
-    {"bytes_read", &KVStats::bytes_read},
-    {"bytes_written", &KVStats::bytes_written},
-    {"simulated_micros", &KVStats::simulated_micros},
-    {"retries", &KVStats::retries},
-    {"hedges", &KVStats::hedges},
-    {"hedge_wins", &KVStats::hedge_wins},
-    {"timeouts", &KVStats::timeouts},
-    {"handoff_hints", &KVStats::handoff_hints},
-    {"handoff_replays", &KVStats::handoff_replays},
-    {"queue_wait_us", &KVStats::queue_wait_us},
-    {"service_us", &KVStats::service_us},
-    {"retry_penalty_us", &KVStats::retry_penalty_us},
-    {"hedge_delta_us", &KVStats::hedge_delta_us},
+    {"gets", &KVStats::gets, nullptr},
+    {"puts", &KVStats::puts, nullptr},
+    {"deletes", &KVStats::deletes, nullptr},
+    {"multiget_batches", &KVStats::multiget_batches,
+     "rstore_kvs_multiget_batches_total"},
+    {"keys_requested", &KVStats::keys_requested,
+     "rstore_kvs_keys_requested_total"},
+    {"bytes_read", &KVStats::bytes_read, "rstore_kvs_bytes_read_total"},
+    {"bytes_written", &KVStats::bytes_written,
+     "rstore_kvs_bytes_written_total"},
+    {"simulated_micros", &KVStats::simulated_micros,
+     "rstore_kvs_simulated_micros_total"},
+    {"retries", &KVStats::retries, "rstore_kvs_retries_total"},
+    {"hedges", &KVStats::hedges, "rstore_kvs_hedges_total"},
+    {"hedge_wins", &KVStats::hedge_wins, "rstore_kvs_hedge_wins_total"},
+    {"timeouts", &KVStats::timeouts, "rstore_kvs_timeouts_total"},
+    {"handoff_hints", &KVStats::handoff_hints,
+     "rstore_kvs_handoff_hints_total"},
+    {"handoff_replays", &KVStats::handoff_replays,
+     "rstore_kvs_handoff_replays_total"},
+    {"queue_wait_us", &KVStats::queue_wait_us,
+     "rstore_kvs_queue_wait_micros_total"},
+    {"service_us", &KVStats::service_us, "rstore_kvs_service_micros_total"},
+    {"retry_penalty_us", &KVStats::retry_penalty_us,
+     "rstore_kvs_retry_penalty_micros_total"},
+    {"hedge_delta_us", &KVStats::hedge_delta_us,
+     "rstore_kvs_hedge_saved_micros_total"},
 };
 
 /// Every KVStats field is a uint64_t, so this trips the moment a field is

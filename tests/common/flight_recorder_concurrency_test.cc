@@ -37,8 +37,8 @@ TEST(FlightRecorderConcurrencyTest, ConcurrentRecordSampleAndRead) {
         FlightRecord r;
         r.id = recorder.NextQueryId();
         r.name = "writer" + std::to_string(w);
-        r.total_us = static_cast<uint64_t>(i * (w + 1));
-        r.service_us = r.total_us;
+        r.latency.simulated_micros = static_cast<uint64_t>(i * (w + 1));
+        r.latency.service_us = r.latency.simulated_micros;
         recorder.Record(std::move(r));
 
         FlightSample s;
@@ -67,7 +67,8 @@ TEST(FlightRecorderConcurrencyTest, ConcurrentRecordSampleAndRead) {
   const std::vector<FlightRecord> slowest = recorder.Slowest();
   ASSERT_EQ(slowest.size(), options.slowest_size);
   for (size_t i = 1; i < slowest.size(); ++i) {
-    EXPECT_GE(slowest[i - 1].total_us, slowest[i].total_us);
+    EXPECT_GE(slowest[i - 1].latency.simulated_micros,
+              slowest[i].latency.simulated_micros);
   }
   EXPECT_EQ(recorder.Samples().size(), options.sample_ring_size);
   // The dump must stay well-formed no matter how writes interleaved.

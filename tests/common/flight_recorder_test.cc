@@ -14,10 +14,10 @@ FlightRecord MakeRecord(uint64_t id, uint64_t total_us) {
   FlightRecord r;
   r.id = id;
   r.name = "q" + std::to_string(id);
-  r.total_us = total_us;
+  r.latency.simulated_micros = total_us;
   // Attribution that satisfies the conservation invariant so the record is
   // representative of what the production epilogue feeds in.
-  r.service_us = total_us;
+  r.latency.service_us = total_us;
   return r;
 }
 
@@ -118,10 +118,10 @@ TEST(FlightRecorderTest, DumpJsonIsParseableAndComplete) {
   FlightRecord r = MakeRecord(7, 120);
   r.name = "get_range";
   r.status = "IO error: all replicas down";
-  r.queue_wait_us = 30;
-  r.service_us = 80;
-  r.retry_penalty_us = 15;
-  r.hedge_delta_us = 5;
+  r.latency.queue_wait_us = 30;
+  r.latency.service_us = 80;
+  r.latency.retry_penalty_us = 15;
+  r.latency.hedge_delta_us = 5;
   r.retries = 1;
   r.degradation.push_back("node 2 \"down\"");  // exercises escaping
   FlightSpan span;

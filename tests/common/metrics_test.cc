@@ -44,7 +44,7 @@ TEST(HistogramTest, LeBucketSemantics) {
 
 TEST(HistogramTest, ExponentialBoundariesStrictlyIncrease) {
   // factor close to 1 forces the rounding-collision path.
-  std::vector<uint64_t> bounds = ExponentialBoundaries(1, 1.1, 12);
+  std::vector<uint64_t> bounds = Histogram::ExponentialBoundaries(1, 1.1, 12);
   ASSERT_EQ(bounds.size(), 12u);
   for (size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
@@ -180,16 +180,17 @@ TEST(HistogramExemplarTest, ExemplarLandsInValueBucketLastWriterWins) {
 
   HistogramExemplar e;
   e.id = 7;
-  e.queue_wait_us = 40;
-  e.service_us = 10;
+  e.latency.queue_wait_us = 40;
+  e.latency.service_us = 10;
   histogram.ObserveWithExemplar(50, e);
   std::vector<HistogramExemplar> exemplars = histogram.exemplars();
   ASSERT_EQ(exemplars.size(), 3u);  // two boundaries + the +Inf bucket
   EXPECT_FALSE(exemplars[0].valid);
   ASSERT_TRUE(exemplars[1].valid);  // 50 lands in le=100
   EXPECT_EQ(exemplars[1].id, 7u);
-  EXPECT_EQ(exemplars[1].value, 50u);  // value recorded from the observation
-  EXPECT_EQ(exemplars[1].queue_wait_us, 40u);
+  // The value recorded from the observation.
+  EXPECT_EQ(exemplars[1].latency.simulated_micros, 50u);
+  EXPECT_EQ(exemplars[1].latency.queue_wait_us, 40u);
   EXPECT_FALSE(exemplars[2].valid);
 
   // A later observation in the same bucket replaces the exemplar...
@@ -200,7 +201,7 @@ TEST(HistogramExemplarTest, ExemplarLandsInValueBucketLastWriterWins) {
   histogram.ObserveWithExemplar(5000, e);
   exemplars = histogram.exemplars();
   EXPECT_EQ(exemplars[1].id, 8u);
-  EXPECT_EQ(exemplars[1].value, 60u);
+  EXPECT_EQ(exemplars[1].latency.simulated_micros, 60u);
   ASSERT_TRUE(exemplars[2].valid);
   EXPECT_EQ(exemplars[2].id, 9u);
 
@@ -213,8 +214,8 @@ TEST(HistogramExemplarTest, ExportersCarryExemplars) {
   Histogram* h = registry.GetHistogram("rstore_query_micros", {10, 100});
   HistogramExemplar e;
   e.id = 42;
-  e.queue_wait_us = 30;
-  e.service_us = 20;
+  e.latency.queue_wait_us = 30;
+  e.latency.service_us = 20;
   h->ObserveWithExemplar(50, e);
   h->Observe(5);  // exemplar-free observations leave no exemplar behind
 
@@ -240,11 +241,6 @@ TEST(HistogramExemplarTest, ExportersCarryExemplars) {
   EXPECT_EQ(ex.Find("value")->as_int(), 50);
   EXPECT_EQ(ex.Find("queue_wait_us")->as_int(), 30);
   EXPECT_EQ(ex.Find("service_us")->as_int(), 20);
-}
-
-TEST(HistogramExemplarTest, StaticExponentialBoundariesMatchesFreeFunction) {
-  EXPECT_EQ(Histogram::ExponentialBoundaries(16, 4.0, 10),
-            ExponentialBoundaries(16, 4.0, 10));
 }
 
 }  // namespace

@@ -61,9 +61,7 @@ ClusterOptions MakeClusterOptions(uint64_t fault_seed) {
 }
 
 void ExpectConserved(const QueryStats& qs, const std::string& what) {
-  EXPECT_EQ(qs.queue_wait_us + qs.service_us + qs.retry_penalty_us -
-                qs.hedge_delta_us,
-            qs.simulated_micros)
+  EXPECT_TRUE(qs.Balanced())
       << what << ": " << qs.queue_wait_us << " + " << qs.service_us << " + "
       << qs.retry_penalty_us << " - " << qs.hedge_delta_us
       << " != " << qs.simulated_micros;

@@ -475,10 +475,8 @@ TEST(ObservabilityTest, IngestSpanReconcilesWithBackendCharge) {
       }
     }
     ASSERT_NE(record, nullptr);
-    EXPECT_EQ(record->total_us, ingest->charged_micros);
-    EXPECT_EQ(record->queue_wait_us + record->service_us +
-                  record->retry_penalty_us - record->hedge_delta_us,
-              record->total_us);
+    EXPECT_EQ(record->latency.simulated_micros, ingest->charged_micros);
+    EXPECT_TRUE(record->latency.Balanced());
     ASSERT_EQ(record->spans.size(), spans.size());
     EXPECT_EQ(record->spans[0].name, "write.process_batch");
     EXPECT_EQ(record->spans[0].depth, 0u);
@@ -526,6 +524,38 @@ TEST(ObservabilityTest, UntracedBatchDrainStillRecordsFlight) {
     EXPECT_EQ(r.spans[0].depth, 0u);
   }
   EXPECT_EQ(drains, 3u);
+}
+
+// A caller may reuse one TraceContext for several queries: each query's
+// flight record holds that query's spans only, not the context's history.
+TEST(ObservabilityTest, ReusedTraceRecordsOnlyEachQuerysSpans) {
+  Cluster cluster((ClusterOptions()));
+  const ExampleData data = MakeChain(12, 8, 3);
+  Options options;
+  options.chunk_capacity_bytes = 600;
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+  TraceContext trace;
+  for (VersionId v = 7; v < 12; ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    const size_t first = trace.spans().size();
+    ASSERT_TRUE((*store)->GetVersion(v, nullptr, &trace).ok());
+    const std::vector<FlightRecord> recent = FlightRecorder::Default().Recent();
+    ASSERT_FALSE(recent.empty());
+    const FlightRecord& record = recent.front();  // newest first
+    EXPECT_EQ(record.name, "get_version");
+    ASSERT_EQ(record.spans.size(), trace.spans().size() - first);
+    ASSERT_FALSE(record.spans.empty());
+    EXPECT_EQ(record.spans[0].name, "query.get_version");
+    for (size_t i = 0; i < record.spans.size(); ++i) {
+      const TraceSpan& span = trace.spans()[first + i];
+      EXPECT_EQ(record.spans[i].name, span.name);
+      EXPECT_EQ(record.spans[i].depth, span.depth);
+      EXPECT_EQ(record.spans[i].sim_start_us, span.sim_start_us);
+      EXPECT_EQ(record.spans[i].sim_end_us, span.sim_end_us);
+    }
+  }
 }
 
 // A failed drain is as visible as a slow query: with one replica per key
@@ -577,6 +607,7 @@ TEST(ObservabilityTest, RegistryCountersFoldIntoStoreReport) {
     for (const auto& [n, v] : snapshot.counters) {
       if (n == name) return v;
     }
+    ADD_FAILURE() << "no counter " << name;
     return 0;
   };
   EXPECT_EQ(counter("rstore_query_queries_total"), 1u);
@@ -586,9 +617,32 @@ TEST(ObservabilityTest, RegistryCountersFoldIntoStoreReport) {
   // registry counters just as every other coordinator charge does.
   ASSERT_TRUE(q->store->Repartition().ok());
   snapshot = MetricsRegistry::Default().Snapshot();
-  EXPECT_GT(q->cluster.stats().deletes, 0u);
-  EXPECT_EQ(counter("rstore_kvs_simulated_micros_total"),
-            q->cluster.stats().simulated_micros);
+  const KVStats kv = q->cluster.stats();
+  EXPECT_GT(kv.deletes, 0u);
+  // Every mirrored KVStats field, by its counter's name: after load, query
+  // and Repartition, each counter equals its field.
+  const std::pair<const char*, uint64_t> mirrored[] = {
+      {"rstore_kvs_multiget_batches_total", kv.multiget_batches},
+      {"rstore_kvs_keys_requested_total", kv.keys_requested},
+      {"rstore_kvs_bytes_read_total", kv.bytes_read},
+      {"rstore_kvs_bytes_written_total", kv.bytes_written},
+      {"rstore_kvs_simulated_micros_total", kv.simulated_micros},
+      {"rstore_kvs_retries_total", kv.retries},
+      {"rstore_kvs_hedges_total", kv.hedges},
+      {"rstore_kvs_hedge_wins_total", kv.hedge_wins},
+      {"rstore_kvs_timeouts_total", kv.timeouts},
+      {"rstore_kvs_handoff_hints_total", kv.handoff_hints},
+      {"rstore_kvs_handoff_replays_total", kv.handoff_replays},
+      {"rstore_kvs_queue_wait_micros_total", kv.queue_wait_us},
+      {"rstore_kvs_service_micros_total", kv.service_us},
+      {"rstore_kvs_retry_penalty_micros_total", kv.retry_penalty_us},
+      {"rstore_kvs_hedge_saved_micros_total", kv.hedge_delta_us},
+  };
+  for (const auto& [name, value] : mirrored) {
+    EXPECT_EQ(counter(name), value) << name;
+  }
+  EXPECT_EQ(counter("rstore_kvs_requests_total"),
+            kv.gets + kv.puts + kv.deletes + kv.multiget_batches);
 
   // And the report surfaces them as metrics/<subsystem> layers.
   auto report = BuildStoreReport(*q->store, &q->cluster);

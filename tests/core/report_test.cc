@@ -4,6 +4,7 @@
 
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
+#include "workload/dataset_generator.h"
 
 namespace rstore {
 namespace {
@@ -37,6 +38,39 @@ TEST(StoreReportTest, ReflectsLoadedStore) {
   // overflow band.
   EXPECT_EQ(report->overfull_chunks, 0u);
   EXPECT_GT(report->avg_chunk_fill, 0.1);
+}
+
+// The report's spans follow the layout's retrieval rule, as
+// TotalVersionSpan does: the DELTA chain and SUBCHUNK's every-chunk rule
+// included, which the catalog's version->chunk projection does not give.
+TEST(StoreReportTest, SpansFollowTheLayoutForEveryAlgorithm) {
+  workload::DatasetConfig config;
+  config.num_versions = 30;
+  config.records_per_version = 200;
+  config.update_fraction = 0.2;
+  config.insert_fraction = 0.02;
+  config.delete_fraction = 0.02;
+  config.branch_probability = 0.2;
+  config.seed = 3;
+  const workload::GeneratedDataset data = workload::GenerateDataset(config);
+  for (PartitionAlgorithm algorithm :
+       {PartitionAlgorithm::kBottomUp, PartitionAlgorithm::kShingle,
+        PartitionAlgorithm::kDepthFirst, PartitionAlgorithm::kBreadthFirst,
+        PartitionAlgorithm::kDeltaBaseline,
+        PartitionAlgorithm::kSubChunkBaseline,
+        PartitionAlgorithm::kSingleAddressSpace}) {
+    SCOPED_TRACE(PartitionAlgorithmName(algorithm));
+    MemoryStore backend;
+    Options options;
+    options.algorithm = algorithm;
+    options.chunk_capacity_bytes = 4096;
+    auto store = RStore::Open(&backend, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+    auto report = BuildStoreReport(**store, &backend);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->total_span, (*store)->TotalVersionSpan());
+  }
 }
 
 TEST(StoreReportTest, EmptyStore) {
