@@ -1,19 +1,22 @@
 #include "core/delta_store.h"
 
+#include "common/logging.h"
+
 namespace rstore {
 
-void DeltaStore::Stage(PendingCommit commit, std::vector<Record> payloads) {
-  pending_.push_back(std::move(commit));
+void DeltaStore::Stage(VersionId version, std::vector<Record> payloads) {
+  if (empty()) first_version_ = version;
+  RSTORE_DCHECK(version == first_version_ + pending_versions_);
+  ++pending_versions_;
   for (Record& record : payloads) {
-    payload_bytes_ += record.payload.size();
     payloads_.emplace(record.key, std::move(record.payload));
   }
 }
 
 void DeltaStore::Clear() {
-  pending_.clear();
+  first_version_ = kInvalidVersion;
+  pending_versions_ = 0;
   payloads_.clear();
-  payload_bytes_ = 0;
 }
 
 }  // namespace rstore

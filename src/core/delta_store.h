@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/record.h"
-#include "version/delta.h"
 
 namespace rstore {
 
@@ -18,37 +17,33 @@ struct CommitDelta {
   std::vector<std::string> deletes;
 };
 
-/// A commit staged for batch processing: its resolved membership delta plus
-/// the new record payloads.
-struct PendingCommit {
-  VersionId version = kInvalidVersion;
-  VersionDelta delta;
-};
-
 /// The write store of paper §4: "the received deltas are kept in a separate
 /// storage area, that are processed in a batch fashion by the data placement
-/// module." Holds the staged commits and their payloads until the online
-/// partitioner drains them.
+/// module." The staged versions are the newest ones, a contiguous tail of
+/// the store's version graph whose membership deltas the graph's dataset
+/// already holds, so this keeps only where the tail starts and the staged
+/// record payloads until the online partitioner drains them.
 class DeltaStore {
  public:
-  void Stage(PendingCommit commit, std::vector<Record> payloads);
+  /// Stages `version`, the version after the last staged one (any version
+  /// when nothing is staged), with its new record payloads.
+  void Stage(VersionId version, std::vector<Record> payloads);
 
-  size_t pending_versions() const { return pending_.size(); }
-  bool empty() const { return pending_.empty(); }
+  size_t pending_versions() const { return pending_versions_; }
+  bool empty() const { return pending_versions_ == 0; }
 
-  const std::vector<PendingCommit>& pending() const { return pending_; }
+  /// The oldest staged version; the staged ones are
+  /// [first_version(), first_version() + pending_versions()).
+  VersionId first_version() const { return first_version_; }
   const RecordPayloadMap& payloads() const { return payloads_; }
-
-  /// Number of staged payload bytes (write-store footprint).
-  uint64_t payload_bytes() const { return payload_bytes_; }
 
   /// Empties the store after a batch has been incorporated.
   void Clear();
 
  private:
-  std::vector<PendingCommit> pending_;
+  VersionId first_version_ = kInvalidVersion;
+  size_t pending_versions_ = 0;
   RecordPayloadMap payloads_;
-  uint64_t payload_bytes_ = 0;
 };
 
 }  // namespace rstore

@@ -223,93 +223,11 @@ Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
   return std::move(plan.chunks);
 }
 
-Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
-    Executor* executor, std::vector<ChunkId> ids, TraceContext* trace,
-    bool best_effort) {
-  auto state = std::make_shared<AsyncFetchState>();
-  state->executor = executor;
-  state->ids = std::move(ids);
-  state->trace = trace;
-  state->best_effort = best_effort;
-  if (trace != nullptr) {
-    state->fetch_span = trace->StartSpan("query.fetch_chunks");
-    trace->Annotate(state->fetch_span, "chunks",
-                    std::to_string(state->ids.size()));
-  }
-  state->plan = PrepareFetch(state->ids, trace);
-  if (state->plan.miss.empty()) {
-    // Fully served from cache: nothing reaches the backend, the fetch
-    // completes at the current virtual instant with zero charge (exactly
-    // the sync path's zero stats delta).
-    FinishFetchAsync(state, AsyncMultiGetResult{});
-    return state->promise.future();
-  }
-  // Body batch first, map batch chained at its simulated completion
-  // instant — the sync path's sequencing, reproduced on the virtual clock
-  // (and required to keep this trace's spans LIFO).
-  kvs_->MultiGetAsync(executor, options_->chunk_table, state->plan.chunk_keys,
-                      best_effort, trace)
-      .OnComplete([this, state](const Future<AsyncMultiGetResult>& bodies) {
-        if (!bodies.value().status.ok()) {
-          AbortFetchAsync(state, bodies.value().status);
-          return;
-        }
-        state->chunk_batch = bodies;
-        kvs_->MultiGetAsync(state->executor, options_->index_table,
-                            state->plan.map_keys, state->best_effort,
-                            state->trace)
-            .OnReady([this, state](const AsyncMultiGetResult& map_result) {
-              if (!map_result.status.ok()) {
-                AbortFetchAsync(state, map_result.status);
-                return;
-              }
-              FinishFetchAsync(state, map_result);
-            });
-      });
-  return state->promise.future();
-}
-
-void QueryProcessor::FinishFetchAsync(const FetchStatePtr& state,
-                                      const AsyncMultiGetResult& map_result) {
-  KVStats charge;  // a fetch the cache serves whole costs nothing
-  if (!state->plan.miss.empty()) {
-    const AsyncMultiGetResult& chunk_result = state->chunk_batch.value();
-    Status s = DecodeAndInsert(
-        state->ids, &state->plan, chunk_result.values, map_result.values,
-        chunk_result.failures, map_result.failures, state->trace,
-        state->best_effort ? &state->out.degradation : nullptr);
-    if (!s.ok()) {
-      AbortFetchAsync(state, s);
-      return;
-    }
-    charge = chunk_result.charge;
-  }
-  charge += map_result.charge;
-  uint64_t n_missing =
-      AccountFetch(state->ids, state->plan, charge, &state->out.stats);
-  if (state->trace != nullptr) {
-    if (n_missing > 0) {
-      state->trace->Annotate(state->fetch_span, "missing",
-                             std::to_string(n_missing));
-    }
-    state->trace->EndSpan(state->fetch_span);
-  }
-  state->out.chunks = std::move(state->plan.chunks);
-  state->promise.Set(std::move(state->out));
-}
-
-void QueryProcessor::AbortFetchAsync(const FetchStatePtr& state,
-                                     const Status& error) {
-  if (state->trace != nullptr) state->trace->EndSpan(state->fetch_span);
-  state->out.status = error;
-  state->promise.Set(std::move(state->out));
-}
-
 QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
                                                TraceContext* trace) const {
   using Kind = Query::Kind;
   Plan plan;
-  if (query.kind != Kind::kHistory &&
+  if (query.kind != Kind::kEvolution &&
       query.version >= dataset_->graph.size()) {
     plan.status = Status::InvalidArgument("unknown version");
     return plan;
@@ -323,10 +241,10 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
         "query.get_version", "query.get_range", "query.get_history",
         "query.get_record"};
     plan.span = trace->StartSpan(kSpanNames[static_cast<int>(query.kind)]);
-    if (query.kind == Kind::kHistory || query.kind == Kind::kRecord) {
-      trace->Annotate(plan.span, "key", query.key_lo);
+    if (query.kind == Kind::kEvolution || query.kind == Kind::kPoint) {
+      trace->Annotate(plan.span, "key", query.key);
     }
-    if (query.kind != Kind::kHistory) {
+    if (query.kind != Kind::kEvolution) {
       trace->Annotate(plan.span, "version", std::to_string(query.version));
     }
   }
@@ -335,7 +253,7 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
   const LayoutKind layout = catalog_->layout();
   const bool delta = layout == LayoutKind::kDeltaChain;
   switch (query.kind) {
-    case Kind::kVersion:
+    case Kind::kFullVersion:
       if (delta) {
         plan.ids = DeltaChainIds(query.version);
       } else if (layout == LayoutKind::kChunked) {
@@ -350,23 +268,23 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
                        : RangeChunkIds(query.version, query.key_lo,
                                        query.key_hi);
       break;
-    case Kind::kHistory:
+    case Kind::kEvolution:
       // "For DELTA, we need to reconstruct all the versions and then filter
       // out the required records which renders execution of Q3 impractical"
       // (§5.4): every chunk must come back.
       plan.ids = delta ? catalog_->AllChunks()
-                       : catalog_->ChunksOfKey(query.key_lo);
+                       : catalog_->ChunksOfKey(query.key);
       break;
-    case Kind::kRecord:
+    case Kind::kPoint:
       if (delta) {
         plan.ids = DeltaChainIds(query.version);
       } else if (layout == LayoutKind::kSubChunkPerKey) {
-        plan.ids = catalog_->ChunksOfKey(query.key_lo);
+        plan.ids = catalog_->ChunksOfKey(query.key);
       } else {
         // Index-ANDing of the two projections (paper §2.4).
         std::vector<ChunkId> by_version =
             catalog_->ChunksOfVersion(query.version);
-        std::vector<ChunkId> by_key = catalog_->ChunksOfKey(query.key_lo);
+        std::vector<ChunkId> by_key = catalog_->ChunksOfKey(query.key);
         std::set_intersection(by_version.begin(), by_version.end(),
                               by_key.begin(), by_key.end(),
                               std::back_inserter(plan.ids));
@@ -377,23 +295,26 @@ QueryProcessor::Plan QueryProcessor::PlanQuery(const Query& query,
   // (DESIGN.md "Fault tolerance"); so are history and point queries.
   plan.best_effort =
       options_->read_mode == ReadMode::kBestEffort && !delta &&
-      (query.kind == Kind::kVersion || query.kind == Kind::kRange);
+      (query.kind == Kind::kFullVersion || query.kind == Kind::kRange);
   return plan;
 }
 
 Result<std::vector<Record>> QueryProcessor::FinishQuery(
     const Query& query, const std::vector<ChunkRef>& chunks) const {
   using Kind = Query::Kind;
-  if (query.kind == Kind::kHistory) {
-    return HistoryFromChunks(chunks, query.key_lo);
+  if (query.kind == Kind::kEvolution) {
+    return HistoryFromChunks(chunks, query.key);
   }
   if (catalog_->layout() == LayoutKind::kDeltaChain) {
+    // A point query replays as the range [key, key].
+    const bool point = query.kind == Kind::kPoint;
     return ReplayDeltaChain(chunks, query.version,
-                            query.kind != Kind::kVersion, query.key_lo,
-                            query.key_hi);
+                            query.kind != Kind::kFullVersion,
+                            point ? query.key : query.key_lo,
+                            point ? query.key : query.key_hi);
   }
-  if (query.kind == Kind::kRecord) {
-    return RecordFromChunks(chunks, query.key_lo, query.version);
+  if (query.kind == Kind::kPoint) {
+    return RecordFromChunks(chunks, query.key, query.version);
   }
   return ExtractVersionRecords(chunks, query.version,
                                query.kind == Kind::kRange, query.key_lo,
@@ -428,25 +349,90 @@ Future<AsyncQueryResult> QueryProcessor::RunAsync(Executor* executor,
     result.status = std::move(plan.status);
     return MakeReadyFuture(std::move(result));
   }
-  Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(plan.ids), trace, plan.best_effort)
-      .OnReady([this, promise, query = std::move(query), trace,
-                span = plan.span](const AsyncFetchOutcome& fetch) {
-        AsyncQueryResult result;
-        result.stats = fetch.stats;
-        result.degradation = fetch.degradation;
-        Result<std::vector<Record>> records =
-            fetch.status.ok() ? FinishQuery(query, fetch.chunks)
-                              : Result<std::vector<Record>>(fetch.status);
-        if (records.ok()) {
-          result.records = std::move(records.value());
-        } else {
-          result.status = records.status();
+  auto state = std::make_shared<AsyncQuery>();
+  state->executor = executor;
+  state->trace = trace;
+  state->query = std::move(query);
+  state->plan = std::move(plan);
+  if (trace != nullptr) {
+    state->fetch_span = trace->StartSpan("query.fetch_chunks");
+    trace->Annotate(state->fetch_span, "chunks",
+                    std::to_string(state->plan.ids.size()));
+  }
+  state->fetch = PrepareFetch(state->plan.ids, trace);
+  if (state->fetch.miss.empty()) {
+    // Fully served from cache: nothing reaches the backend, the query
+    // completes at the current virtual instant with zero charge (exactly
+    // the sync path's zero stats delta).
+    FinishFetchAsync(state, AsyncMultiGetResult{});
+    return state->promise.future();
+  }
+  // Body batch first, map batch chained at its simulated completion
+  // instant — the sync path's sequencing, reproduced on the virtual clock
+  // (and required to keep this trace's spans LIFO).
+  kvs_->MultiGetAsync(executor, options_->chunk_table, state->fetch.chunk_keys,
+                      state->plan.best_effort, trace)
+      .OnComplete([this, state](const Future<AsyncMultiGetResult>& bodies) {
+        if (!bodies.value().status.ok()) {
+          CompleteAsync(state, bodies.value().status);
+          return;
         }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
+        state->chunk_batch = bodies;
+        kvs_->MultiGetAsync(state->executor, options_->index_table,
+                            state->fetch.map_keys, state->plan.best_effort,
+                            state->trace)
+            .OnReady([this, state](const AsyncMultiGetResult& map_result) {
+              if (!map_result.status.ok()) {
+                CompleteAsync(state, map_result.status);
+                return;
+              }
+              FinishFetchAsync(state, map_result);
+            });
       });
-  return promise.future();
+  return state->promise.future();
+}
+
+void QueryProcessor::FinishFetchAsync(const AsyncQueryPtr& state,
+                                      const AsyncMultiGetResult& map_result) {
+  KVStats charge;  // a fetch the cache serves whole costs nothing
+  if (!state->fetch.miss.empty()) {
+    const AsyncMultiGetResult& chunk_result = state->chunk_batch.value();
+    Status s = DecodeAndInsert(
+        state->plan.ids, &state->fetch, chunk_result.values,
+        map_result.values, chunk_result.failures, map_result.failures,
+        state->trace,
+        state->plan.best_effort ? &state->result.degradation : nullptr);
+    if (!s.ok()) {
+      CompleteAsync(state, s);
+      return;
+    }
+    charge = chunk_result.charge;
+  }
+  charge += map_result.charge;
+  uint64_t n_missing = AccountFetch(state->plan.ids, state->fetch, charge,
+                                    &state->result.stats);
+  if (state->trace != nullptr && n_missing > 0) {
+    state->trace->Annotate(state->fetch_span, "missing",
+                           std::to_string(n_missing));
+  }
+  CompleteAsync(state, Status::OK());
+}
+
+void QueryProcessor::CompleteAsync(const AsyncQueryPtr& state,
+                                   const Status& fetched) {
+  TraceContext* trace = state->trace;
+  if (trace != nullptr) trace->EndSpan(state->fetch_span);
+  AsyncQueryResult& result = state->result;
+  Result<std::vector<Record>> records =
+      fetched.ok() ? FinishQuery(state->query, state->fetch.chunks)
+                   : Result<std::vector<Record>>(fetched);
+  if (records.ok()) {
+    result.records = std::move(records).value();
+  } else {
+    result.status = records.status();
+  }
+  if (trace != nullptr) trace->EndSpan(state->plan.span);
+  state->promise.Set(std::move(result));
 }
 
 Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(

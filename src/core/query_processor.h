@@ -14,6 +14,7 @@
 #include "core/chunk_cache.h"
 #include "core/options.h"
 #include "core/placement.h"
+#include "core/query.h"
 #include "core/record.h"
 #include "core/store_catalog.h"
 #include "kvstore/kv_store.h"
@@ -99,7 +100,7 @@ struct QueryDegradation {
 };
 
 /// Completion payload of an asynchronous query (QueryProcessor::RunAsync,
-/// and so RStore's GetVersionAsync / GetRangeAsync / GetHistoryAsync). The
+/// and so RStore::RunAsync and its named twins such as GetVersionAsync). The
 /// per-query cost accounting rides in the result — differencing a shared
 /// QueryStats is meaningless while many queries are in flight — and
 /// `records` is byte-identical to what the synchronous twin would have
@@ -152,27 +153,12 @@ class QueryProcessor {
   QueryProcessor(const QueryProcessor&) = delete;
   QueryProcessor& operator=(const QueryProcessor&) = delete;
 
-  /// One query of any of the four classes.
-  struct Query {
-    enum class Kind {
-      kVersion,  // Q1, full version retrieval: every record of `version`
-      kRange,    // Q2, records of `version` with key in [key_lo, key_hi]
-      kHistory,  // Q3, record evolution: every record with key `key_lo`
-      kRecord,   // point query: the record with key `key_lo` in `version`
-    };
-    Kind kind = Kind::kVersion;
-    VersionId version = kInvalidVersion;  // unused by kHistory
-    /// kRange's bounds (inclusive); the key of kHistory (key_lo) and
-    /// kRecord (both: a point query is the range [key, key]).
-    std::string key_lo{};
-    std::string key_hi{};
-  };
-
   /// Runs `query` synchronously: plans it from the projections, fetches its
   /// chunks (bodies, then maps, each one KVStore::MultiGet) and extracts the
   /// records. History comes back sorted by origin version, the other
-  /// classes by key; a point query yields at most one record (none when
-  /// the version has no such key).
+  /// classes by key; a point query, planned and replayed as the range
+  /// [key, key], yields at most one record (none when the version has no
+  /// such key).
   ///
   /// With a non-null `trace`, the query records a span tree ("query.*"
   /// around the whole query, "query.fetch_chunks" / "cache.lookup" /
@@ -193,11 +179,14 @@ class QueryProcessor {
   /// virtual-time Executor, so many queries pipeline through one
   /// coordinator (the backend's per-node queues are the shared resource).
   /// It plans inline, submits the chunk fetches through
-  /// KVStore::MultiGetAsync, and runs Run's epilogue when they complete,
-  /// completing the returned future at the query's simulated completion
-  /// instant with records byte-identical to Run's. A sequentially-drained
-  /// executor (RunUntilIdle after each submission) replays the synchronous
-  /// timeline exactly — same backend ticks, same charges, same counters.
+  /// KVStore::MultiGetAsync (the body batch, then the map batch at the body
+  /// batch's completion instant), and runs Run's epilogue when they
+  /// complete, completing the returned future at the query's simulated
+  /// completion instant with records byte-identical to Run's. The query
+  /// keeps one heap state and one promise from plan to completion. A
+  /// sequentially-drained executor (RunUntilIdle after each submission)
+  /// replays the synchronous timeline exactly — same backend ticks, same
+  /// charges, same counters.
   ///
   /// The query's accounting and best-effort report ride in the result.
   /// `trace`, when non-null, must be a context used by this query chain
@@ -262,50 +251,6 @@ class QueryProcessor {
                                             TraceContext* trace,
                                             QueryDegradation* degradation);
 
-  /// Completion payload of FetchChunksAsync: the chunks plus this fetch's
-  /// own accounting and (best-effort mode) degradation report.
-  struct AsyncFetchOutcome {
-    Status status = Status::OK();
-    std::vector<ChunkRef> chunks;
-    QueryStats stats;
-    QueryDegradation degradation;
-  };
-
-  /// Continuation state of one in-flight asynchronous fetch. Heap-held so
-  /// the chunk-table continuation can hand off to the index-table one.
-  struct AsyncFetchState {
-    Executor* executor = nullptr;
-    std::vector<ChunkId> ids;
-    TraceContext* trace = nullptr;
-    bool best_effort = false;
-    uint32_t fetch_span = TraceSpan::kNoParent;
-    FetchPlan plan;
-    /// The completed body batch. Its bodies are decoded from the future's
-    /// value, which this handle keeps alive until the map batch is in.
-    Future<AsyncMultiGetResult> chunk_batch;
-    AsyncFetchOutcome out;
-    Promise<AsyncFetchOutcome> promise;
-  };
-  using FetchStatePtr = std::shared_ptr<AsyncFetchState>;
-
-  /// The asynchronous twin of FetchChunks: submits the body batch, chains
-  /// the map batch at its simulated completion instant (exactly the sync
-  /// path's sequencing, which also keeps trace spans LIFO), then decodes
-  /// and accounts in the final continuation. Strict failures complete the
-  /// future with the error and charge nothing further, like the sync early
-  /// return.
-  Future<AsyncFetchOutcome> FetchChunksAsync(Executor* executor,
-                                             std::vector<ChunkId> ids,
-                                             TraceContext* trace,
-                                             bool best_effort);
-
-  /// Decode/account epilogue of an async fetch, run when the map batch
-  /// completes.
-  void FinishFetchAsync(const FetchStatePtr& state,
-                        const AsyncMultiGetResult& map_result);
-  /// Completes an async fetch with `error`, closing its span (no charge).
-  void AbortFetchAsync(const FetchStatePtr& state, const Status& error);
-
   /// What both paths do before the fetch. A non-OK status is a
   /// validation error and nothing else ran; otherwise the query's span is
   /// open (when traced) and `ids` are the chunks to fetch.
@@ -320,6 +265,33 @@ class QueryProcessor {
   /// Validation, the query span, and chunk-id selection for every class
   /// and layout.
   Plan PlanQuery(const Query& query, TraceContext* trace) const;
+
+  /// The state of one asynchronous query from plan to completion. Heap-held
+  /// so the body-batch continuation can hand off to the map-batch one.
+  struct AsyncQuery {
+    Executor* executor = nullptr;
+    TraceContext* trace = nullptr;
+    Query query;
+    Plan plan;
+    uint32_t fetch_span = TraceSpan::kNoParent;
+    FetchPlan fetch;
+    /// The completed body batch. Its bodies are decoded from the future's
+    /// value, which this handle keeps alive until the map batch is in.
+    Future<AsyncMultiGetResult> chunk_batch;
+    AsyncQueryResult result;
+    Promise<AsyncQueryResult> promise;
+  };
+  using AsyncQueryPtr = std::shared_ptr<AsyncQuery>;
+
+  /// Decode/account epilogue of an async query's fetch, run when the map
+  /// batch completes (at once when the cache served every chunk).
+  void FinishFetchAsync(const AsyncQueryPtr& state,
+                        const AsyncMultiGetResult& map_result);
+  /// Completes an async query: closes the fetch span, extracts the records
+  /// when `fetched` is OK (a failed fetch fails the query and charges
+  /// nothing further, like the sync early return), closes the query span
+  /// and sets the promise.
+  void CompleteAsync(const AsyncQueryPtr& state, const Status& fetched);
   /// The epilogue: the query's records from its fetched chunks. A point
   /// query yields at most one record.
   Result<std::vector<Record>> FinishQuery(

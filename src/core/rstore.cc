@@ -99,21 +99,24 @@ uint64_t RecordFlight(const char* name, const Status& status,
   return id;
 }
 
-/// A point query's answer: its one record, or kNotFound. GetRecord and
-/// GetRecordAsync both convert through here.
-Result<Record> PointAnswer(Result<std::vector<Record>> found,
-                           const std::string& key, VersionId version) {
-  if (!found.ok()) return found.status();
-  if (found->empty()) {
-    return Status::NotFound("no record " + key + " in version " +
-                            std::to_string(version));
-  }
-  return std::move(found->front());
+/// Flight-record names by Query::Kind, for Run and for RunAsync.
+constexpr const char* kQueryNames[][4] = {
+    {"get_version", "get_range", "get_history", "get_record"},
+    {"get_version_async", "get_range_async", "get_history_async",
+     "get_record_async"},
+};
+
+const char* QueryName(const Query& query, bool async) {
+  return kQueryNames[async][static_cast<int>(query.kind)];
+}
+
+/// The answer of a point query that found no record.
+Status PointNotFound(const Query& query) {
+  return Status::NotFound("no record " + query.key + " in version " +
+                          std::to_string(query.version));
 }
 
 }  // namespace
-
-using Query = QueryProcessor::Query;
 
 RStore::RStore(KVStore* backend, const Options& options)
     : backend_(backend),
@@ -307,13 +310,10 @@ Result<VersionId> RStore::Commit(VersionId parent, CommitDelta delta,
     auto r2 = tree_.graph.AddVersion({parent});
     if (!r2.ok()) return r2.status();
   }
-  tree_.deltas.push_back(membership_delta);
+  tree_.deltas.push_back(std::move(membership_delta));
   loaded_ = true;
 
-  PendingCommit pending;
-  pending.version = version;
-  pending.delta = std::move(membership_delta);
-  delta_store_.Stage(std::move(pending), std::move(payload_records));
+  delta_store_.Stage(version, std::move(payload_records));
   const WriteMetrics& metrics = WriteMetrics::Get();
   metrics.commits_total->Increment();
   metrics.pending_versions->Add(1);
@@ -392,32 +392,32 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
   // staged too) minus its ∆⁻, plus its ∆⁺. The parent's rows come from the
   // published map, or from the row this walk appended for a staged parent.
   ScopedSpan index_span(trace, "write.index_update");
-  const std::vector<PendingCommit>& pending = delta_store_.pending();
-  const VersionId first_staged = pending.front().version;
+  // The staged versions are the tail of tree_, from first_staged on.
+  const VersionId first_staged = delta_store_.first_version();
+  const VersionId end_staged = tree_.graph.size();
+  RSTORE_DCHECK(end_staged - first_staged == batch_versions);
   // Per staged version: the older chunks it has a row in, ascending, and
   // its new records as their version lists in new_record_versions.
   struct StagedRows {
     std::vector<ChunkId> chunks;
     std::vector<std::vector<VersionId>*> records;
   };
-  std::vector<StagedRows> staged(pending.size());
+  std::vector<StagedRows> staged(batch_versions);
   size_t batch_records = 0;
-  for (const PendingCommit& commit : pending) {
-    batch_records += commit.delta.added.size();
+  for (VersionId v = first_staged; v < end_staged; ++v) {
+    batch_records += tree_.deltas[v].added.size();
   }
   RecordVersionMap new_record_versions;
   new_record_versions.reserve(batch_records);
   std::map<ChunkId, ChunkMap> extended_maps;
   std::vector<std::pair<ChunkId, uint32_t>> cleared;  // (chunk, index)
   std::vector<uint32_t> cleared_in_chunk;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    const VersionId v = pending[i].version;
-    RSTORE_DCHECK(v == first_staged + i);
-    const VersionDelta& delta = pending[i].delta;
+  for (VersionId v = first_staged; v < end_staged; ++v) {
+    const VersionDelta& delta = tree_.deltas[v];
     const VersionId parent = tree_.graph.PrimaryParent(v);
     const bool parent_staged =
         parent != kInvalidVersion && parent >= first_staged;
-    StagedRows& rows = staged[i];
+    StagedRows& rows = staged[v - first_staged];
 
     // Every removed record is published or new in this batch: records of
     // staged versions are never in a published chunk. A new one is marked
@@ -500,10 +500,9 @@ Status RStore::ProcessBatchImpl(TraceContext* trace) {
   // sub-graph.
   VersionedDataset view;
   view.graph = tree_.graph;
-  view.deltas.resize(tree_.graph.size());
-  for (const PendingCommit& commit : delta_store_.pending()) {
-    view.deltas[commit.version] = commit.delta;
-  }
+  view.deltas.resize(end_staged);
+  std::copy(tree_.deltas.begin() + first_staged, tree_.deltas.end(),
+            view.deltas.begin() + first_staged);
   RSTORE_RETURN_IF_ERROR(PartitionAndWrite(
       view, delta_store_.payloads(), new_record_versions,
       std::move(extended_maps), &catalog_, trace));
@@ -753,11 +752,10 @@ Status RStore::Flush(TraceContext* trace) {
   return backend_->Put(options_.index_table, "g", graph_blob);
 }
 
-Result<std::vector<Record>> RStore::RunQuery(const char* name,
-                                             const Query& query,
-                                             QueryStats* stats,
-                                             TraceContext* trace,
-                                             QueryDegradation* degradation) {
+Result<std::vector<Record>> RStore::Run(const Query& query,
+                                        QueryStats* stats,
+                                        TraceContext* trace,
+                                        QueryDegradation* degradation) {
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
   const size_t first_span = trace == nullptr ? 0 : trace->spans().size();
   const KVStats before = backend_->stats();
@@ -765,17 +763,21 @@ Result<std::vector<Record>> RStore::RunQuery(const char* name,
   Result<std::vector<Record>> records =
       processor_.Run(query, &local, trace, degradation);
   const uint64_t id = RecordFlight(
-      name, records.status(), local, KVStats::Delta(backend_->stats(), before),
-      local.missing_chunks, degradation, trace, first_span);
+      QueryName(query, /*async=*/false), records.status(), local,
+      KVStats::Delta(backend_->stats(), before), local.missing_chunks,
+      degradation, trace, first_span);
   QueryLatency()->ObserveWithExemplar(local.simulated_micros,
                                       {.id = id, .latency = local});
   if (stats != nullptr) *stats += local;
+  if (query.kind == Query::Kind::kPoint && records.ok() && records->empty()) {
+    return PointNotFound(query);
+  }
   return records;
 }
 
-Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
-                                               Executor* executor, Query query,
-                                               TraceContext* trace) {
+Future<AsyncQueryResult> RStore::RunAsync(Executor* executor,
+                                          const Query& query,
+                                          TraceContext* trace) {
   // The flush prologue runs synchronously, like the sync queries: writes
   // and async reads never overlap (documented contract).
   Status flushed = ProcessBatch(trace);
@@ -786,11 +788,10 @@ Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
   }
   const size_t first_span = trace == nullptr ? 0 : trace->spans().size();
   const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future =
-      processor_.RunAsync(executor, std::move(query), trace);
+  Future<AsyncQueryResult> future = processor_.RunAsync(executor, query, trace);
   // `trace` outlives the future (documented contract); `this` outlives
   // every query it serves.
-  future.OnReady([this, name, before, trace,
+  future.OnReady([this, name = QueryName(query, /*async=*/true), before, trace,
                   first_span](const AsyncQueryResult& result) {
     const QueryStats& qs = result.stats;
     const uint64_t id = RecordFlight(
@@ -799,15 +800,23 @@ Future<AsyncQueryResult> RStore::RunQueryAsync(const char* name,
     QueryLatency()->ObserveWithExemplar(qs.simulated_micros,
                                         {.id = id, .latency = qs});
   });
-  return future;
+  if (query.kind != Query::Kind::kPoint) return future;
+  // A point result holds at most one record, so this copy is small.
+  return future.Then([query](const AsyncQueryResult& found) {
+    AsyncQueryResult result = found;
+    if (result.status.ok() && result.records.empty()) {
+      result.status = PointNotFound(query);
+    }
+    return result;
+  });
 }
 
 Result<std::vector<Record>> RStore::GetVersion(VersionId version,
                                                QueryStats* stats,
                                                TraceContext* trace,
                                                QueryDegradation* degradation) {
-  return RunQuery("get_version", Query{Query::Kind::kVersion, version}, stats,
-                  trace, degradation);
+  return Run({.kind = Query::Kind::kFullVersion, .version = version}, stats,
+             trace, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetRange(VersionId version,
@@ -816,32 +825,34 @@ Result<std::vector<Record>> RStore::GetRange(VersionId version,
                                              QueryStats* stats,
                                              TraceContext* trace,
                                              QueryDegradation* degradation) {
-  return RunQuery("get_range",
-                  Query{Query::Kind::kRange, version, key_lo, key_hi}, stats,
-                  trace, degradation);
+  return Run({.kind = Query::Kind::kRange,
+              .version = version,
+              .key_lo = key_lo,
+              .key_hi = key_hi},
+             stats, trace, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetHistory(const std::string& key,
                                                QueryStats* stats,
                                                TraceContext* trace) {
-  return RunQuery("get_history",
-                  Query{Query::Kind::kHistory, kInvalidVersion, key}, stats,
-                  trace, nullptr);
+  return Run({.kind = Query::Kind::kEvolution, .key = key}, stats, trace);
 }
 
 Result<Record> RStore::GetRecord(const std::string& key, VersionId version,
                                  QueryStats* stats, TraceContext* trace) {
-  return PointAnswer(
-      RunQuery("get_record", Query{Query::Kind::kRecord, version, key, key},
-               stats, trace, nullptr),
-      key, version);
+  auto found = Run(
+      {.kind = Query::Kind::kPoint, .version = version, .key = key}, stats,
+      trace);
+  if (!found.ok()) return found.status();
+  return std::move(found->front());
 }
 
 Future<AsyncQueryResult> RStore::GetVersionAsync(Executor* executor,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  return RunQueryAsync("get_version_async", executor,
-                       Query{Query::Kind::kVersion, version}, trace);
+  return RunAsync(executor,
+                  {.kind = Query::Kind::kFullVersion, .version = version},
+                  trace);
 }
 
 Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
@@ -849,37 +860,33 @@ Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
                                                const std::string& key_lo,
                                                const std::string& key_hi,
                                                TraceContext* trace) {
-  return RunQueryAsync("get_range_async", executor,
-                       Query{Query::Kind::kRange, version, key_lo, key_hi},
-                       trace);
+  return RunAsync(executor,
+                  {.kind = Query::Kind::kRange,
+                   .version = version,
+                   .key_lo = key_lo,
+                   .key_hi = key_hi},
+                  trace);
 }
 
 Future<AsyncQueryResult> RStore::GetHistoryAsync(Executor* executor,
                                                  const std::string& key,
                                                  TraceContext* trace) {
-  return RunQueryAsync("get_history_async", executor,
-                       Query{Query::Kind::kHistory, kInvalidVersion, key},
-                       trace);
+  return RunAsync(executor, {.kind = Query::Kind::kEvolution, .key = key},
+                  trace);
 }
 
 Future<AsyncRecordResult> RStore::GetRecordAsync(Executor* executor,
                                                  const std::string& key,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  return RunQueryAsync("get_record_async", executor,
-                       Query{Query::Kind::kRecord, version, key, key}, trace)
-      .Then([key, version](const AsyncQueryResult& found) {
+  return RunAsync(executor,
+                  {.kind = Query::Kind::kPoint, .version = version, .key = key},
+                  trace)
+      .Then([](const AsyncQueryResult& found) {
         AsyncRecordResult result;
+        result.status = found.status;
         result.stats = found.stats;
-        Result<Record> record = PointAnswer(
-            found.status.ok() ? Result<std::vector<Record>>(found.records)
-                              : Result<std::vector<Record>>(found.status),
-            key, version);
-        if (record.ok()) {
-          result.record = std::move(record).value();
-        } else {
-          result.status = record.status();
-        }
+        if (found.status.ok()) result.record = found.records.front();
         return result;
       });
 }

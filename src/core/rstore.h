@@ -11,6 +11,7 @@
 #include "core/delta_store.h"
 #include "core/options.h"
 #include "core/placement.h"
+#include "core/query.h"
 #include "core/query_processor.h"
 #include "core/record.h"
 #include "core/store_catalog.h"
@@ -36,6 +37,9 @@ namespace rstore {
 ///   auto some = store->GetRange(v1, "k10", "k19");     // partial checkout
 ///   auto history = store->GetHistory("k10");           // record evolution
 ///   auto one = store->GetRecord("k10", v1);            // point lookup
+///   // ... each of which is one Query value run by Run (or RunAsync):
+///   auto same = store->Run({.kind = Query::Kind::kPoint, .version = v1,
+///                           .key = "k10"});
 ///
 /// Commits accumulate in the delta store and are partitioned in batches
 /// (Options::online_batch_size, paper §4); Flush() forces the pending batch
@@ -131,10 +135,21 @@ class RStore {
   // -- Queries (see QueryProcessor::Run). Staged-but-unflushed versions
   //    are flushed on demand before being queried. Pass a TraceContext to
   //    capture the query's span tree (exportable as Chrome trace JSON).
-  //    Under Options::read_mode == ReadMode::kBestEffort, GetVersion and
-  //    GetRange skip chunks the backend cannot serve and report them via
+  //    Under Options::read_mode == ReadMode::kBestEffort, full and range
+  //    queries skip chunks the backend cannot serve and report them via
   //    `degradation` (and QueryStats::missing_chunks) instead of failing.
-  //    GetRecord returns kNotFound when the version has no such key.
+  //    A point query returns kNotFound when the version has no such key;
+  //    its flight record still shows success, since the query ran.
+
+  /// Runs `query` of any class: flushes any staged batch, runs the store's
+  /// processor, and logs the query to the flight recorder (named get_version,
+  /// get_range, get_history or get_record by class). A point query's one
+  /// record comes back as a one-element vector.
+  Result<std::vector<Record>> Run(const Query& query,
+                                  QueryStats* stats = nullptr,
+                                  TraceContext* trace = nullptr,
+                                  QueryDegradation* degradation = nullptr);
+  /// The named queries: each is one call of Run.
   Result<std::vector<Record>> GetVersion(VersionId version,
                                          QueryStats* stats = nullptr,
                                          TraceContext* trace = nullptr,
@@ -162,6 +177,13 @@ class RStore {
   //    on one Executor share its virtual timeline's node queues (see
   //    Cluster), and writes must not run while queries are in flight (drain
   //    the executor first). The store must outlive the futures.
+
+  /// The asynchronous Run: its flight record is named like Run's with an
+  /// "_async" suffix and is written when the query completes. A point miss
+  /// completes with kNotFound, like Run.
+  Future<AsyncQueryResult> RunAsync(Executor* executor, const Query& query,
+                                    TraceContext* trace = nullptr);
+  /// The named async queries: each is one call of RunAsync.
   Future<AsyncQueryResult> GetVersionAsync(Executor* executor,
                                            VersionId version,
                                            TraceContext* trace = nullptr);
@@ -242,18 +264,6 @@ class RStore {
   /// ProcessBatch's body; the wrapper owns the "write.process_batch" span,
   /// stats bracketing, sim-clock reconciliation and flight-recorder entry.
   Status ProcessBatchImpl(TraceContext* trace);
-
-  /// Every sync query: the flush prologue, the store's processor running
-  /// `query`, and the flight-recorder epilogue.
-  Result<std::vector<Record>> RunQuery(const char* name,
-                                       const QueryProcessor::Query& query,
-                                       QueryStats* stats, TraceContext* trace,
-                                       QueryDegradation* degradation);
-  /// Every async query: the flush prologue, then the query submitted on the
-  /// store's processor, whose completion feeds the flight recorder.
-  Future<AsyncQueryResult> RunQueryAsync(const char* name, Executor* executor,
-                                         QueryProcessor::Query query,
-                                         TraceContext* trace);
 
   KVStore* backend_;
   Options options_;

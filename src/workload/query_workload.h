@@ -5,19 +5,15 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/query.h"
 #include "version/dataset.h"
 
 namespace rstore {
 namespace workload {
 
-/// One query of the paper's §5.4 randomly generated workloads.
-struct Query {
-  enum class Kind { kFullVersion, kRange, kEvolution, kPoint };
-  Kind kind = Kind::kFullVersion;
-  VersionId version = 0;        // Q1/Q2/point
-  std::string key_lo, key_hi;   // Q2
-  std::string key;              // Q3/point
-};
+/// One query of the paper's §5.4 randomly generated workloads: the store's
+/// own query type.
+using Query = rstore::Query;
 
 /// Generates randomized query workloads over a dataset: uniformly random
 /// versions for Q1, random key ranges of a requested selectivity for Q2,

@@ -16,14 +16,29 @@ namespace workload {
 namespace {
 
 /// Order-independent per-query fingerprint: mixes the submission index with
-/// the status code and the records hash, so XOR-combining across queries
-/// detects any query returning different bytes (or a different error).
+/// the status code and, for a successful query only, the records hash, so
+/// XOR-combining across queries detects any query returning different bytes
+/// (or a different error). A failed query's records are not read.
 uint64_t QueryFingerprint(size_t index, const Status& status,
-                          uint64_t records_hash) {
+                          const std::vector<Record>& records) {
   uint64_t h = Mix64(static_cast<uint64_t>(index) ^ 0x9e3779b97f4a7c15ull);
   h ^= Mix64(static_cast<uint64_t>(status.code()) + 1);
-  h ^= records_hash;
+  if (status.ok()) h ^= HashRecords(records);
   return Mix64(h);
+}
+
+/// Folds one finished query into `report`.
+void AddQuery(TrafficReport* report, size_t index, Query::Kind kind,
+              const Status& status, const std::vector<Record>& records,
+              const QueryStats& qs) {
+  report->stats += qs;
+  report->stats_by_kind[static_cast<size_t>(kind)] += qs;
+  if (status.ok()) {
+    ++report->completed;
+  } else {
+    ++report->failed;
+  }
+  report->result_hash ^= QueryFingerprint(index, status, records);
 }
 
 std::vector<std::string> DistinctKeys(const VersionedDataset& dataset) {
@@ -109,47 +124,13 @@ TrafficReport RunTrafficSync(RStore* store,
                              const std::vector<Query>& queries) {
   TrafficReport report;
   report.latencies_us.resize(queries.size(), 0);
+  const std::vector<Record> none;  // stands in for a failed query's records
   for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
     QueryStats qs;
-    Status status = Status::OK();
-    uint64_t records_hash = 0;
-    switch (q.kind) {
-      case Query::Kind::kFullVersion: {
-        auto r = store->GetVersion(q.version, &qs);
-        status = r.status();
-        if (r.ok()) records_hash = HashRecords(r.value());
-        break;
-      }
-      case Query::Kind::kRange: {
-        auto r = store->GetRange(q.version, q.key_lo, q.key_hi, &qs);
-        status = r.status();
-        if (r.ok()) records_hash = HashRecords(r.value());
-        break;
-      }
-      case Query::Kind::kEvolution: {
-        auto r = store->GetHistory(q.key, &qs);
-        status = r.status();
-        if (r.ok()) records_hash = HashRecords(r.value());
-        break;
-      }
-      case Query::Kind::kPoint: {
-        auto r = store->GetRecord(q.key, q.version, &qs);
-        status = r.status();
-        if (r.ok()) records_hash = HashRecords({r.value()});
-        break;
-      }
-    }
+    const Result<std::vector<Record>> r = store->Run(queries[i], &qs);
     report.latencies_us[i] = qs.simulated_micros;
     report.makespan_us += qs.simulated_micros;
-    report.stats += qs;
-    report.stats_by_kind[static_cast<size_t>(q.kind)] += qs;
-    if (status.ok()) {
-      ++report.completed;
-    } else {
-      ++report.failed;
-    }
-    report.result_hash ^= QueryFingerprint(i, status, records_hash);
+    AddQuery(&report, i, queries[i].kind, r.status(), r.ok() ? *r : none, qs);
   }
   return report;
 }
@@ -180,54 +161,19 @@ TrafficReport RunTrafficAsync(RStore* store, Executor* executor,
   *submit = [shared, submit](size_t index) {
     const Query& q = (*shared->queries)[index];
     const uint64_t start_us = shared->executor->now_us();
-    auto on_done = [shared, submit, index, start_us](
-                       const Status& status, uint64_t records_hash,
-                       const QueryStats& qs) {
-      const uint64_t end_us = shared->executor->now_us();
-      TrafficReport& report = shared->report;
-      report.latencies_us[index] = end_us - start_us;
-      report.stats += qs;
-      report.stats_by_kind[static_cast<size_t>(
-          (*shared->queries)[index].kind)] += qs;
-      if (status.ok()) {
-        ++report.completed;
-      } else {
-        ++report.failed;
-      }
-      report.result_hash ^= QueryFingerprint(index, status, records_hash);
-      shared->last_complete_us = std::max(shared->last_complete_us, end_us);
-      if (shared->closed_loop && shared->next < shared->queries->size()) {
-        (*submit)(shared->next++);
-      }
-    };
-    switch (q.kind) {
-      case Query::Kind::kFullVersion:
-        shared->store->GetVersionAsync(shared->executor, q.version)
-            .OnReady([on_done](const AsyncQueryResult& r) {
-              on_done(r.status, HashRecords(r.records), r.stats);
-            });
-        break;
-      case Query::Kind::kRange:
-        shared->store
-            ->GetRangeAsync(shared->executor, q.version, q.key_lo, q.key_hi)
-            .OnReady([on_done](const AsyncQueryResult& r) {
-              on_done(r.status, HashRecords(r.records), r.stats);
-            });
-        break;
-      case Query::Kind::kEvolution:
-        shared->store->GetHistoryAsync(shared->executor, q.key)
-            .OnReady([on_done](const AsyncQueryResult& r) {
-              on_done(r.status, HashRecords(r.records), r.stats);
-            });
-        break;
-      case Query::Kind::kPoint:
-        shared->store->GetRecordAsync(shared->executor, q.key, q.version)
-            .OnReady([on_done](const AsyncRecordResult& r) {
-              on_done(r.status,
-                      r.status.ok() ? HashRecords({r.record}) : 0, r.stats);
-            });
-        break;
-    }
+    shared->store->RunAsync(shared->executor, q)
+        .OnReady([shared, submit, index, start_us,
+                  kind = q.kind](const AsyncQueryResult& r) {
+          const uint64_t end_us = shared->executor->now_us();
+          shared->report.latencies_us[index] = end_us - start_us;
+          AddQuery(&shared->report, index, kind, r.status, r.records,
+                   r.stats);
+          shared->last_complete_us =
+              std::max(shared->last_complete_us, end_us);
+          if (shared->closed_loop && shared->next < shared->queries->size()) {
+            (*submit)(shared->next++);
+          }
+        });
   };
 
   shared->first_submit_us = executor->now_us();

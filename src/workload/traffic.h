@@ -55,7 +55,8 @@ std::vector<Query> GenerateTraffic(const VersionedDataset& dataset,
 struct TrafficReport {
   uint64_t completed = 0;
   /// Queries that finished with a non-OK status (their status codes still
-  /// feed result_hash, so equivalence checks cover failures too).
+  /// feed result_hash, so equivalence checks cover failures too; a point
+  /// query that finds no record is one, with kNotFound).
   uint64_t failed = 0;
   /// Per-query virtual-time latency, indexed by submission order.
   std::vector<uint64_t> latencies_us;
@@ -68,9 +69,9 @@ struct TrafficReport {
   /// between a full-version scan and a point lookup, so the aggregate alone
   /// hides which class is paying the queue/retry penalty.
   std::array<QueryStats, 4> stats_by_kind;
-  /// Order-independent fingerprint of every query's full result (records
-  /// and status, keyed by submission index): equal hashes mean every query
-  /// returned byte-identical results.
+  /// Order-independent fingerprint of every query's full result (status,
+  /// and records when it succeeded, keyed by submission index): equal
+  /// hashes mean every query returned byte-identical results.
   uint64_t result_hash = 0;
 
   double throughput_qps() const;
@@ -82,14 +83,15 @@ struct TrafficReport {
 /// can fingerprint individually obtained results the same way).
 uint64_t HashRecords(const std::vector<Record>& records);
 
-/// Drives the stream through the asynchronous read path: queries pipeline
-/// through the coordinator on `executor`'s virtual timeline, per
-/// TrafficOptions' loop mode. Returns after the executor drains.
+/// Drives the stream through the asynchronous read path, one
+/// RStore::RunAsync per query: queries pipeline through the coordinator on
+/// `executor`'s virtual timeline, per TrafficOptions' loop mode. Returns
+/// after the executor drains.
 TrafficReport RunTrafficAsync(RStore* store, Executor* executor,
                               const std::vector<Query>& queries,
                               const TrafficOptions& options);
 
-/// Synchronous baseline: one query at a time. Each query's latency is its
+/// Synchronous baseline: one RStore::Run at a time. Each query's latency is its
 /// own simulated cost and the makespan is their sum — the coordinator never
 /// overlaps work, which is exactly the idle capacity the async engine
 /// reclaims.

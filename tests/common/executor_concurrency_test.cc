@@ -138,7 +138,8 @@ TEST(ExecutorConcurrencyTest, AsyncQueriesContendOnOneSharedChunkCache) {
       for (int pass = 0; pass < 3; ++pass) {
         for (VersionId v = 0; v < 12; ++v) {
           processor
-              .RunAsync(&executor, {QueryProcessor::Query::Kind::kVersion, v})
+              .RunAsync(&executor, {.kind = Query::Kind::kFullVersion,
+                                    .version = v})
               .OnReady([&failures, &expected, v](const AsyncQueryResult& r) {
                 if (!r.status.ok() ||
                     testing::SerializeRecords(r.records) != expected[v]) {

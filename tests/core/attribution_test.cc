@@ -93,26 +93,11 @@ void CheckConservationEverywhere(PartitionAlgorithm algorithm,
 
   uint64_t total_service = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const workload::Query& q = queries[i];
     QueryStats qs;
-    switch (q.kind) {
-      case workload::Query::Kind::kFullVersion:
-        ASSERT_TRUE((*store)->GetVersion(q.version, &qs).ok());
-        break;
-      case workload::Query::Kind::kRange:
-        ASSERT_TRUE(
-            (*store)->GetRange(q.version, q.key_lo, q.key_hi, &qs).ok());
-        break;
-      case workload::Query::Kind::kEvolution:
-        ASSERT_TRUE((*store)->GetHistory(q.key, &qs).ok());
-        break;
-      case workload::Query::Kind::kPoint: {
-        auto got = (*store)->GetRecord(q.key, q.version, &qs);
-        ASSERT_TRUE(got.ok() || got.status().IsNotFound())
-            << got.status().ToString();
-        break;
-      }
-    }
+    const bool point = queries[i].kind == workload::Query::Kind::kPoint;
+    auto got = (*store)->Run(queries[i], &qs);
+    ASSERT_TRUE(got.ok() || (point && got.status().IsNotFound()))
+        << got.status().ToString();
     ExpectConserved(qs, "sync query " + std::to_string(i));
     total_service += qs.service_us;
   }
@@ -121,38 +106,14 @@ void CheckConservationEverywhere(PartitionAlgorithm algorithm,
   Executor executor(0);
   size_t completed = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    const workload::Query& q = queries[i];
-    auto check = [&completed, i](const Status& status, const QueryStats& qs) {
-      EXPECT_TRUE(status.ok() || status.IsNotFound()) << status.ToString();
-      ExpectConserved(qs, "async query " + std::to_string(i));
-      ++completed;
-    };
-    switch (q.kind) {
-      case workload::Query::Kind::kFullVersion:
-        (*store)->GetVersionAsync(&executor, q.version)
-            .OnReady([check](const AsyncQueryResult& r) {
-              check(r.status, r.stats);
-            });
-        break;
-      case workload::Query::Kind::kRange:
-        (*store)->GetRangeAsync(&executor, q.version, q.key_lo, q.key_hi)
-            .OnReady([check](const AsyncQueryResult& r) {
-              check(r.status, r.stats);
-            });
-        break;
-      case workload::Query::Kind::kEvolution:
-        (*store)->GetHistoryAsync(&executor, q.key)
-            .OnReady([check](const AsyncQueryResult& r) {
-              check(r.status, r.stats);
-            });
-        break;
-      case workload::Query::Kind::kPoint:
-        (*store)->GetRecordAsync(&executor, q.key, q.version)
-            .OnReady([check](const AsyncRecordResult& r) {
-              check(r.status, r.stats);
-            });
-        break;
-    }
+    const bool point = queries[i].kind == workload::Query::Kind::kPoint;
+    (*store)->RunAsync(&executor, queries[i])
+        .OnReady([&completed, i, point](const AsyncQueryResult& r) {
+          EXPECT_TRUE(r.status.ok() || (point && r.status.IsNotFound()))
+              << r.status.ToString();
+          ExpectConserved(r.stats, "async query " + std::to_string(i));
+          ++completed;
+        });
   }
   executor.RunUntilIdle();
   EXPECT_EQ(completed, queries.size());

@@ -72,17 +72,16 @@ TEST(ChunkCacheConcurrencyTest, MixedQueriesThroughOneTinyCache) {
         // threads chase different parts of the working set concurrently.
         for (VersionId i = 0; i < 40; ++i) {
           VersionId v = (i * (t + 1) + round) % 40;
-          auto got = qp.Run({QueryProcessor::Query::Kind::kVersion, v},
-                            &per_thread[t]);
+          auto got = qp.Run(
+              {.kind = Query::Kind::kFullVersion, .version = v},
+              &per_thread[t]);
           if (!got.ok() || SerializeRecords(*got) != expected_versions[v]) {
             errors.fetch_add(1);
           }
         }
         for (const auto& [key, expected] : expected_histories) {
-          auto got =
-              qp.Run({QueryProcessor::Query::Kind::kHistory, kInvalidVersion,
-                      key},
-                     &per_thread[t]);
+          auto got = qp.Run({.kind = Query::Kind::kEvolution, .key = key},
+                            &per_thread[t]);
           if (!got.ok() || SerializeRecords(*got) != expected) {
             errors.fetch_add(1);
           }

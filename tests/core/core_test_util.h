@@ -165,43 +165,33 @@ inline std::vector<workload::Query> BuildReplayQueries(
   return out;
 }
 
+/// The canonical serialization of query `q`'s answer: a class prefix
+/// (v:, r:, h: or p:) and its records, or "p:notfound" for a point query
+/// that found no record. Any other error is returned.
+inline Result<std::string> SerializeAnswer(const workload::Query& q,
+                                           const Status& status,
+                                           const std::vector<Record>& records) {
+  static constexpr const char* kPrefixes[] = {"v:", "r:", "h:", "p:"};
+  const char* prefix = kPrefixes[static_cast<int>(q.kind)];
+  if (q.kind == workload::Query::Kind::kPoint && status.IsNotFound()) {
+    return std::string(prefix) + "notfound";
+  }
+  if (!status.ok()) return status;
+  return prefix + SerializeRecords(records);
+}
+
 /// Replays the deterministic mixed query workload derived from `seed`
 /// against `store` through the synchronous API.
 inline Result<WorkloadReplay> ReplayQueryWorkload(
     RStore* store, const VersionedDataset& dataset, uint64_t seed,
     int passes = 2) {
   WorkloadReplay out;
+  const std::vector<Record> none;  // stands in for a failed query's records
   for (const workload::Query& q : BuildReplayQueries(dataset, seed, passes)) {
-    switch (q.kind) {
-      case workload::Query::Kind::kFullVersion: {
-        auto got = store->GetVersion(q.version, &out.stats);
-        if (!got.ok()) return got.status();
-        out.results.push_back("v:" + SerializeRecords(*got));
-        break;
-      }
-      case workload::Query::Kind::kRange: {
-        auto got = store->GetRange(q.version, q.key_lo, q.key_hi, &out.stats);
-        if (!got.ok()) return got.status();
-        out.results.push_back("r:" + SerializeRecords(*got));
-        break;
-      }
-      case workload::Query::Kind::kEvolution: {
-        auto got = store->GetHistory(q.key, &out.stats);
-        if (!got.ok()) return got.status();
-        out.results.push_back("h:" + SerializeRecords(*got));
-        break;
-      }
-      case workload::Query::Kind::kPoint: {
-        auto got = store->GetRecord(q.key, q.version, &out.stats);
-        if (got.status().IsNotFound()) {
-          out.results.push_back("p:notfound");
-        } else {
-          if (!got.ok()) return got.status();
-          out.results.push_back("p:" + SerializeRecords({*got}));
-        }
-        break;
-      }
-    }
+    const auto got = store->Run(q, &out.stats);
+    auto answer = SerializeAnswer(q, got.status(), got.ok() ? *got : none);
+    if (!answer.ok()) return answer.status();
+    out.results.push_back(std::move(answer).value());
   }
   return out;
 }
@@ -220,50 +210,18 @@ inline Result<WorkloadReplay> ReplayQueryWorkloadAsync(
   WorkloadReplay out;
   out.results.resize(queries.size());
   Status first_error = Status::OK();
-  auto fail = [&first_error](const Status& s) {
-    if (first_error.ok()) first_error = s;
-  };
   for (size_t i = 0; i < queries.size(); ++i) {
-    const workload::Query& q = queries[i];
-    switch (q.kind) {
-      case workload::Query::Kind::kFullVersion:
-        store->GetVersionAsync(executor, q.version)
-            .OnReady([&out, &fail, i](const AsyncQueryResult& r) {
-              if (!r.status.ok()) return fail(r.status);
-              out.stats += r.stats;
-              out.results[i] = "v:" + SerializeRecords(r.records);
-            });
-        break;
-      case workload::Query::Kind::kRange:
-        store->GetRangeAsync(executor, q.version, q.key_lo, q.key_hi)
-            .OnReady([&out, &fail, i](const AsyncQueryResult& r) {
-              if (!r.status.ok()) return fail(r.status);
-              out.stats += r.stats;
-              out.results[i] = "r:" + SerializeRecords(r.records);
-            });
-        break;
-      case workload::Query::Kind::kEvolution:
-        store->GetHistoryAsync(executor, q.key)
-            .OnReady([&out, &fail, i](const AsyncQueryResult& r) {
-              if (!r.status.ok()) return fail(r.status);
-              out.stats += r.stats;
-              out.results[i] = "h:" + SerializeRecords(r.records);
-            });
-        break;
-      case workload::Query::Kind::kPoint:
-        store->GetRecordAsync(executor, q.key, q.version)
-            .OnReady([&out, &fail, i](const AsyncRecordResult& r) {
-              if (r.status.IsNotFound()) {
-                out.stats += r.stats;
-                out.results[i] = "p:notfound";
-                return;
-              }
-              if (!r.status.ok()) return fail(r.status);
-              out.stats += r.stats;
-              out.results[i] = "p:" + SerializeRecords({r.record});
-            });
-        break;
-    }
+    store->RunAsync(executor, queries[i])
+        .OnReady([&out, &first_error, &q = queries[i],
+                  i](const AsyncQueryResult& r) {
+          auto answer = SerializeAnswer(q, r.status, r.records);
+          if (!answer.ok()) {
+            if (first_error.ok()) first_error = answer.status();
+            return;
+          }
+          out.stats += r.stats;
+          out.results[i] = std::move(answer).value();
+        });
     if (window == 1) executor->RunUntilIdle();
   }
   executor->RunUntilIdle();

@@ -190,16 +190,21 @@ TEST(OnlineTest, RepartitionWithCompressedSubChunks) {
 TEST(OnlineTest, DeltaStoreAccounting) {
   DeltaStore ds;
   EXPECT_TRUE(ds.empty());
-  PendingCommit commit;
-  commit.version = 0;
-  commit.delta.added = {{"a", 0}};
-  ds.Stage(std::move(commit), {Record{{"a", 0}, "12345"}});
-  EXPECT_EQ(ds.pending_versions(), 1u);
-  EXPECT_EQ(ds.payload_bytes(), 5u);
-  EXPECT_EQ(ds.payloads().at(CompositeKey("a", 0)), "12345");
+  ds.Stage(7, {Record{{"a", 7}, "12345"}});
+  ds.Stage(8, {});  // an empty commit is a staged version too
+  EXPECT_FALSE(ds.empty());
+  EXPECT_EQ(ds.pending_versions(), 2u);
+  EXPECT_EQ(ds.first_version(), 7u);
+  ASSERT_EQ(ds.payloads().size(), 1u);
+  EXPECT_EQ(ds.payloads().at(CompositeKey("a", 7)), "12345");
   ds.Clear();
   EXPECT_TRUE(ds.empty());
-  EXPECT_EQ(ds.payload_bytes(), 0u);
+  EXPECT_EQ(ds.pending_versions(), 0u);
+  EXPECT_TRUE(ds.payloads().empty());
+  // The next batch starts wherever its first version is.
+  ds.Stage(9, {Record{{"b", 9}, "xy"}});
+  EXPECT_EQ(ds.first_version(), 9u);
+  EXPECT_EQ(ds.pending_versions(), 1u);
 }
 
 constexpr PartitionAlgorithm kAllAlgorithms[] = {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
+#include "common/executor.h"
+#include "common/flight_recorder.h"
 #include "core_test_util.h"
 #include "kvstore/cluster.h"
 #include "kvstore/memory_store.h"
@@ -313,6 +316,147 @@ TEST(RStoreTest, MixedBulkLoadAndCommits) {
   auto v4 = s.GetVersion(4);
   ASSERT_TRUE(v4.ok());
   EXPECT_EQ(ToMap(*v4), ExpectedVersion(data, 4));
+}
+
+/// A query's outcome in comparable form: its status and its records.
+struct Answer {
+  Status::Code code = Status::Code::kOk;
+  std::string status;
+  std::string records;
+  bool operator==(const Answer&) const = default;
+};
+
+Answer AnswerOf(const Status& status, const std::vector<Record>& records) {
+  return {status.code(), status.ToString(), testing::SerializeRecords(records)};
+}
+
+Answer AnswerOf(const Result<std::vector<Record>>& got) {
+  return AnswerOf(got.status(), got.ok() ? *got : std::vector<Record>{});
+}
+
+// Run and RunAsync answer every class like the named methods they replace,
+// and log flight records under the same names and statuses: a point query
+// that finds nothing answers kNotFound but is recorded as a success.
+TEST(RStoreTest, RunAndRunAsyncAnswerLikeTheNamedQueries) {
+  ExampleData data = MakeChain(8, 6, 2);
+  Cluster cluster((ClusterOptions()));
+  auto opened =
+      RStore::Open(&cluster, SmallChunkOptions(PartitionAlgorithm::kBottomUp));
+  ASSERT_TRUE(opened.ok());
+  RStore* store = opened->get();
+  ASSERT_TRUE(store->BulkLoad(data.dataset, data.payloads).ok());
+  Executor executor;
+  auto drained = [&executor](const auto& future) {
+    executor.RunUntilIdle();
+    return future.value();
+  };
+
+  using Kind = Query::Kind;
+  using Code = Status::Code;
+  const VersionId kUnknown = 1000;
+  struct Probe {
+    Query query;
+    Code code;  // what every entry point answers
+  };
+  struct Class {
+    std::string flight;  // the sync flight-record name
+    std::function<Answer(const Query&)> named;
+    std::function<Answer(const Query&)> named_async;
+    std::vector<Probe> probes;
+  };
+  const std::vector<Class> classes = {
+      {"get_version",
+       [&](const Query& q) { return AnswerOf(store->GetVersion(q.version)); },
+       [&](const Query& q) {
+         auto r = drained(store->GetVersionAsync(&executor, q.version));
+         return AnswerOf(r.status, r.records);
+       },
+       {{{.kind = Kind::kFullVersion, .version = 5}, Code::kOk},
+        {{.kind = Kind::kFullVersion, .version = kUnknown},
+         Code::kInvalidArgument}}},
+      {"get_range",
+       [&](const Query& q) {
+         return AnswerOf(store->GetRange(q.version, q.key_lo, q.key_hi));
+       },
+       [&](const Query& q) {
+         auto r = drained(
+             store->GetRangeAsync(&executor, q.version, q.key_lo, q.key_hi));
+         return AnswerOf(r.status, r.records);
+       },
+       {{{.kind = Kind::kRange,
+          .version = 5,
+          .key_lo = "key1001",
+          .key_hi = "key1003"},
+         Code::kOk},
+        {{.kind = Kind::kRange,
+          .version = kUnknown,
+          .key_lo = "key1001",
+          .key_hi = "key1003"},
+         Code::kInvalidArgument}}},
+      {"get_history",
+       [&](const Query& q) { return AnswerOf(store->GetHistory(q.key)); },
+       [&](const Query& q) {
+         auto r = drained(store->GetHistoryAsync(&executor, q.key));
+         return AnswerOf(r.status, r.records);
+       },
+       // History ignores the version, so an unknown one changes nothing.
+       {{{.kind = Kind::kEvolution, .key = "key1002"}, Code::kOk},
+        {{.kind = Kind::kEvolution, .version = kUnknown, .key = "key1002"},
+         Code::kOk}}},
+      {"get_record",
+       [&](const Query& q) {
+         auto r = store->GetRecord(q.key, q.version);
+         return AnswerOf(r.status(), r.ok() ? std::vector<Record>{*r}
+                                            : std::vector<Record>{});
+       },
+       [&](const Query& q) {
+         auto r = drained(store->GetRecordAsync(&executor, q.key, q.version));
+         return AnswerOf(r.status, r.status.ok() ? std::vector<Record>{r.record}
+                                                 : std::vector<Record>{});
+       },
+       {{{.kind = Kind::kPoint, .version = 5, .key = "key1002"}, Code::kOk},
+        {{.kind = Kind::kPoint, .version = 5, .key = "key0000"},
+         Code::kNotFound},
+        {{.kind = Kind::kPoint, .version = kUnknown, .key = "key1002"},
+         Code::kInvalidArgument}}},
+  };
+
+  // The newest flight record names `name` and carries `status` (empty for a
+  // success).
+  auto expect_flight = [](const std::string& name, const std::string& status) {
+    const std::vector<FlightRecord> recent = FlightRecorder::Default().Recent();
+    ASSERT_FALSE(recent.empty());
+    EXPECT_EQ(recent.front().name, name);
+    EXPECT_EQ(recent.front().status, status);
+  };
+  for (const Class& c : classes) {
+    for (const Probe& probe : c.probes) {
+      const Query& q = probe.query;
+      SCOPED_TRACE(c.flight + " version " + std::to_string(q.version) +
+                   " key " + q.key);
+      // A point miss ran to success; any other failure is recorded as is.
+      const Answer named = c.named(q);
+      const std::string flight_status =
+          probe.code == Code::kOk || probe.code == Code::kNotFound
+              ? ""
+              : named.status;
+      EXPECT_EQ(named.code, probe.code) << named.status;
+      if (probe.code == Code::kOk) {
+        EXPECT_FALSE(named.records.empty());
+      }
+      expect_flight(c.flight, flight_status);
+
+      EXPECT_EQ(AnswerOf(store->Run(q)), named);
+      expect_flight(c.flight, flight_status);
+
+      EXPECT_EQ(c.named_async(q), named);
+      expect_flight(c.flight + "_async", flight_status);
+
+      const AsyncQueryResult async = drained(store->RunAsync(&executor, q));
+      EXPECT_EQ(AnswerOf(async.status, async.records), named);
+      expect_flight(c.flight + "_async", flight_status);
+    }
+  }
 }
 
 TEST(RStoreTest, WorksOnDistributedCluster) {

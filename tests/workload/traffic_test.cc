@@ -158,6 +158,39 @@ TEST(TrafficTest, ClosedLoopConcurrencyOneEqualsSyncReport) {
   EXPECT_LT(pipelined.makespan_us, sync.makespan_us);
 }
 
+// A failed query feeds its status to the fingerprint and nothing else, on
+// both drivers: an unknown version, an inverted range and a point lookup at
+// an unknown version fail alike, synchronously or not.
+TEST(TrafficTest, FailedQueriesFingerprintAlikeSyncAndAsync) {
+  GeneratedDataset gen = SmallDataset();
+  Options options;
+  options.chunk_capacity_bytes = 2048;
+  Cluster cluster((ClusterOptions()));
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(gen.dataset, gen.payloads).ok());
+  const std::string key = gen.dataset.deltas[0].added.front().key;
+  const std::vector<Query> queries = {
+      {.kind = Query::Kind::kFullVersion, .version = 1000},
+      {.kind = Query::Kind::kRange, .version = 1, .key_lo = "z",
+       .key_hi = "a"},
+      {.kind = Query::Kind::kPoint, .version = 1000, .key = key},
+      {.kind = Query::Kind::kEvolution, .key = key},
+  };
+
+  const TrafficReport sync = RunTrafficSync(store->get(), queries);
+  EXPECT_EQ(sync.failed, 3u);
+  EXPECT_EQ(sync.completed, 1u);
+  TrafficOptions traffic;
+  traffic.concurrency = 1;
+  Executor executor;
+  const TrafficReport async =
+      RunTrafficAsync(store->get(), &executor, queries, traffic);
+  EXPECT_EQ(async.failed, sync.failed);
+  EXPECT_EQ(async.completed, sync.completed);
+  EXPECT_EQ(async.result_hash, sync.result_hash);
+}
+
 TEST(TrafficTest, OpenLoopArrivalsFollowTheConfiguredInterval) {
   GeneratedDataset gen = SmallDataset();
   Options options;
