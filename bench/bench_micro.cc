@@ -14,7 +14,6 @@
 #include "compress/delta_codec.h"
 #include "compress/lz_codec.h"
 #include "core/chunk.h"
-#include "core/store_catalog.h"
 #include "kvstore/cluster.h"
 #include "workload/dataset_catalog.h"
 #include "workload/record_generator.h"
@@ -95,13 +94,12 @@ void BM_BitmapSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapSerialize)->Arg(10000)->Arg(1000000);
 
-/// A chunk body and its map at the end-to-end benchmark's shape: 200
-/// versions of 1000 records of 500 B, 10 % updates per version, k = 4 LZ
-/// sub-chunks, BOTTOM-UP chunks of a tenth of a version. The chunk is the
-/// one of median body size (about 35 KB and 70 sub-chunks).
+/// A chunk body at the end-to-end benchmark's shape: 200 versions of 1000
+/// records of 500 B, 10 % updates per version, k = 4 LZ sub-chunks,
+/// BOTTOM-UP chunks of a tenth of a version. The chunk is the one of median
+/// body size (about 35 KB and 70 sub-chunks).
 struct StoredChunkFixture {
   std::string body;
-  std::string map;
   size_t sub_chunks = 0;
 };
 
@@ -134,7 +132,6 @@ StoredChunkFixture MakeChunkFixture() {
     }
     StoredChunkFixture& encoded = chunks.emplace_back();
     chunk.EncodeTo(&encoded.body);
-    StoreCatalog::BuildMap(chunk.records(), versions).EncodeTo(&encoded.map);
     encoded.sub_chunks = items.size();
   }
   std::sort(chunks.begin(), chunks.end(), [](const auto& a, const auto& b) {
@@ -144,17 +141,14 @@ StoredChunkFixture MakeChunkFixture() {
 }
 
 /// Client-side decode of one fetched chunk, as the cache-off read path
-/// does it: the body is copied out of the fetched batch and decoded, the
-/// map decoded and installed, and the chunk destroyed.
+/// does it: the body is copied out of the fetched batch and decoded, and
+/// the chunk destroyed. Queries read the chunk's map from the catalog, so
+/// no map is decoded.
 void BM_ChunkDecode(benchmark::State& state) {
   static const StoredChunkFixture fixture = MakeChunkFixture();
   for (auto _ : state) {
     Chunk chunk;
     bool ok = Chunk::DecodeFrom(fixture.body, &chunk).ok();
-    Slice map_input(fixture.map);
-    ChunkMap map;
-    ok = ok && ChunkMap::DecodeFrom(&map_input, &map).ok() &&
-         chunk.SetChunkMap(std::move(map)).ok();
     benchmark::DoNotOptimize(ok);
   }
   state.counters["body_bytes"] = static_cast<double>(fixture.body.size());

@@ -64,7 +64,7 @@ uint64_t Chunk::ApproximateMemoryBytes() const {
   constexpr uint64_t kChunkCharge = 144;
   constexpr uint64_t kSubChunkCharge = 120;
   constexpr uint64_t kKeyCharge = 40;
-  uint64_t bytes = kChunkCharge + map_.ApproximateMemoryBytes();
+  uint64_t bytes = kChunkCharge;
   for (const SubChunkExtent& extent : sub_chunks_) {
     bytes += kSubChunkCharge + (extent.end - extent.blob_begin);
   }
@@ -199,19 +199,6 @@ Status Chunk::Validate() const {
   if (members != members_) {
     return Status::Corruption("parent links diverge from sub-chunk keys");
   }
-  // A map's bitmaps are exactly record_count() bits wide, so one covering
-  // this chunk cannot reference a record outside it.
-  if (map_.record_count() != 0 && map_.record_count() != record_count()) {
-    return Status::Corruption("chunk map record count mismatch");
-  }
-  return Status::OK();
-}
-
-Status Chunk::SetChunkMap(ChunkMap map) {
-  if (map.record_count() != record_count()) {
-    return Status::Corruption("chunk map does not cover chunk records");
-  }
-  map_ = std::move(map);
   return Status::OK();
 }
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/chunk_map.h"
 #include "core/record.h"
 #include "core/sub_chunk.h"
 
@@ -24,8 +23,9 @@ std::string ChunkKey(ChunkId id);
 std::string ChunkMapKey(ChunkId id);
 
 /// The unit of storage in the backend KV store (paper §2.4): a set of
-/// sub-chunks plus the chunk map recording which of the contained records
-/// belong to which versions.
+/// sub-chunks. Which of its records belong to which versions is the chunk's
+/// map (ChunkMap), stored under its own key and held by the StoreCatalog,
+/// from which queries read it; a chunk is only its body.
 ///
 /// The chunk's *record list* is the flattened sequence of all sub-chunk
 /// member keys, in sub-chunk order; the chunk map's bitmaps index into it.
@@ -46,9 +46,6 @@ class Chunk {
   /// Appends a sub-chunk; returns the index of its first record in the
   /// flattened record list.
   uint32_t AddSubChunk(SubChunk sub_chunk);
-
-  /// The map installed by SetChunkMap (empty until then).
-  const ChunkMap& chunk_map() const { return map_; }
 
   size_t num_sub_chunks() const { return sub_chunks_.size(); }
   /// A view of sub-chunk `s`, valid while this chunk is alive and unchanged.
@@ -74,13 +71,13 @@ class Chunk {
       const PayloadResolver& resolver = nullptr) const;
 
   /// Total bytes of the sub-chunks' serialized forms — the value the packing
-  /// algorithms compare against chunk capacity. Excludes the chunk map.
+  /// algorithms compare against chunk capacity.
   uint64_t payload_bytes() const { return data_.size() - payload_begin_; }
   /// What a ChunkCache entry is charged against its byte budget: the heap
   /// footprint of the per-sub-chunk layout chunks had before the flat one
-  /// (blobs, member keys, record index, chunk map). The model is kept as it
-  /// was so that cache budgets, hit rates and the gated cache-ablation
-  /// baselines do not move with the in-memory representation.
+  /// (blobs, member keys, record index), so that cache budgets and hit
+  /// rates do not move with the in-memory representation. A chunk holds no
+  /// map, so none is charged.
   uint64_t ApproximateMemoryBytes() const;
   /// Sum of original record sizes, for compression-ratio reporting.
   uint64_t uncompressed_bytes() const;
@@ -94,14 +91,11 @@ class Chunk {
   /// chunk's, so a caller that owns the body moves it in and nothing is
   /// copied. Bytes past the last sub-chunk are corruption.
   static Status DecodeFrom(std::string body, Chunk* out);
-  /// Installs a chunk map fetched from the index table.
-  Status SetChunkMap(ChunkMap map);
 
   /// Internal-consistency check: re-parsing the sub-chunk encodings must
   /// give back exactly the sub-chunk table and the per-record arrays, with
-  /// the encodings back to back up to the end of the bytes, and a populated
-  /// chunk map must cover exactly this chunk's records. Returns kCorruption
-  /// with a description of the first violation.
+  /// the encodings back to back up to the end of the bytes. Returns
+  /// kCorruption with a description of the first violation.
   Status Validate() const;
 
  private:
@@ -119,7 +113,6 @@ class Chunk {
   // Per record, in flattened order.
   std::vector<CompositeKey> records_;
   std::vector<SubChunkMember> members_;
-  ChunkMap map_;
 };
 
 /// Every record of `chunks` with its payload — the DELTA baseline's chain

@@ -50,10 +50,10 @@ ChunkCache::ChunkCache(uint64_t capacity_bytes, uint32_t num_shards)
   shards_ = std::make_unique<Shard[]>(num_shards_);
 }
 
-std::shared_ptr<const Chunk> ChunkCache::Lookup(const ChunkCacheKey& key) {
-  Shard& shard = ShardFor(key);
+std::shared_ptr<const Chunk> ChunkCache::Lookup(ChunkId id) {
+  Shard& shard = ShardFor(id);
   MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(id);
   if (it == shard.index.end()) {
     ++shard.misses;
     CacheMetrics::Get().misses_total->Increment();
@@ -72,19 +72,19 @@ void ChunkCache::EvictToFit(Shard& shard, uint64_t incoming) {
     Entry& victim = shard.lru.back();
     RSTORE_DCHECK(shard.charged >= victim.charge);
     shard.charged -= victim.charge;
-    shard.index.erase(victim.key);
+    shard.index.erase(victim.id);
     shard.lru.pop_back();
     ++shard.evictions;
     CacheMetrics::Get().evictions_total->Increment();
   }
 }
 
-void ChunkCache::Insert(const ChunkCacheKey& key,
-                        std::shared_ptr<const Chunk> chunk, uint64_t charge) {
+void ChunkCache::Insert(ChunkId id, std::shared_ptr<const Chunk> chunk,
+                        uint64_t charge) {
   if (chunk == nullptr) return;
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(id);
   MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(id);
   if (it != shard.index.end()) {
     // Replace in place: drop the old charge first so eviction below sees the
     // true occupancy, then refresh content and recency.
@@ -98,34 +98,13 @@ void ChunkCache::Insert(const ChunkCacheKey& key,
     return;
   }
   EvictToFit(shard, charge);
-  shard.lru.push_front(Entry{key, std::move(chunk), charge});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front(Entry{id, std::move(chunk), charge});
+  shard.index.emplace(id, shard.lru.begin());
   shard.charged += charge;
   ++shard.insertions;
   CacheMetrics::Get().insertions_total->Increment();
   RSTORE_DCHECK(shard.charged <= shard_capacity_);
   RSTORE_DCHECK(shard.index.size() == shard.lru.size());
-}
-
-void ChunkCache::Erase(const ChunkCacheKey& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return;
-  RSTORE_DCHECK(shard.charged >= it->second->charge);
-  shard.charged -= it->second->charge;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-}
-
-void ChunkCache::Clear() {
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.charged = 0;
-  }
 }
 
 ChunkCacheStats ChunkCache::stats() const {
@@ -155,7 +134,7 @@ Status ChunkCache::Validate() const {
     }
     uint64_t charged = 0;
     for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
-      auto idx = shard.index.find(it->key);
+      auto idx = shard.index.find(it->id);
       if (idx == shard.index.end() || idx->second != it) {
         return Status::Corruption(
             "chunk cache shard " + std::to_string(s) +

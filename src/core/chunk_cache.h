@@ -13,30 +13,10 @@
 
 namespace rstore {
 
-/// Cache key for one decoded chunk. Chunk bodies are immutable once sealed,
-/// but chunk *maps* are rewritten when the online partitioner folds a batch
-/// into pre-existing chunks (paper §4), so a cached entry — body plus its
-/// installed map — is only valid for one map generation. The key therefore
-/// carries the generation the store's catalog assigned when the entry was
-/// decoded: a map rewrite bumps the generation, old entries become
-/// unreachable and age out of the LRU, and no explicit invalidation is ever
-/// needed. Each store owns its cache, so chunk ids never collide in it.
-struct ChunkCacheKey {
-  ChunkId chunk = 0;
-  uint64_t generation = 0;
-
-  bool operator==(const ChunkCacheKey& other) const {
-    return chunk == other.chunk && generation == other.generation;
-  }
-};
-
-struct ChunkCacheKeyHash {
-  size_t operator()(const ChunkCacheKey& k) const {
-    // The outer mix with 1 fixes which shard each key lands in; the gated
-    // cache-ablation baselines (evictions, hit rates) depend on it.
-    uint64_t h = Mix64(1 ^ Mix64(k.chunk ^ Mix64(k.generation)));
-    return static_cast<size_t>(h);
-  }
+/// Hash of a chunk id, for picking a shard and indexing within it. Ids are
+/// drawn in sequence, so they are mixed before their low bits pick a shard.
+struct ChunkIdHash {
+  size_t operator()(ChunkId id) const { return static_cast<size_t>(Mix64(id)); }
 };
 
 /// Aggregate counters across all shards (a point-in-time snapshot).
@@ -60,7 +40,15 @@ struct ChunkCacheStats {
   }
 };
 
-/// A sharded, byte-budgeted LRU cache of decoded chunks for the read path.
+/// A sharded, byte-budgeted LRU cache of decoded chunk bodies for the read
+/// path, keyed by chunk id.
+///
+/// No entry ever needs invalidating: a chunk's body never changes once
+/// written, chunk ids are never reused, and queries read each chunk's map
+/// from the StoreCatalog, not from the cache, so rewriting a map (paper §4)
+/// leaves every entry valid. Chunks that Repartition retires are no longer
+/// asked for and age out of the LRU. Each store owns its cache, so chunk
+/// ids never collide in it.
 ///
 /// Entries are handed out as shared_ptr<const Chunk>, so an entry evicted
 /// while another thread still extracts records from it stays alive until the
@@ -84,21 +72,15 @@ class ChunkCache {
 
   /// Returns the cached chunk and promotes it to most-recently-used, or
   /// nullptr. Counts a hit or a miss.
-  std::shared_ptr<const Chunk> Lookup(const ChunkCacheKey& key);
+  std::shared_ptr<const Chunk> Lookup(ChunkId id);
 
   /// Inserts (or replaces) an entry charged `charge` bytes against the
   /// budget, evicting least-recently-used entries as needed. An entry larger
   /// than one shard's whole budget is rejected (counted in
   /// rejected_inserts); a rejected replace also drops the stale resident
   /// entry. No-op if `chunk` is null.
-  void Insert(const ChunkCacheKey& key, std::shared_ptr<const Chunk> chunk,
+  void Insert(ChunkId id, std::shared_ptr<const Chunk> chunk,
               uint64_t charge);
-
-  /// Removes an entry if present (outstanding shared_ptrs stay valid).
-  void Erase(const ChunkCacheKey& key);
-
-  /// Drops every entry; counters other than entries/charged_bytes persist.
-  void Clear();
 
   ChunkCacheStats stats() const;
 
@@ -121,7 +103,7 @@ class ChunkCache {
   friend class ChunkCacheTestPeer;
 
   struct Entry {
-    ChunkCacheKey key;
+    ChunkId id;
     std::shared_ptr<const Chunk> chunk;
     uint64_t charge = 0;
   };
@@ -131,8 +113,8 @@ class ChunkCache {
   struct Shard {
     mutable Mutex mu{kLockRankChunkCache, "ChunkCache::Shard::mu"};
     LruList lru RSTORE_GUARDED_BY(mu);
-    std::unordered_map<ChunkCacheKey, LruList::iterator, ChunkCacheKeyHash>
-        index RSTORE_GUARDED_BY(mu);
+    std::unordered_map<ChunkId, LruList::iterator, ChunkIdHash> index
+        RSTORE_GUARDED_BY(mu);
     uint64_t charged RSTORE_GUARDED_BY(mu) = 0;
     uint64_t hits RSTORE_GUARDED_BY(mu) = 0;
     uint64_t misses RSTORE_GUARDED_BY(mu) = 0;
@@ -141,8 +123,8 @@ class ChunkCache {
     uint64_t rejected RSTORE_GUARDED_BY(mu) = 0;
   };
 
-  Shard& ShardFor(const ChunkCacheKey& key) const {
-    return shards_[ChunkCacheKeyHash()(key) & shard_mask_];
+  Shard& ShardFor(ChunkId id) const {
+    return shards_[ChunkIdHash()(id) & shard_mask_];
   }
 
   /// Evicts from the tail until `incoming` more bytes fit the shard budget.

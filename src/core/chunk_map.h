@@ -55,16 +55,6 @@ class ChunkMap {
   /// ascending ones.
   static Status DecodeFrom(Slice* input, ChunkMap* out);
 
-  /// What a ChunkCache entry is charged for the map: one fixed-size bitmap
-  /// plus 64 bytes of overhead per version touching the chunk. The model
-  /// predates the flat layout and is kept so that cache budgets and hit
-  /// rates do not move with the representation.
-  uint64_t ApproximateMemoryBytes() const {
-    constexpr uint64_t kMapCharge = 56;
-    uint64_t per_bitmap = Bitmap::WordsFor(record_count_) * 8 + 64;
-    return kMapCharge + versions_.size() * per_bitmap;
-  }
-
   bool operator==(const ChunkMap& other) const {
     return record_count_ == other.record_count_ &&
            versions_ == other.versions_ && words_ == other.words_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -46,6 +47,22 @@ bool KeyInRange(const std::string& key, const std::string& lo,
 std::string TakeBody(std::string& body) { return std::move(body); }
 std::string TakeBody(const std::string& body) { return body; }
 
+/// A body fetched as chunk `id` must decode as that chunk and hold exactly
+/// the records its catalog map indexes: extraction indexes records() by the
+/// map's rows without checking them again.
+Status CheckBody(ChunkId id, const Chunk& body, const StoreCatalog& catalog) {
+  if (body.id() != id) {
+    return Status::Corruption("body stored as chunk " + std::to_string(id) +
+                              " is chunk " + std::to_string(body.id()));
+  }
+  const ChunkMap* map = catalog.MapOfChunk(id);
+  if (map == nullptr || map->record_count() != body.record_count()) {
+    return Status::Corruption("chunk " + std::to_string(id) +
+                              " does not hold the records its map indexes");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
@@ -61,15 +78,10 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
     const std::vector<ChunkId>& ids, TraceContext* trace) {
   FetchPlan plan;
   plan.chunks.resize(ids.size());
-  // Cache pass: resolve each id against the cache under its *current* map
-  // generation, so entries decoded before a map rewrite can never be served.
   if (cache_ != nullptr) {
     ScopedSpan lookup_span(trace, "cache.lookup");
-    plan.cache_keys.resize(ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
-      plan.cache_keys[i] =
-          ChunkCacheKey{ids[i], catalog_->ChunkMapGeneration(ids[i])};
-      plan.chunks[i] = cache_->Lookup(plan.cache_keys[i]);
+      plan.chunks[i] = cache_->Lookup(ids[i]);
       if (plan.chunks[i] == nullptr) plan.miss.push_back(i);
     }
     lookup_span.Annotate("hits",
@@ -80,32 +92,20 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
     for (size_t i = 0; i < ids.size(); ++i) plan.miss[i] = i;
   }
   plan.chunk_keys.reserve(plan.miss.size());
-  plan.map_keys.reserve(plan.miss.size());
-  for (size_t i : plan.miss) {
-    plan.chunk_keys.push_back(ChunkKey(ids[i]));
-    plan.map_keys.push_back(ChunkMapKey(ids[i]));
-  }
+  for (size_t i : plan.miss) plan.chunk_keys.push_back(ChunkKey(ids[i]));
   return plan;
 }
 
 template <typename BodyMap>
 Status QueryProcessor::DecodeAndInsert(
     const std::vector<ChunkId>& ids, FetchPlan* plan, BodyMap& chunk_values,
-    const std::map<std::string, std::string>& map_values,
-    const std::vector<KeyReadFailure>& chunk_failures,
-    const std::vector<KeyReadFailure>& map_failures, TraceContext* trace,
+    const std::vector<KeyReadFailure>& failures, TraceContext* trace,
     QueryDegradation* degradation) {
   const std::vector<size_t>& miss = plan->miss;
   // Index failed keys by name so decode can tell "the backend could not
-  // serve it" (degrade) apart from "it does not exist" (corruption). Body
-  // and map keys live in different prefixes, so one map fits both.
+  // serve it" (degrade) apart from "it does not exist" (corruption).
   std::map<std::string, const Status*> unavailable;
-  for (const KeyReadFailure& f : chunk_failures) {
-    unavailable[f.key] = &f.status;
-  }
-  for (const KeyReadFailure& f : map_failures) {
-    unavailable[f.key] = &f.status;
-  }
+  for (const KeyReadFailure& f : failures) unavailable[f.key] = &f.status;
 
   ScopedSpan decode_span(trace, "query.decode");
   decode_span.Annotate("chunks", std::to_string(miss.size()));
@@ -115,15 +115,11 @@ Status QueryProcessor::DecodeAndInsert(
   // The paper's evaluated prototype processes chunks sequentially (§5.5).
   for (size_t m = 0; m < miss.size(); ++m) {
     const ChunkId id = ids[miss[m]];
-    auto cit = chunk_values.find(plan->chunk_keys[m]);
-    auto mit = map_values.find(plan->map_keys[m]);
-    if (cit == chunk_values.end() || mit == map_values.end()) {
-      const bool body = cit == chunk_values.end();
-      auto fit = unavailable.find(body ? plan->chunk_keys[m]
-                                       : plan->map_keys[m]);
+    auto it = chunk_values.find(plan->chunk_keys[m]);
+    if (it == chunk_values.end()) {
+      auto fit = unavailable.find(plan->chunk_keys[m]);
       if (fit == unavailable.end()) {
-        return Status::Corruption((body ? "chunk " : "chunk map ") +
-                                  std::to_string(id) +
+        return Status::Corruption("chunk " + std::to_string(id) +
                                   " missing from backend");
       }
       // The chunk ref stays null.
@@ -134,11 +130,8 @@ Status QueryProcessor::DecodeAndInsert(
     auto decoded = std::make_shared<Chunk>();
     // Each body is taken once: the ids of one fetch are distinct.
     RSTORE_RETURN_IF_ERROR(
-        Chunk::DecodeFrom(TakeBody(cit->second), decoded.get()));
-    Slice map_input(mit->second);
-    ChunkMap map;
-    RSTORE_RETURN_IF_ERROR(ChunkMap::DecodeFrom(&map_input, &map));
-    RSTORE_RETURN_IF_ERROR(decoded->SetChunkMap(std::move(map)));
+        Chunk::DecodeFrom(TakeBody(it->second), decoded.get()));
+    RSTORE_RETURN_IF_ERROR(CheckBody(id, *decoded, *catalog_));
     plan->chunks[miss[m]] = std::move(decoded);
   }
   if (degradation != nullptr) {
@@ -150,7 +143,7 @@ Status QueryProcessor::DecodeAndInsert(
   if (cache_ != nullptr) {
     for (size_t i : miss) {
       if (plan->chunks[i] == nullptr) continue;  // best-effort casualty
-      cache_->Insert(plan->cache_keys[i], plan->chunks[i],
+      cache_->Insert(ids[i], plan->chunks[i],
                      plan->chunks[i]->ApproximateMemoryBytes());
     }
   }
@@ -193,28 +186,21 @@ Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
   KVStats charge;  // a fetch the cache serves whole costs the backend nothing
   if (!plan.miss.empty()) {
     const KVStats before = kvs_->stats();
-    std::map<std::string, std::string> chunk_values, map_values;
-    std::vector<KeyReadFailure> chunk_failures, map_failures;
+    std::map<std::string, std::string> chunk_values;
+    std::vector<KeyReadFailure> failures;
     if (degradation != nullptr) {
-      // Best-effort: keys on unavailable replicas land in the failure lists
+      // Best-effort: keys on unavailable replicas land in the failure list
       // instead of failing the batch.
       RSTORE_RETURN_IF_ERROR(
           kvs_->MultiGetPartial(options_->chunk_table, plan.chunk_keys,
-                                &chunk_values, &chunk_failures, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGetPartial(options_->index_table,
-                                                   plan.map_keys, &map_values,
-                                                   &map_failures, trace));
+                                &chunk_values, &failures, trace));
     } else {
       RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(
           options_->chunk_table, plan.chunk_keys, &chunk_values, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(options_->index_table,
-                                            plan.map_keys, &map_values,
-                                            trace));
     }
     charge = KVStats::Delta(kvs_->stats(), before);
-    RSTORE_RETURN_IF_ERROR(DecodeAndInsert(ids, &plan, chunk_values,
-                                           map_values, chunk_failures,
-                                           map_failures, trace, degradation));
+    RSTORE_RETURN_IF_ERROR(DecodeAndInsert(ids, &plan, chunk_values, failures,
+                                           trace, degradation));
   }
   uint64_t n_missing = AccountFetch(ids, plan, charge, stats);
   if (n_missing > 0) {
@@ -350,7 +336,6 @@ Future<AsyncQueryResult> QueryProcessor::RunAsync(Executor* executor,
     return MakeReadyFuture(std::move(result));
   }
   auto state = std::make_shared<AsyncQuery>();
-  state->executor = executor;
   state->trace = trace;
   state->query = std::move(query);
   state->plan = std::move(plan);
@@ -367,50 +352,32 @@ Future<AsyncQueryResult> QueryProcessor::RunAsync(Executor* executor,
     FinishFetchAsync(state, AsyncMultiGetResult{});
     return state->promise.future();
   }
-  // Body batch first, map batch chained at its simulated completion
-  // instant — the sync path's sequencing, reproduced on the virtual clock
-  // (and required to keep this trace's spans LIFO).
   kvs_->MultiGetAsync(executor, options_->chunk_table, state->fetch.chunk_keys,
                       state->plan.best_effort, trace)
-      .OnComplete([this, state](const Future<AsyncMultiGetResult>& bodies) {
-        if (!bodies.value().status.ok()) {
-          CompleteAsync(state, bodies.value().status);
-          return;
-        }
-        state->chunk_batch = bodies;
-        kvs_->MultiGetAsync(state->executor, options_->index_table,
-                            state->fetch.map_keys, state->plan.best_effort,
-                            state->trace)
-            .OnReady([this, state](const AsyncMultiGetResult& map_result) {
-              if (!map_result.status.ok()) {
-                CompleteAsync(state, map_result.status);
-                return;
-              }
-              FinishFetchAsync(state, map_result);
-            });
+      .OnReady([this, state](const AsyncMultiGetResult& bodies) {
+        FinishFetchAsync(state, bodies);
       });
   return state->promise.future();
 }
 
 void QueryProcessor::FinishFetchAsync(const AsyncQueryPtr& state,
-                                      const AsyncMultiGetResult& map_result) {
-  KVStats charge;  // a fetch the cache serves whole costs nothing
+                                      const AsyncMultiGetResult& bodies) {
+  if (!bodies.status.ok()) {
+    CompleteAsync(state, bodies.status);
+    return;
+  }
   if (!state->fetch.miss.empty()) {
-    const AsyncMultiGetResult& chunk_result = state->chunk_batch.value();
     Status s = DecodeAndInsert(
-        state->plan.ids, &state->fetch, chunk_result.values,
-        map_result.values, chunk_result.failures, map_result.failures,
+        state->plan.ids, &state->fetch, bodies.values, bodies.failures,
         state->trace,
         state->plan.best_effort ? &state->result.degradation : nullptr);
     if (!s.ok()) {
       CompleteAsync(state, s);
       return;
     }
-    charge = chunk_result.charge;
   }
-  charge += map_result.charge;
-  uint64_t n_missing = AccountFetch(state->plan.ids, state->fetch, charge,
-                                    &state->result.stats);
+  uint64_t n_missing = AccountFetch(state->plan.ids, state->fetch,
+                                    bodies.charge, &state->result.stats);
   if (state->trace != nullptr && n_missing > 0) {
     state->trace->Annotate(state->fetch_span, "missing",
                            std::to_string(n_missing));
@@ -435,6 +402,14 @@ void QueryProcessor::CompleteAsync(const AsyncQueryPtr& state,
   state->promise.Set(std::move(result));
 }
 
+const ChunkMap& QueryProcessor::MapOf(const Chunk& chunk) const {
+  // Every fetched chunk is one the catalog listed, so its map exists; decode
+  // checked that the map covers the chunk's records.
+  const ChunkMap* map = catalog_->MapOfChunk(chunk.id());
+  RSTORE_DCHECK(map != nullptr && map->record_count() == chunk.record_count());
+  return *map;
+}
+
 Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(
     const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
     const std::string& key_lo, const std::string& key_hi) const {
@@ -442,7 +417,7 @@ Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(
   for (const ChunkRef& chunk_ref : chunks) {
     if (chunk_ref == nullptr) continue;  // best-effort fetch casualty
     const Chunk& chunk = *chunk_ref;
-    std::vector<uint32_t> indices = chunk.chunk_map().RecordsOf(version);
+    std::vector<uint32_t> indices = MapOf(chunk).RecordsOf(version);
     if (use_range) {
       std::erase_if(indices, [&](uint32_t idx) {
         return !KeyInRange(chunk.records()[idx].key, key_lo, key_hi);
@@ -567,7 +542,7 @@ Result<std::vector<Record>> QueryProcessor::RecordFromChunks(
   std::vector<Record> out;
   for (const ChunkRef& chunk_ref : chunks) {
     const Chunk& chunk = *chunk_ref;
-    for (uint32_t idx : chunk.chunk_map().RecordsOf(version)) {
+    for (uint32_t idx : MapOf(chunk).RecordsOf(version)) {
       if (chunk.records()[idx].key == key) {
         auto payload = chunk.ExtractPayload(chunk.records()[idx]);
         if (!payload.ok()) return payload.status();

@@ -88,8 +88,8 @@ inline QueryStats& QueryStats::operator+=(const QueryStats& other) {
   return *this;
 }
 
-/// What a best-effort query could not serve: the chunks whose body or map
-/// fetch failed, with the backend's reasons. An empty report means the
+/// What a best-effort query could not serve: the chunks whose body fetch
+/// failed, with the backend's reasons. An empty report means the
 /// result is complete (byte-identical to a strict run).
 struct QueryDegradation {
   std::vector<ChunkId> missing_chunks;
@@ -130,15 +130,21 @@ struct AsyncRecordResult {
 ///   the projections are lossy, a fetched chunk may turn out to hold no
 ///   record of interest.
 ///
+/// The paper's application server keeps its indexes in memory (§2.4), and
+/// so does this one: each chunk's map is read by reference from the
+/// StoreCatalog, and the backend is asked for chunk bodies only, in one
+/// batch per query that misses the cache. A body must decode as the chunk
+/// it was fetched as and hold exactly the records its map indexes;
+/// otherwise the query fails with kCorruption.
+///
 /// The DELTA and SUBCHUNK baseline layouts use their own retrieval rules
 /// (chain replay / full scan) selected by the catalog's layout kind. The
 /// fetched chunks are decoded and extracted one after another, as in the
 /// paper's prototype (§5.5).
 ///
-/// When a ChunkCache is attached, every chunk fetch consults it first (keyed
-/// by the chunk's current map generation from the catalog, so entries with
-/// rewritten maps are never served) and decoded chunks are inserted after a
-/// backend fetch. Processors on different threads may share one cache.
+/// When a ChunkCache is attached, every chunk fetch consults it first, by
+/// chunk id, and decoded bodies are inserted after a backend fetch.
+/// Processors on different threads may share one cache.
 class QueryProcessor {
  public:
   /// All pointers are borrowed and must outlive the processor; the
@@ -154,9 +160,9 @@ class QueryProcessor {
   QueryProcessor& operator=(const QueryProcessor&) = delete;
 
   /// Runs `query` synchronously: plans it from the projections, fetches its
-  /// chunks (bodies, then maps, each one KVStore::MultiGet) and extracts the
-  /// records. History comes back sorted by origin version, the other
-  /// classes by key; a point query, planned and replayed as the range
+  /// chunk bodies (one KVStore::MultiGet) and extracts the records through
+  /// the catalog's maps. History comes back sorted by origin version, the
+  /// other classes by key; a point query, planned and replayed as the range
   /// [key, key], yields at most one record (none when the version has no
   /// such key).
   ///
@@ -178,15 +184,13 @@ class QueryProcessor {
   /// The asynchronous twin of Run, continuation-style on a deterministic
   /// virtual-time Executor, so many queries pipeline through one
   /// coordinator (the backend's per-node queues are the shared resource).
-  /// It plans inline, submits the chunk fetches through
-  /// KVStore::MultiGetAsync (the body batch, then the map batch at the body
-  /// batch's completion instant), and runs Run's epilogue when they
-  /// complete, completing the returned future at the query's simulated
-  /// completion instant with records byte-identical to Run's. The query
-  /// keeps one heap state and one promise from plan to completion. A
-  /// sequentially-drained executor (RunUntilIdle after each submission)
-  /// replays the synchronous timeline exactly — same backend ticks, same
-  /// charges, same counters.
+  /// It plans inline, submits the body batch through KVStore::MultiGetAsync,
+  /// and runs Run's epilogue when it completes, completing the returned
+  /// future at the query's simulated completion instant with records
+  /// byte-identical to Run's. The query keeps one heap state and one
+  /// promise from plan to completion. A sequentially-drained executor
+  /// (RunUntilIdle after each submission) replays the synchronous timeline
+  /// exactly — same backend ticks, same charges, same counters.
   ///
   /// The query's accounting and best-effort report ride in the result.
   /// `trace`, when non-null, must be a context used by this query chain
@@ -207,31 +211,26 @@ class QueryProcessor {
     /// Resolved chunks, index-aligned with the requested ids; entries not
     /// served by the cache are filled in by DecodeAndInsert.
     std::vector<ChunkRef> chunks;
-    std::vector<ChunkCacheKey> cache_keys;  // empty when no cache attached
     std::vector<size_t> miss;  // indices into `ids` needing a backend fetch
     std::vector<std::string> chunk_keys;  // backend keys, aligned with miss
-    std::vector<std::string> map_keys;
   };
 
   /// Cache pass + backend-key planning: resolves each id against the cache
-  /// under its current map generation (entries decoded before a map rewrite
-  /// can never be served) and builds the body/map keys for the misses.
+  /// and builds the body keys for the misses.
   FetchPlan PrepareFetch(const std::vector<ChunkId>& ids, TraceContext* trace);
 
-  /// Decodes fetched bodies + maps into plan->chunks, in order, and inserts
-  /// them into the cache. With `degradation` non-null, keys in the failure
-  /// lists leave null refs and a report entry (best-effort); otherwise any
-  /// unserved chunk is an error. A failing decode returns before the report
-  /// or the cache is touched. A chunk takes its body over: from a mutable
-  /// `chunk_values` (a batch the caller owns) each body is moved into its
-  /// chunk, from a const one (an async result other continuations may read)
-  /// it is copied once.
+  /// Decodes fetched bodies into plan->chunks, in order, checks each
+  /// against the catalog's map, and inserts them into the cache. With
+  /// `degradation` non-null, keys in `failures` leave null refs and a
+  /// report entry (best-effort); otherwise any unserved chunk is an error.
+  /// A failing decode or check returns before the report or the cache is
+  /// touched. A chunk takes its body over: from a mutable `chunk_values` (a
+  /// batch the caller owns) each body is moved into its chunk, from a const
+  /// one (an async result other continuations may read) it is copied once.
   template <typename BodyMap>
   Status DecodeAndInsert(const std::vector<ChunkId>& ids, FetchPlan* plan,
                          BodyMap& chunk_values,
-                         const std::map<std::string, std::string>& map_values,
-                         const std::vector<KeyReadFailure>& chunk_failures,
-                         const std::vector<KeyReadFailure>& map_failures,
+                         const std::vector<KeyReadFailure>& failures,
                          TraceContext* trace, QueryDegradation* degradation);
 
   /// Stats/metrics epilogue shared by both fetch paths (`charge` is what
@@ -240,12 +239,11 @@ class QueryProcessor {
   uint64_t AccountFetch(const std::vector<ChunkId>& ids, const FetchPlan& plan,
                         const KVStats& charge, QueryStats* stats);
 
-  /// Fetches and decodes chunks (bodies + their maps) by id, consulting the
-  /// cache first when attached, accounting stats. With `degradation`
-  /// non-null the fetch is best-effort: chunks the backend reports
-  /// unavailable come back as null ChunkRefs (recorded in the report)
-  /// rather than failing the call; with it null, any unserved chunk is an
-  /// error (strict).
+  /// Fetches and decodes chunk bodies by id, consulting the cache first
+  /// when attached, accounting stats. With `degradation` non-null the fetch
+  /// is best-effort: chunks the backend reports unavailable come back as
+  /// null ChunkRefs (recorded in the report) rather than failing the call;
+  /// with it null, any unserved chunk is an error (strict).
   Result<std::vector<ChunkRef>> FetchChunks(const std::vector<ChunkId>& ids,
                                             QueryStats* stats,
                                             TraceContext* trace,
@@ -266,27 +264,24 @@ class QueryProcessor {
   /// and layout.
   Plan PlanQuery(const Query& query, TraceContext* trace) const;
 
-  /// The state of one asynchronous query from plan to completion. Heap-held
-  /// so the body-batch continuation can hand off to the map-batch one.
+  /// The state of one asynchronous query from plan to completion, held by
+  /// the body batch's continuation.
   struct AsyncQuery {
-    Executor* executor = nullptr;
     TraceContext* trace = nullptr;
     Query query;
     Plan plan;
     uint32_t fetch_span = TraceSpan::kNoParent;
     FetchPlan fetch;
-    /// The completed body batch. Its bodies are decoded from the future's
-    /// value, which this handle keeps alive until the map batch is in.
-    Future<AsyncMultiGetResult> chunk_batch;
     AsyncQueryResult result;
     Promise<AsyncQueryResult> promise;
   };
   using AsyncQueryPtr = std::shared_ptr<AsyncQuery>;
 
-  /// Decode/account epilogue of an async query's fetch, run when the map
-  /// batch completes (at once when the cache served every chunk).
+  /// Decode/account epilogue of an async query's fetch, run when the body
+  /// batch completes (at once, with an empty batch, when the cache served
+  /// every chunk). A failed batch fails the query.
   void FinishFetchAsync(const AsyncQueryPtr& state,
-                        const AsyncMultiGetResult& map_result);
+                        const AsyncMultiGetResult& bodies);
   /// Completes an async query: closes the fetch span, extracts the records
   /// when `fetched` is OK (a failed fetch fails the query and charges
   /// nothing further, like the sync early return), closes the query span
@@ -297,6 +292,8 @@ class QueryProcessor {
   Result<std::vector<Record>> FinishQuery(
       const Query& query, const std::vector<ChunkRef>& chunks) const;
 
+  /// The catalog's map of a fetched chunk.
+  const ChunkMap& MapOf(const Chunk& chunk) const;
   /// Extracts the records of `version` from fetched chunks via chunk maps,
   /// optionally restricted to [key_lo, key_hi]. Null chunk refs (best-effort
   /// fetch casualties) are skipped.

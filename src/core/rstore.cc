@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "common/coding.h"
@@ -67,11 +68,12 @@ Histogram* QueryLatency() {
 /// sync queries (one at a time per store) and best-effort under async
 /// overlap, where concurrent queries share the backend's tallies. The span
 /// tree is the operation's own, `trace`'s spans from `first_span` on, with
-/// depths re-based so the first sits at depth 0.
+/// depths re-based so the first sits at depth 0. `casualties` are the
+/// operation's own best-effort messages.
 uint64_t RecordFlight(const char* name, const Status& status,
                       const LatencyAttribution& latency, const KVStats& backend,
                       uint64_t missing_chunks,
-                      const QueryDegradation* degradation,
+                      std::span<const std::string> casualties,
                       const TraceContext* trace, size_t first_span) {
   FlightRecord record;
   record.id = FlightRecorder::Default().NextQueryId();
@@ -83,7 +85,7 @@ uint64_t RecordFlight(const char* name, const Status& status,
   record.hedge_wins = backend.hedge_wins;
   record.timeouts = backend.timeouts;
   record.missing_chunks = missing_chunks;
-  if (degradation != nullptr) record.degradation = degradation->messages;
+  record.degradation.assign(casualties.begin(), casualties.end());
   if (trace != nullptr && first_span < trace->spans().size()) {
     const std::vector<TraceSpan>& spans = trace->spans();
     const uint32_t base_depth = spans[first_span].depth;
@@ -377,7 +379,7 @@ Status RStore::ProcessBatch(TraceContext* trace) {
   trace->AdvanceSim(charge.simulated_micros);
   batch_span.End();
   RecordFlight("process_batch", status, charge, charge, /*missing_chunks=*/0,
-               /*degradation=*/nullptr, trace, first_span);
+               /*casualties=*/{}, trace, first_span);
   return status;
 }
 
@@ -759,13 +761,22 @@ Result<std::vector<Record>> RStore::Run(const Query& query,
   RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
   const size_t first_span = trace == nullptr ? 0 : trace->spans().size();
   const KVStats before = backend_->stats();
+  // A caller may reuse one report across queries: the flight record lists
+  // only the messages this query appends.
+  const size_t first_message =
+      degradation == nullptr ? 0 : degradation->messages.size();
   QueryStats local;
   Result<std::vector<Record>> records =
       processor_.Run(query, &local, trace, degradation);
+  std::span<const std::string> casualties;
+  if (degradation != nullptr) {
+    casualties = std::span<const std::string>(degradation->messages)
+                     .subspan(first_message);
+  }
   const uint64_t id = RecordFlight(
       QueryName(query, /*async=*/false), records.status(), local,
       KVStats::Delta(backend_->stats(), before), local.missing_chunks,
-      degradation, trace, first_span);
+      casualties, trace, first_span);
   QueryLatency()->ObserveWithExemplar(local.simulated_micros,
                                       {.id = id, .latency = local});
   if (stats != nullptr) *stats += local;
@@ -796,7 +807,7 @@ Future<AsyncQueryResult> RStore::RunAsync(Executor* executor,
     const QueryStats& qs = result.stats;
     const uint64_t id = RecordFlight(
         name, result.status, qs, KVStats::Delta(backend_->stats(), before),
-        qs.missing_chunks, &result.degradation, trace, first_span);
+        qs.missing_chunks, result.degradation.messages, trace, first_span);
     QueryLatency()->ObserveWithExemplar(qs.simulated_micros,
                                         {.id = id, .latency = qs});
   });

@@ -176,7 +176,8 @@ class RStore {
   //    method and the query's own cost accounting in the payload. Queries
   //    on one Executor share its virtual timeline's node queues (see
   //    Cluster), and writes must not run while queries are in flight (drain
-  //    the executor first). The store must outlive the futures.
+  //    the executor first): a query reads the catalog's chunk maps when its
+  //    bodies arrive. The store must outlive the futures.
 
   /// The asynchronous Run: its flight record is named like Run's with an
   /// "_async" suffix and is written when the query completes. A point miss

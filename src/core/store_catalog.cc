@@ -30,8 +30,8 @@ void StoreCatalog::Publish(Update update) {
     for (VersionId v : chunk.map.Versions()) {
       InsertSorted(&version_chunks_[v], chunk.id);
     }
-    chunks_[chunk.id] = ChunkEntry{std::move(chunk.records),
-                                   std::move(chunk.map), 0};
+    chunks_[chunk.id] =
+        ChunkEntry{std::move(chunk.records), std::move(chunk.map)};
   }
   for (auto& [id, map] : update.extended_maps) {
     auto it = chunks_.find(id);
@@ -44,7 +44,6 @@ void StoreCatalog::Publish(Update update) {
       }
     }
     it->second.map = std::move(map);
-    ++it->second.map_generation;
   }
   layout_ = update.layout;
   stored_chunk_bytes_ += update.chunk_bytes;
@@ -101,11 +100,6 @@ const StoreCatalog::RecordSlot* StoreCatalog::FindRecord(
     const CompositeKey& ck) const {
   auto it = record_slots_.find(ck);
   return it == record_slots_.end() ? nullptr : &it->second;
-}
-
-uint64_t StoreCatalog::ChunkMapGeneration(ChunkId id) const {
-  auto it = chunks_.find(id);
-  return it == chunks_.end() ? 0 : it->second.map_generation;
 }
 
 uint64_t StoreCatalog::VersionSpan(VersionId version) const {

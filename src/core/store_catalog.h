@@ -16,9 +16,10 @@ namespace rstore {
 
 /// The application server's in-memory state (paper §2.4): the two lossy
 /// projections of the key/version/chunk matrix — version->chunks and
-/// key->chunks — plus every chunk's record list and map, from which the
-/// online partitioner extends maps without fetching a chunk (§4), the
-/// layout kind queries follow, and the stored byte counts.
+/// key->chunks — plus every chunk's record list and map, the layout kind
+/// queries follow, and the stored byte counts. The online partitioner
+/// extends maps here without fetching a chunk (§4), and queries extract a
+/// version's records from fetched bodies through these maps.
 ///
 /// "We use in-memory hashmaps to store these mappings." The catalog is
 /// never persisted and changes only through Publish: the write path builds
@@ -55,9 +56,11 @@ class StoreCatalog {
 
   /// Applies `update`: registers each new chunk (its records under their
   /// keys, the chunk under its origin — its earliest record version — and
-  /// under every version in its map), replaces each extended map, lists its
-  /// chunk under the versions it gained and bumps its generation, then sets
-  /// the layout and adds the byte counts.
+  /// under every version in its map), replaces each extended map and lists
+  /// its chunk under the versions it gained, then sets the layout and adds
+  /// the byte counts. Queries read the maps published here, so a write
+  /// publishes only once its chunks and maps have landed, and never while
+  /// an async query is in flight (RStore's async contract).
   void Publish(Update update);
 
   /// The map of a chunk holding `records`, built from `record_versions`
@@ -88,18 +91,13 @@ class StoreCatalog {
 
   /// The flattened record list of one chunk, or nullptr.
   const std::vector<CompositeKey>* RecordsOfChunk(ChunkId id) const;
-  /// The map of one chunk as last published, or nullptr.
+  /// The map of one chunk as last published, or nullptr. Queries extract
+  /// records through it; the stored copy is written for the online
+  /// partitioner's rewrite (§4) and for VerifyIntegrity, never read by a
+  /// query.
   const ChunkMap* MapOfChunk(ChunkId id) const;
   /// Where record `ck` is stored, or nullptr if no chunk holds it.
   const RecordSlot* FindRecord(const CompositeKey& ck) const;
-
-  /// Monotone counter of how many times chunk `id`'s map has been rewritten
-  /// in the backend since the chunk was written (0 for a fresh chunk). The
-  /// chunk cache keys entries by (chunk, generation): Publish bumps the
-  /// generation of every extended map (paper §4), which makes every cached
-  /// copy of the stale decoded chunk unreachable, and that is the whole
-  /// invalidation story — bodies are immutable, ids are never reused.
-  uint64_t ChunkMapGeneration(ChunkId id) const;
 
   /// |ChunksOfVersion(v)|: a version's span under the chunked layout (see
   /// RStore::VersionSpans for the others).
@@ -117,7 +115,6 @@ class StoreCatalog {
   struct ChunkEntry {
     std::vector<CompositeKey> records;
     ChunkMap map;
-    uint64_t map_generation = 0;
   };
 
   std::unordered_map<ChunkId, ChunkEntry> chunks_;

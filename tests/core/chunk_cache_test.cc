@@ -31,7 +31,7 @@ class ChunkCacheTestPeer {
   static void RebindIndexEntry(ChunkCache* cache) {
     ChunkCache::Shard& shard = cache->shards_[0];
     MutexLock lock(shard.mu);
-    shard.index[shard.lru.front().key] = std::next(shard.lru.begin());
+    shard.index[shard.lru.front().id] = std::next(shard.lru.begin());
   }
 
   static void NullOutFrontChunk(ChunkCache* cache) {
@@ -59,43 +59,38 @@ class ChunkCacheTestPeer {
 
 namespace {
 
-ChunkCacheKey Key(ChunkId chunk, uint64_t generation = 0) {
-  return ChunkCacheKey{chunk, generation};
-}
-
 std::shared_ptr<const Chunk> FakeChunk(ChunkId id) {
   return std::make_shared<Chunk>(id);
 }
 
 TEST(ChunkCacheTest, LookupReturnsInsertedChunk) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(1), FakeChunk(1), 100);
-  auto hit = cache.Lookup(Key(1));
+  EXPECT_EQ(cache.Lookup(1), nullptr);
+  cache.Insert(1, FakeChunk(1), 100);
+  auto hit = cache.Lookup(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id(), 1u);
-  // A different generation of the same chunk is a different entry.
-  EXPECT_EQ(cache.Lookup(Key(1, /*generation=*/1)), nullptr);
+  EXPECT_EQ(cache.Lookup(2), nullptr);
 }
 
 TEST(ChunkCacheTest, EvictsLeastRecentlyUsedFirst) {
   // One shard so recency is globally ordered.
   ChunkCache cache(/*capacity_bytes=*/100, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 40);
-  cache.Insert(Key(2), FakeChunk(2), 40);
+  cache.Insert(1, FakeChunk(1), 40);
+  cache.Insert(2, FakeChunk(2), 40);
   // Touch 1 so 2 becomes the LRU victim.
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);
-  cache.Insert(Key(3), FakeChunk(3), 40);
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(3)), nullptr);
+  ASSERT_NE(cache.Lookup(1), nullptr);
+  cache.Insert(3, FakeChunk(3), 40);
+  EXPECT_NE(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(2), nullptr);
+  EXPECT_NE(cache.Lookup(3), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(ChunkCacheTest, ChargedBytesNeverExceedCapacity) {
   ChunkCache cache(/*capacity_bytes=*/200, /*num_shards=*/1);
   for (ChunkId id = 0; id < 50; ++id) {
-    cache.Insert(Key(id), FakeChunk(id), 30 + id % 40);
+    cache.Insert(id, FakeChunk(id), 30 + id % 40);
     EXPECT_LE(cache.stats().charged_bytes, cache.capacity_bytes());
   }
   EXPECT_TRUE(cache.Validate().ok());
@@ -105,8 +100,8 @@ TEST(ChunkCacheTest, OversizedEntryIsRejected) {
   // 4 shards x 64 bytes each: a 100-byte entry can never fit one shard.
   ChunkCache cache(/*capacity_bytes=*/256, /*num_shards=*/4);
   EXPECT_EQ(cache.shard_capacity_bytes(), 64u);
-  cache.Insert(Key(1), FakeChunk(1), 100);
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
+  cache.Insert(1, FakeChunk(1), 100);
+  EXPECT_EQ(cache.Lookup(1), nullptr);
   ChunkCacheStats stats = cache.stats();
   EXPECT_EQ(stats.rejected_inserts, 1u);
   EXPECT_EQ(stats.entries, 0u);
@@ -114,35 +109,35 @@ TEST(ChunkCacheTest, OversizedEntryIsRejected) {
 
   // A rejected replace drops the stale resident entry rather than keeping
   // a copy the caller just tried to supersede.
-  cache.Insert(Key(2), FakeChunk(2), 10);
-  ASSERT_NE(cache.Lookup(Key(2)), nullptr);
-  cache.Insert(Key(2), FakeChunk(2), 100);
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
+  cache.Insert(2, FakeChunk(2), 10);
+  ASSERT_NE(cache.Lookup(2), nullptr);
+  cache.Insert(2, FakeChunk(2), 100);
+  EXPECT_EQ(cache.Lookup(2), nullptr);
   EXPECT_TRUE(cache.Validate().ok());
 }
 
 TEST(ChunkCacheTest, ReplacingAnEntryAdjustsTheCharge) {
   ChunkCache cache(/*capacity_bytes=*/100, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 60);
+  cache.Insert(1, FakeChunk(1), 60);
   EXPECT_EQ(cache.stats().charged_bytes, 60u);
-  cache.Insert(Key(1), FakeChunk(1), 20);
+  cache.Insert(1, FakeChunk(1), 20);
   ChunkCacheStats stats = cache.stats();
   EXPECT_EQ(stats.charged_bytes, 20u);
   EXPECT_EQ(stats.entries, 1u);
   // The replace freed 60 bytes, so another 80-byte entry fits alongside.
-  cache.Insert(Key(2), FakeChunk(2), 80);
-  EXPECT_NE(cache.Lookup(Key(1)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(2)), nullptr);
+  cache.Insert(2, FakeChunk(2), 80);
+  EXPECT_NE(cache.Lookup(1), nullptr);
+  EXPECT_NE(cache.Lookup(2), nullptr);
 }
 
 TEST(ChunkCacheTest, CountersAreExact) {
   ChunkCache cache(/*capacity_bytes=*/100, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 50);
-  cache.Insert(Key(2), FakeChunk(2), 50);
-  ASSERT_NE(cache.Lookup(Key(1)), nullptr);   // hit
-  ASSERT_EQ(cache.Lookup(Key(9)), nullptr);   // miss
-  cache.Insert(Key(3), FakeChunk(3), 50);     // evicts 2 (LRU)
-  ASSERT_EQ(cache.Lookup(Key(2)), nullptr);   // miss
+  cache.Insert(1, FakeChunk(1), 50);
+  cache.Insert(2, FakeChunk(2), 50);
+  ASSERT_NE(cache.Lookup(1), nullptr);   // hit
+  ASSERT_EQ(cache.Lookup(9), nullptr);   // miss
+  cache.Insert(3, FakeChunk(3), 50);     // evicts 2 (LRU)
+  ASSERT_EQ(cache.Lookup(2), nullptr);   // miss
   ChunkCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -157,34 +152,18 @@ TEST(ChunkCacheTest, CountersAreExact) {
 
 TEST(ChunkCacheTest, EvictedEntrySurvivesOutstandingReference) {
   ChunkCache cache(/*capacity_bytes=*/50, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 50);
-  std::shared_ptr<const Chunk> held = cache.Lookup(Key(1));
+  cache.Insert(1, FakeChunk(1), 50);
+  std::shared_ptr<const Chunk> held = cache.Lookup(1);
   ASSERT_NE(held, nullptr);
-  cache.Insert(Key(2), FakeChunk(2), 50);  // evicts 1
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
+  cache.Insert(2, FakeChunk(2), 50);  // evicts 1
+  EXPECT_EQ(cache.Lookup(1), nullptr);
   // The shared_ptr handed out earlier keeps the chunk alive.
   EXPECT_EQ(held->id(), 1u);
 }
 
-TEST(ChunkCacheTest, EraseAndClear) {
-  ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/2);
-  cache.Insert(Key(1), FakeChunk(1), 10);
-  cache.Insert(Key(2), FakeChunk(2), 10);
-  cache.Erase(Key(1));
-  cache.Erase(Key(42));  // absent: no-op
-  EXPECT_EQ(cache.Lookup(Key(1)), nullptr);
-  EXPECT_NE(cache.Lookup(Key(2)), nullptr);
-  cache.Clear();
-  ChunkCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.charged_bytes, 0u);
-  EXPECT_EQ(cache.Lookup(Key(2)), nullptr);
-  EXPECT_TRUE(cache.Validate().ok());
-}
-
 TEST(ChunkCacheTest, NullChunkInsertIsIgnored) {
   ChunkCache cache(/*capacity_bytes=*/100, /*num_shards=*/1);
-  cache.Insert(Key(1), nullptr, 10);
+  cache.Insert(1, nullptr, 10);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
@@ -201,18 +180,11 @@ TEST(ChunkCacheTest, ValidateHoldsUnderRandomizedOperations) {
   Random rng(20240807);
   ChunkCache cache(/*capacity_bytes=*/500, /*num_shards=*/4);
   for (int op = 0; op < 5000; ++op) {
-    ChunkCacheKey key = Key(rng.Uniform(32), rng.Uniform(3));
-    switch (rng.Uniform(4)) {
-      case 0:
-      case 1:
-        cache.Insert(key, FakeChunk(key.chunk), 1 + rng.Uniform(150));
-        break;
-      case 2:
-        (void)cache.Lookup(key);
-        break;
-      case 3:
-        cache.Erase(key);
-        break;
+    const ChunkId id = rng.Uniform(96);
+    if (rng.Uniform(3) < 2) {
+      cache.Insert(id, FakeChunk(id), 1 + rng.Uniform(150));
+    } else {
+      (void)cache.Lookup(id);
     }
     if (op % 512 == 0) {
       Status s = cache.Validate();
@@ -231,7 +203,7 @@ TEST(ChunkCacheTest, ValidateHoldsUnderRandomizedOperations) {
 
 TEST(ChunkCacheValidateTest, DetectsIndexLruSizeMismatch) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 10);
+  cache.Insert(1, FakeChunk(1), 10);
   ASSERT_TRUE(cache.Validate().ok());
   ChunkCacheTestPeer::DropIndexEntry(&cache);
   Status s = cache.Validate();
@@ -242,8 +214,8 @@ TEST(ChunkCacheValidateTest, DetectsIndexLruSizeMismatch) {
 
 TEST(ChunkCacheValidateTest, DetectsRewiredIndexEntry) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 10);
-  cache.Insert(Key(2), FakeChunk(2), 10);
+  cache.Insert(1, FakeChunk(1), 10);
+  cache.Insert(2, FakeChunk(2), 10);
   ASSERT_TRUE(cache.Validate().ok());
   ChunkCacheTestPeer::RebindIndexEntry(&cache);
   Status s = cache.Validate();
@@ -254,7 +226,7 @@ TEST(ChunkCacheValidateTest, DetectsRewiredIndexEntry) {
 
 TEST(ChunkCacheValidateTest, DetectsResidentNullChunk) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 10);
+  cache.Insert(1, FakeChunk(1), 10);
   ChunkCacheTestPeer::NullOutFrontChunk(&cache);
   Status s = cache.Validate();
   ASSERT_TRUE(s.IsCorruption()) << s.ToString();
@@ -264,7 +236,7 @@ TEST(ChunkCacheValidateTest, DetectsResidentNullChunk) {
 
 TEST(ChunkCacheValidateTest, DetectsChargeAccountingDrift) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 10);
+  cache.Insert(1, FakeChunk(1), 10);
   ChunkCacheTestPeer::SkewFrontCharge(&cache);
   Status s = cache.Validate();
   ASSERT_TRUE(s.IsCorruption()) << s.ToString();
@@ -273,7 +245,7 @@ TEST(ChunkCacheValidateTest, DetectsChargeAccountingDrift) {
 
 TEST(ChunkCacheValidateTest, DetectsBudgetOverrun) {
   ChunkCache cache(/*capacity_bytes=*/1024, /*num_shards=*/1);
-  cache.Insert(Key(1), FakeChunk(1), 10);
+  cache.Insert(1, FakeChunk(1), 10);
   ChunkCacheTestPeer::InflatePastBudget(&cache);
   Status s = cache.Validate();
   ASSERT_TRUE(s.IsCorruption()) << s.ToString();

@@ -161,8 +161,7 @@ TEST(ChunkTest, ChunkMapIntegration) {
   map.Add(0, 1);
   map.Add(1, 0);
   map.Add(1, 2);
-  ASSERT_TRUE(chunk.SetChunkMap(std::move(map)).ok());
-  auto v1 = chunk.chunk_map().RecordsOf(1);
+  auto v1 = map.RecordsOf(1);
   EXPECT_EQ(v1, (std::vector<uint32_t>{0, 2}));
   auto extracted = chunk.ExtractRecords(v1);
   ASSERT_TRUE(extracted.ok());
@@ -220,16 +219,6 @@ TEST(ChunkTest, CopiesAndMovesOutliveTheOriginal) {
   }
 }
 
-TEST(ChunkTest, SetChunkMapValidatesCoverage) {
-  Chunk chunk(1);
-  chunk.AddSubChunk(MakeSubChunk("A", {{0, "a"}}));
-  ChunkMap wrong(5);
-  EXPECT_TRUE(chunk.SetChunkMap(std::move(wrong)).IsCorruption());
-  ChunkMap right(1);
-  right.Add(0, 0);
-  EXPECT_TRUE(chunk.SetChunkMap(std::move(right)).ok());
-}
-
 TEST(ChunkTest, PayloadBytesTracksSubChunkSizes) {
   Chunk chunk(1);
   EXPECT_EQ(chunk.payload_bytes(), 0u);
@@ -237,33 +226,6 @@ TEST(ChunkTest, PayloadBytesTracksSubChunkSizes) {
   uint64_t expected = sc.serialized_size();
   chunk.AddSubChunk(std::move(sc));
   EXPECT_EQ(chunk.payload_bytes(), expected);
-}
-
-TEST(ChunkTest, ValidateCatchesStaleChunkMap) {
-  // A populated chunk map that no longer covers the chunk's records must be
-  // rejected. The state is reachable without any out-of-contract call:
-  // SetChunkMap checks the record count it sees, so appending a sub-chunk
-  // afterwards leaves the map referencing a smaller record list.
-  Chunk chunk(1);
-  chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}, {1, "a1"}}));
-  ChunkMap map(chunk.record_count());
-  map.Add(0, 1);
-  ASSERT_TRUE(chunk.SetChunkMap(std::move(map)).ok());
-  EXPECT_TRUE(chunk.Validate().ok());
-  chunk.AddSubChunk(MakeSubChunk("B", {{0, "b0"}}));
-  EXPECT_TRUE(chunk.Validate().IsCorruption());
-}
-
-TEST(ChunkTest, SetChunkMapRejectsForeignMap) {
-  // Maps over a different record universe are stopped at the door, and a
-  // map's bitmaps are exactly its record count wide, so a map a chunk holds
-  // never references a record outside it.
-  Chunk chunk(1);
-  chunk.AddSubChunk(MakeSubChunk("A", {{0, "a0"}, {1, "a1"}}));
-  ChunkMap foreign(6);
-  foreign.Add(0, 5);  // valid for a 6-record chunk, not for this one
-  EXPECT_TRUE(chunk.SetChunkMap(std::move(foreign)).IsCorruption());
-  EXPECT_TRUE(chunk.Validate().ok());
 }
 
 TEST(ChunkTest, ValidateDetectsEveryTampering) {

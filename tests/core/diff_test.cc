@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/memory_store.h"
@@ -17,6 +18,7 @@ namespace {
 using testing::ExampleData;
 using testing::MakeChain;
 using testing::MakeExample2;
+using testing::SerializeRecords;
 
 Options SmallOptions() {
   Options options;
@@ -120,49 +122,171 @@ void OverwriteTable(MemoryStore* backend, const std::string& table) {
   }
 }
 
-/// Every query class, sync and async, on a store at default options whose
-/// `table` (chunk bodies or chunk maps) holds garbage must fail with
-/// kCorruption: the one decode path rejects what it cannot parse.
-void ExpectEveryQueryFailsWithCorruption(bool corrupt_maps) {
-  ExampleData data = MakeChain(20, 10, 3);
-  MemoryStore backend;
-  Options options;
-  auto store = RStore::Open(&backend, options);
-  ASSERT_TRUE(store.ok());
-  RStore& db = **store;
-  ASSERT_TRUE(db.BulkLoad(data.dataset, data.payloads).ok());
-  ASSERT_TRUE(db.GetVersion(19).ok());
-  // With no Flush yet, the index table holds the chunk maps and nothing else.
-  OverwriteTable(&backend,
-                 corrupt_maps ? options.index_table : options.chunk_table);
+/// One query's outcome: its status, and its records when it succeeded.
+struct Answer {
+  Status status = Status::OK();
+  std::string records;
+};
 
-  EXPECT_TRUE(db.GetVersion(19).status().IsCorruption());
-  EXPECT_TRUE(db.GetRange(19, "key1002", "key1006").status().IsCorruption());
-  EXPECT_TRUE(db.GetHistory("key1003").status().IsCorruption());
-  EXPECT_TRUE(db.GetRecord("key1003", 19).status().IsCorruption());
+/// Every query class, sync then async, over version 19 and key1003 of a
+/// MakeChain(20, 10, 3) store: eight answers in a fixed order.
+std::vector<Answer> AnswerEveryQuery(RStore& db) {
+  std::vector<Answer> answers(8);
+  auto set = [&](size_t slot, const Status& status,
+                 const std::vector<Record>& records) {
+    answers[slot] = {status, status.ok() ? SerializeRecords(records) : ""};
+  };
+  auto set_sync = [&](size_t slot, const Result<std::vector<Record>>& got) {
+    set(slot, got.status(), got.ok() ? *got : std::vector<Record>{});
+  };
+  set_sync(0, db.GetVersion(19));
+  set_sync(1, db.GetRange(19, "key1002", "key1006"));
+  set_sync(2, db.GetHistory("key1003"));
+  auto point = db.GetRecord("key1003", 19);
+  set(3, point.status(),
+      point.ok() ? std::vector<Record>{*point} : std::vector<Record>{});
 
   Executor executor;
-  std::vector<Status> async_statuses;
-  auto collect = [&](const auto& result) {
-    async_statuses.push_back(result.status);
+  auto set_async = [&](size_t slot) {
+    return [&set, slot](const AsyncQueryResult& got) {
+      set(slot, got.status, got.records);
+    };
   };
-  db.GetVersionAsync(&executor, 19).OnReady(collect);
-  db.GetRangeAsync(&executor, 19, "key1002", "key1006").OnReady(collect);
-  db.GetHistoryAsync(&executor, "key1003").OnReady(collect);
-  db.GetRecordAsync(&executor, "key1003", 19).OnReady(collect);
+  db.GetVersionAsync(&executor, 19).OnReady(set_async(4));
+  db.GetRangeAsync(&executor, 19, "key1002", "key1006")
+      .OnReady(set_async(5));
+  db.GetHistoryAsync(&executor, "key1003").OnReady(set_async(6));
+  db.GetRecordAsync(&executor, "key1003", 19)
+      .OnReady([&set](const AsyncRecordResult& got) {
+        set(7, got.status, std::vector<Record>{got.record});
+      });
   executor.RunUntilIdle();
-  ASSERT_EQ(async_statuses.size(), 4u);
-  for (const Status& status : async_statuses) {
-    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  return answers;
+}
+
+void ExpectEveryQueryFailsWithCorruption(RStore& db) {
+  for (const Answer& answer : AnswerEveryQuery(db)) {
+    EXPECT_TRUE(answer.status.IsCorruption()) << answer.status.ToString();
   }
 }
 
-TEST(QueryCorruptionTest, GarbageChunkBodiesFailEveryQuery) {
-  ExpectEveryQueryFailsWithCorruption(/*corrupt_maps=*/false);
+/// A bulk-loaded MakeChain(20, 10, 3) store that has answered a query.
+std::unique_ptr<RStore> LoadChain(MemoryStore* backend,
+                                  const Options& options) {
+  ExampleData data = MakeChain(20, 10, 3);
+  auto store = RStore::Open(backend, options);
+  EXPECT_TRUE(store.ok());
+  if (!store.ok()) return nullptr;
+  EXPECT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+  EXPECT_TRUE((*store)->GetVersion(19).ok());
+  return std::move(*store);
 }
 
-TEST(QueryCorruptionTest, GarbageChunkMapsFailEveryQuery) {
-  ExpectEveryQueryFailsWithCorruption(/*corrupt_maps=*/true);
+// Every query class, sync and async, fails with kCorruption when the chunk
+// bodies hold garbage: the one decode path rejects what it cannot parse.
+TEST(QueryCorruptionTest, GarbageChunkBodiesFailEveryQuery) {
+  MemoryStore backend;
+  Options options;
+  std::unique_ptr<RStore> db = LoadChain(&backend, options);
+  ASSERT_NE(db, nullptr);
+  OverwriteTable(&backend, options.chunk_table);
+  ExpectEveryQueryFailsWithCorruption(*db);
+}
+
+// Queries take each chunk's map from the catalog and never read the stored
+// copies, so garbage in every stored map changes no answer. The stored maps
+// are still what VerifyIntegrity checks.
+TEST(QueryCorruptionTest, GarbageChunkMapsLeaveAnswersUnchanged) {
+  MemoryStore backend;
+  Options options;
+  std::unique_ptr<RStore> db = LoadChain(&backend, options);
+  ASSERT_NE(db, nullptr);
+  const std::vector<Answer> before = AnswerEveryQuery(*db);
+  // With no Flush yet, the index table holds the chunk maps and nothing else.
+  OverwriteTable(&backend, options.index_table);
+
+  const std::vector<Answer> after = AnswerEveryQuery(*db);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ASSERT_TRUE(before[i].status.ok()) << before[i].status.ToString();
+    EXPECT_TRUE(after[i].status.ok()) << after[i].status.ToString();
+    EXPECT_FALSE(before[i].records.empty());
+    EXPECT_EQ(after[i].records, before[i].records);
+  }
+  Status integrity = db->VerifyIntegrity();
+  EXPECT_TRUE(integrity.IsCorruption()) << integrity.ToString();
+}
+
+/// The chunk every query of AnswerEveryQuery fetches: the one holding
+/// key1003's record in version 19.
+ChunkId ChunkEveryQueryFetches(const RStore& db) {
+  for (const CompositeKey& ck : db.dataset().MaterializeVersion(19)) {
+    if (ck.key != "key1003") continue;
+    const StoreCatalog::RecordSlot* slot = db.catalog().FindRecord(ck);
+    EXPECT_NE(slot, nullptr);
+    return slot == nullptr ? 0 : slot->chunk;
+  }
+  ADD_FAILURE() << "key1003 not in version 19";
+  return 0;
+}
+
+// A valid body stored under another chunk's key is corruption, even when
+// both chunks hold the same number of records, so that the catalog's map
+// of the one would index the records of the other.
+TEST(QueryCorruptionTest, MisfiledChunkBodyFailsEveryQuery) {
+  MemoryStore backend;
+  Options options = SmallOptions();
+  std::unique_ptr<RStore> db = LoadChain(&backend, options);
+  ASSERT_NE(db, nullptr);
+  const ChunkId target = ChunkEveryQueryFetches(*db);
+  const size_t target_records = db->catalog().RecordsOfChunk(target)->size();
+  ChunkId donor = target;
+  for (ChunkId id : db->catalog().AllChunks()) {
+    if (id != target &&
+        db->catalog().RecordsOfChunk(id)->size() == target_records) {
+      donor = id;
+      break;
+    }
+  }
+  ASSERT_NE(donor, target) << "no other chunk holds " << target_records
+                           << " records";
+  auto body = backend.Get(options.chunk_table, ChunkKey(donor));
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  ASSERT_TRUE(backend.Put(options.chunk_table, ChunkKey(target), *body).ok());
+  ExpectEveryQueryFailsWithCorruption(*db);
+}
+
+// A body that decodes as the chunk asked for but holds a different number
+// of records than the catalog's map indexes is corruption: the map's rows
+// would index past the body's records, or miss some.
+TEST(QueryCorruptionTest, BodyNotCoveringItsMapFailsEveryQuery) {
+  MemoryStore backend;
+  Options options = SmallOptions();
+  std::unique_ptr<RStore> db = LoadChain(&backend, options);
+  ASSERT_NE(db, nullptr);
+  const ChunkId target = ChunkEveryQueryFetches(*db);
+  const size_t target_records = db->catalog().RecordsOfChunk(target)->size();
+  ChunkId donor = target;
+  for (ChunkId id : db->catalog().AllChunks()) {
+    if (db->catalog().RecordsOfChunk(id)->size() != target_records) {
+      donor = id;
+      break;
+    }
+  }
+  ASSERT_NE(donor, target);
+  // The donor's body, renumbered as the target: a body starts with its id.
+  auto donor_body = backend.Get(options.chunk_table, ChunkKey(donor));
+  ASSERT_TRUE(donor_body.ok()) << donor_body.status().ToString();
+  Slice rest(*donor_body);
+  uint64_t donor_id = 0;
+  ASSERT_TRUE(GetVarint64(&rest, &donor_id).ok());
+  ASSERT_EQ(donor_id, donor);
+  std::string body;
+  PutVarint64(&body, target);
+  body.append(rest.data(), rest.size());
+  ASSERT_TRUE(backend.Put(options.chunk_table, ChunkKey(target), body).ok());
+  ExpectEveryQueryFailsWithCorruption(*db);
 }
 
 TEST(CommitSnapshotTest, ServerSideDiffDetectsChanges) {

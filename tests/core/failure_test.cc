@@ -7,6 +7,7 @@
 #include <iterator>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
 #include "kvstore/cluster.h"
@@ -140,6 +141,42 @@ TEST(FailureTest, BestEffortReadsReturnPartialResultsWithReport) {
     EXPECT_FALSE(report.degraded());
     EXPECT_EQ(r->size(), data.dataset.MaterializeVersion(v).size());
   }
+}
+
+// A caller may reuse one best-effort report across queries. The report
+// gathers every query's casualties, but each query's flight record lists
+// only its own: as many messages as the chunks it missed.
+TEST(FailureTest, ReusedReportRecordsEachQuerysOwnCasualties) {
+  ExampleData data = MakeChain(20, 10, 3);
+  ClusterOptions cluster_options;
+  cluster_options.num_nodes = 4;
+  cluster_options.replication_factor = 1;
+  Cluster cluster(cluster_options);
+  Options options = SmallOptions();
+  options.read_mode = ReadMode::kBestEffort;
+  auto store = RStore::Open(&cluster, options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->BulkLoad(data.dataset, data.payloads).ok());
+
+  cluster.SetNodeAlive(0, false);
+  QueryDegradation report;
+  uint64_t missed = 0;
+  for (int query = 0; query < 2; ++query) {
+    SCOPED_TRACE("query " + std::to_string(query));
+    QueryStats stats;
+    auto got = (*store)->GetVersion(19, &stats, nullptr, &report);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_GT(stats.missing_chunks, 0u);
+    missed += stats.missing_chunks;
+    const std::vector<FlightRecord> recent = FlightRecorder::Default().Recent();
+    ASSERT_FALSE(recent.empty());
+    const FlightRecord& record = recent.front();  // newest first
+    EXPECT_EQ(record.name, "get_version");
+    EXPECT_EQ(record.missing_chunks, stats.missing_chunks);
+    EXPECT_EQ(record.degradation.size(), stats.missing_chunks);
+  }
+  EXPECT_EQ(report.missing_chunks.size(), missed);
+  EXPECT_EQ(report.messages.size(), missed);
 }
 
 // A chunk that arrives but does not decode fails even a best-effort query,

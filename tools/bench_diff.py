@@ -2,7 +2,7 @@
 """Compare BENCH_*.json outputs against committed baselines.
 
 The bench binaries emit flat metric -> value JSON (BENCH_<name>.json).
-Metrics gate in two tiers:
+Metrics gate in three tiers:
 
   simulated time  names containing "micros" or ending in "_ms". Produced by
                   the deterministic latency model, so exactly reproducible
@@ -10,24 +10,29 @@ Metrics gate in two tiers:
                   up or down, fails — it is a modeling or code-path change,
                   never noise, and is acknowledged by refreshing the
                   baseline in the same change.
+  model counts    names ending in one of EXACT_COUNT_SUFFIXES: cache hit
+                  rates (bench_cache_ablation), fault coverage,
+                  availability, retries and hedges (bench_fault_tolerance)
+                  and layout spans (bench_ingest). Counted on the same
+                  deterministic model, so they gate exactly too.
   wall clock      names ending in "_real_ns" (bench_micro). Host- and
                   load-dependent, so the gate is deliberately loose
                   (--wall-threshold, default 3.0 = +300%): it only catches
                   order-of-magnitude regressions — an accidental O(n^2), a
                   lock on the hot path — never scheduler jitter.
 
-Other metrics (counters, bytes) are reported but never gate. Wall-clock
-improvements and sub-threshold drift are reported but do not fail. Metrics
-missing from the baseline (new benches, new series) warn and pass, so
-adding coverage never blocks a PR; refresh the baseline to start gating
-them.
+Other metrics (wall-derived rates such as *_per_sec and speedup_*, bytes)
+are reported but never gate. Wall-clock improvements and sub-threshold
+drift are reported but do not fail. Metrics missing from the baseline (new
+benches, new series) warn and pass, so adding coverage never blocks a PR;
+refresh the baseline to start gating them.
 
 Usage:
   tools/bench_diff.py [--wall-threshold 3.0] [--baselines bench/baselines]
                       BENCH_a.json [BENCH_b.json ...]
 
-Exit status: 1 when any simulated-time metric changed or any wall-clock
-metric regressed past its gate, else 0.
+Exit status: 1 when any simulated-time or model-count metric changed or
+any wall-clock metric regressed past its gate, else 0.
 """
 
 import argparse
@@ -38,10 +43,19 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# Deterministic non-time metrics that gate exactly: every bench metric with
+# one of these suffixes reads the same over repeated smoke runs.
+EXACT_COUNT_SUFFIXES = ("_hit_rate", "_coverage", "_availability",
+                        "_total_span", "_retries", "_hedges")
+
+
 def metric_tier(name):
-    """"sim" (exact gate), "wall" (loose gate), or None (never gates)."""
+    """"sim" or "count" (exact gates), "wall" (loose gate), or None (never
+    gates)."""
     if "micros" in name or name.endswith("_ms"):
         return "sim"
+    if name.endswith(EXACT_COUNT_SUFFIXES):
+        return "count"
     if name.endswith("_real_ns"):
         return "wall"
     return None
@@ -57,8 +71,8 @@ def load_metrics(path):
 
 def compare(current_path, baseline_path, wall_threshold):
     """Returns (failures, lines) for one bench file pair: simulated-time
-    metrics must equal their baseline, wall-clock ones stay within
-    `wall_threshold` (relative) above it."""
+    and model-count metrics must equal their baseline, wall-clock ones stay
+    within `wall_threshold` (relative) above it."""
     current = load_metrics(current_path)
     baseline = load_metrics(baseline_path)
     failures = 0
@@ -77,7 +91,7 @@ def compare(current_path, baseline_path, wall_threshold):
             delta = 0.0 if value == 0.0 else float("inf")
         else:
             delta = (value - base) / base
-        if tier == "sim":
+        if tier in ("sim", "count"):
             tag = "ok" if value == base else "CHANGED"
             gate = "exact"
         else:
@@ -135,12 +149,14 @@ def main(argv=None):
         return 0
     if total_failures:
         print("\nbench_diff.py: %d gated metric(s) failed: simulated time "
-              "must match its baseline exactly, wall clock stay within "
-              "%+.0f%%" % (total_failures, args.wall_threshold * 100),
+              "and model counts must match their baselines exactly, wall "
+              "clock stay within %+.0f%%"
+              % (total_failures, args.wall_threshold * 100),
               file=sys.stderr)
         return 1
-    print("\nbench_diff.py: all gated metrics pass (simulated time exact, "
-          "wall clock %+.0f%%)" % (args.wall_threshold * 100))
+    print("\nbench_diff.py: all gated metrics pass (simulated time and "
+          "model counts exact, wall clock %+.0f%%)"
+          % (args.wall_threshold * 100))
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_diff.py: the exact simulated-time tier, the
-loose wall-clock tier, metrics that never gate, and the exit status of a
-whole run. Run directly or via ctest (`ctest -R tools.bench_diff`); stdlib
+"""Unit tests for tools/bench_diff.py: the exact simulated-time and
+model-count tiers, the loose wall-clock tier, metrics that never gate, and
+the exit status of a whole run. Run directly or via ctest (`ctest -R tools.bench_diff`); stdlib
 unittest only."""
 
 import contextlib
@@ -49,7 +49,14 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(bench_diff.metric_tier("sync_p50_micros"), "sim")
         self.assertEqual(bench_diff.metric_tier("checkout_ms"), "sim")
         self.assertEqual(bench_diff.metric_tier("BM_Lz_real_ns"), "wall")
-        self.assertIsNone(bench_diff.metric_tier("retries"))
+        for name in ("point4_hit_rate", "effort_rf1_rate020_coverage",
+                     "strict_rf1_rate020_availability", "batch_8_total_span",
+                     "strict_rf2_rate010_retries", "strict_rf2_rate002_hedges"):
+            self.assertEqual(bench_diff.metric_tier(name), "count", name)
+        # Wall-derived rates and bytes never gate.
+        for name in ("shards_4_records_per_sec", "batch_1_commits_per_sec",
+                     "speedup_4_shards", "point0_capacity_bytes", "retries"):
+            self.assertIsNone(bench_diff.metric_tier(name), name)
 
     def test_unchanged_simulated_time_passes(self):
         failures, lines = self.compare({"a_micros": 1000}, {"a_micros": 1000})
@@ -65,6 +72,22 @@ class BenchDiffTest(unittest.TestCase):
             self.assertEqual(failures, 1, value)
             self.assertIn("CHANGED", lines[0])
 
+    def test_any_model_count_change_fails(self):
+        same = {"p_hit_rate": 0.8095238095238095, "s_retries": 1}
+        failures, lines = self.compare(same, same)
+        self.assertEqual(failures, 0)
+        self.assertTrue(all("gate exact" in line for line in lines))
+        # A rise is a change too: fewer requests can raise coverage.
+        for name, base, value in (("p_hit_rate", 0.81, 0.78),
+                                  ("x_coverage", 0.875, 1.0),
+                                  ("x_availability", 1.0, 0.875),
+                                  ("batch_8_total_span", 484, 485),
+                                  ("s_retries", 1, 0),
+                                  ("s_hedges", 2, 3)):
+            failures, lines = self.compare({name: value}, {name: base})
+            self.assertEqual(failures, 1, name)
+            self.assertIn("CHANGED", lines[0])
+
     def test_wall_clock_gates_only_past_its_threshold(self):
         self.assertEqual(
             self.compare({"b_real_ns": 390}, {"b_real_ns": 100})[0], 0)
@@ -76,7 +99,8 @@ class BenchDiffTest(unittest.TestCase):
 
     def test_other_metrics_and_new_series_never_gate(self):
         failures, lines = self.compare(
-            {"retries": 9, "new_micros": 5}, {"retries": 1})
+            {"a_records_per_sec": 9, "new_micros": 5},
+            {"a_records_per_sec": 1})
         self.assertEqual(failures, 0)
         self.assertEqual(len(lines), 1)
         self.assertIn("NEW", lines[0])
@@ -87,6 +111,11 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(self.run_main(same)[0], 0)
         changed = self.write("run", {"a_micros": 999})
         status, out = self.run_main(changed)
+        self.assertEqual(status, 1)
+        self.assertIn("CHANGED", out)
+        self.write("baselines", {"a_micros": 1000, "b_hit_rate": 0.5})
+        count_changed = self.write("run", {"a_micros": 1000, "b_hit_rate": 0.6})
+        status, out = self.run_main(count_changed)
         self.assertEqual(status, 1)
         self.assertIn("CHANGED", out)
         # A bench without a committed baseline is skipped, not failed.
